@@ -8,12 +8,16 @@
  *
  * Reports client-observed round-trip percentiles (p50/p99) split into
  * warm-hit and overall, total QPS, and the daemon's own STATS line,
- * then writes the numbers to BENCH_serve.json-shaped output. The
+ * then writes the numbers as BENCH_serve.json-shaped JSON: to FILE
+ * with --out, otherwise to stdout after the summary lines. The
  * acceptance bar: warm-hit p99 < 1 ms at thousands of queries.
  *
  * Usage: serve_bench [--queries N] [--threads T] [--out FILE]
  *                    [--jobs N]
- *        (defaults: 2000 queries, 4 client threads, ./BENCH_serve.json)
+ *        (defaults: 2000 queries, 4 client threads, JSON to stdout)
+ *
+ * Refresh the checked-in reference with
+ *   ./build/bench/serve_bench --out BENCH_serve.json
  *
  * Not a paper figure; the serving daemon is infrastructure on top of
  * the reproduced results, not part of the reproduction itself.
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -105,7 +110,7 @@ main(int argc, char **argv)
     return runGuarded("serve_bench", [&] {
         std::size_t total_queries = 2000;
         unsigned threads = 4;
-        std::string out_path = "BENCH_serve.json";
+        std::string out_path; // Empty = stdout.
         applyJobsFlag(argc, argv);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -360,7 +365,10 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(s.misses),
             static_cast<unsigned long long>(s.joined), s.p99us);
 
-        std::ofstream out(out_path);
+        std::ofstream file;
+        if (!out_path.empty())
+            file.open(out_path);
+        std::ostream &out = out_path.empty() ? std::cout : file;
         out << "{\n"
             << "  \"description\": \"Advisor daemon traffic replay "
                "(bench/serve_bench.cpp): mixed ADVISE/PAIR/STATS/PING "
@@ -402,7 +410,9 @@ main(int argc, char **argv)
             << ", \"server_p50_us\": " << s.p50us
             << ", \"server_p99_us\": " << s.p99us << " }\n"
             << "}\n";
-        std::printf("wrote %s\n", out_path.c_str());
+        out.flush();
+        if (!out_path.empty())
+            std::printf("wrote %s\n", out_path.c_str());
 
         // Acceptance bar: warm hits answered from the loaded store in
         // well under a millisecond at the 99th percentile.

@@ -155,8 +155,8 @@ bool parseUint(const char *text, std::uint64_t &out);
  * to [@p min, @p max]; @p fallback when unset, empty, or garbage
  * (garbage is warned about — a knob the user set but mistyped should
  * not be silently ignored). The shared parser behind every EBM_*
- * numeric knob (EBM_JOBS, EBM_CACHE_SHARDS, EBM_CLAIM_STALE_MS, ...),
- * so they all reject nonsense the same way.
+ * numeric knob (EBM_JOBS, EBM_CLAIM_STALE_MS, ...), so they all
+ * reject nonsense the same way.
  */
 std::uint64_t envUint(const char *name, std::uint64_t fallback,
                       std::uint64_t min, std::uint64_t max);

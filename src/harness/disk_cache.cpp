@@ -53,33 +53,6 @@ keyHash(const std::string &key)
     return h;
 }
 
-std::uint32_t
-resolveShardCount(std::uint32_t shards)
-{
-    if (shards != 0)
-        return shards;
-    return static_cast<std::uint32_t>(
-        envUint("EBM_CACHE_SHARDS", kDefaultShards, 1, 4096));
-}
-
-/** Parse the space-separated value list; false on trailing garbage. */
-bool
-parseValues(const std::string &text, std::vector<double> &values)
-{
-    std::istringstream in(text);
-    double v;
-    while (in >> v)
-        values.push_back(v);
-    if (in.bad())
-        return false;
-    // Anything left that is not whitespace is garbage (e.g. a
-    // truncated float like "0.12e" or a stray token).
-    in.clear();
-    std::string rest;
-    in >> rest;
-    return rest.empty();
-}
-
 /** Clean-store header (fencing epoch 0) for this build. */
 std::string
 buildHeader()
@@ -142,7 +115,7 @@ DiskCache::defaultPath(const std::string &file)
 DiskCache::DiskCache(std::string path, FaultInjector *injector,
                      std::uint32_t shards)
     : path_(std::move(path)), injector_(injector), io_(injector),
-      shards_(resolveShardCount(shards))
+      shards_(shards != 0 ? shards : kDefaultShards)
 {
     load();
 }
@@ -229,7 +202,7 @@ DiskCache::load()
     }
 
     // Map the file (read() fallback when mmap is unavailable) and
-    // dispatch on the magic: binary v3, or legacy text to migrate.
+    // check the magic.
     void *map =
         ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
     std::vector<char> buffer;
@@ -249,13 +222,16 @@ DiskCache::load()
 
     if (file_size < sizeof kMagicV3 ||
         std::memcmp(data, kMagicV3, sizeof kMagicV3) != 0) {
-        // Legacy v1/v2 text store (or garbage): the text loader
-        // migrates or quarantines after the fd is released.
-        std::vector<char> text(data, data + file_size);
+        // Not a v3 store: a pre-v3 text cache (v1/v2 are no longer
+        // read) or garbage. Nothing in it can be trusted, but it may
+        // be valuable elsewhere — quarantine it and start fresh.
         if (map != MAP_FAILED)
             ::munmap(map, file_size);
         ::close(fd);
-        loadText(text);
+        warn("DiskCache: " + path_ + " is not a v3 store (no " +
+             std::string(kMagicV3, sizeof kMagicV3) +
+             " magic); quarantining and recomputing");
+        quarantineAndRewrite();
         return;
     }
 
@@ -355,117 +331,6 @@ DiskCache::load()
     }
     scanOffset_ = valid_end;
     ::close(fd);
-}
-
-void
-DiskCache::loadText(const std::vector<char> &buffer)
-{
-    std::vector<std::string> lines;
-    {
-        std::string line;
-        for (const char c : buffer) {
-            if (c == '\n') {
-                lines.push_back(std::move(line));
-                line.clear();
-            } else {
-                line += c;
-            }
-        }
-        if (!line.empty())
-            lines.push_back(std::move(line));
-    }
-    if (lines.empty())
-        return;
-
-    std::istringstream header(lines.front());
-    std::string magic, version, fingerprint;
-    header >> magic >> version >> fingerprint;
-
-    if (magic == "ebmcache") {
-        if (version != "v2" || fingerprint != machineFingerprint()) {
-            // Wrong text version or foreign machine: quarantine, as
-            // v2 did, and start fresh in the v3 format.
-            warn("DiskCache: " + path_ + " has text header '" +
-                 lines.front() + "', expected 'ebmcache v2 " +
-                 machineFingerprint() +
-                 "'; quarantining and recomputing");
-            for (Shard &shard : shards_)
-                shard.entries.clear();
-            quarantineAndRewrite();
-            return;
-        }
-        loadReport_.migratedV2 = true;
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-            if (!parseEntryLine(lines[i], /*with_checksum=*/true))
-                ++loadReport_.entriesSkipped;
-        }
-    } else {
-        // Legacy v1 file (no header, no checksums): best-effort load,
-        // then upgrade in place.
-        loadReport_.migratedV1 = true;
-        for (const std::string &l : lines) {
-            if (!parseEntryLine(l, /*with_checksum=*/false))
-                ++loadReport_.entriesSkipped;
-        }
-    }
-    loadReport_.entriesLoaded = size();
-
-    if (loadReport_.entriesSkipped > 0) {
-        warn("DiskCache: skipped " +
-             std::to_string(loadReport_.entriesSkipped) +
-             " corrupt entr" +
-             (loadReport_.entriesSkipped == 1 ? "y" : "ies") + " in " +
-             path_ + "; quarantining the damaged file and recomputing "
-                     "the lost results");
-        quarantineAndRewrite();
-    } else if (persistCompacted()) {
-        inform("DiskCache: migrated " + path_ + " from " +
-               (loadReport_.migratedV1 ? "v1 text" : "v2 text") +
-               " to the v3 binary format");
-    }
-}
-
-bool
-DiskCache::parseEntryLine(const std::string &line, bool with_checksum)
-{
-    if (line.empty())
-        return false;
-    const auto key_end = line.find('|');
-    if (key_end == std::string::npos || key_end == 0)
-        return false;
-    const std::string key = line.substr(0, key_end);
-
-    std::string values_text;
-    std::uint64_t stored_sum = 0;
-    if (with_checksum) {
-        const auto sum_end = line.find('|', key_end + 1);
-        if (sum_end == std::string::npos)
-            return false;
-        const std::string sum_hex =
-            line.substr(key_end + 1, sum_end - key_end - 1);
-        if (sum_hex.empty() || sum_hex.size() > 16)
-            return false;
-        char *end = nullptr;
-        stored_sum = std::strtoull(sum_hex.c_str(), &end, 16);
-        if (end == nullptr || *end != '\0')
-            return false;
-        values_text = line.substr(sum_end + 1);
-    } else {
-        values_text = line.substr(key_end + 1);
-    }
-
-    std::vector<double> values;
-    if (!parseValues(values_text, values))
-        return false;
-    if (with_checksum && entryChecksum(key, values) != stored_sum)
-        return false;
-
-    // Constructor-only path, so no shard lock is needed yet.
-    EntryMap &entries = shardOf(key).entries;
-    if (entries.count(key) != 0)
-        ++loadReport_.duplicateKeys;
-    entries[key] = std::move(values);
-    return true;
 }
 
 std::size_t

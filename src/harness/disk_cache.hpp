@@ -33,8 +33,9 @@
  * of quarantining the world; anything else — bad header, foreign
  * machine, mid-file frame corruption — preserves the v2 contract of
  * quarantining the file to `<path>.quarantined` and recomputing.
- * Legacy v1 (plain text) and v2 (checksummed text) files migrate to
- * v3 in place on load.
+ * A file without the v3 magic — including the pre-v3 v1 (plain text)
+ * and v2 (checksummed text) formats, which are no longer read — is
+ * quarantined like any other untrusted file.
  *
  * Cross-process sharing: writers from different processes interleave
  * appends safely under `flock`, and `refresh()` folds frames appended
@@ -73,8 +74,6 @@ class DiskCache
         std::size_t entriesLoaded = 0;
         std::size_t entriesSkipped = 0;  ///< Corrupt/truncated frames.
         std::size_t duplicateKeys = 0;   ///< Later frame won.
-        bool migratedV1 = false;         ///< Legacy text file upgraded.
-        bool migratedV2 = false;         ///< v2 text file upgraded.
         bool quarantined = false;        ///< Bad file set aside.
         bool tornTailTruncated = false;  ///< Tail chopped to last frame.
         bool readOnlyMode = false;       ///< Serving without appends.
@@ -94,11 +93,10 @@ class DiskCache
      * Open (and load) the store at @p path; missing file is fine.
      *
      * @param injector optional fault injection (robustness tests)
-     * @param shards   in-memory shard count; 0 = EBM_CACHE_SHARDS or
-     *                 the built-in default (16). Shard count is an
-     *                 in-memory concurrency knob only — the on-disk
-     *                 format and the persisted bytes are identical at
-     *                 every setting.
+     * @param shards   in-memory shard count; 0 = the built-in default
+     *                 (16). Shard count is an in-memory concurrency
+     *                 knob only — the on-disk format and the persisted
+     *                 bytes are identical at every setting.
      */
     explicit DiskCache(std::string path,
                        FaultInjector *injector = nullptr,
@@ -256,8 +254,6 @@ class DiskCache
     const Shard &shardOf(const std::string &key) const;
 
     void load();
-    void loadText(const std::vector<char> &buffer);
-    bool parseEntryLine(const std::string &line, bool with_checksum);
     /**
      * Scan v3 frames in [@p begin, @p end) of @p data, appending
      * parsed records to @p out. @return the offset just past the last
@@ -284,7 +280,7 @@ class DiskCache
     void quarantineAndRewrite();
     /** All shards merged (for compaction snapshots and rewrites). */
     EntryMap gatherAll() const;
-    /** Full sorted rewrite (migration, quarantine recovery, compact). */
+    /** Full sorted rewrite (quarantine recovery, compact). */
     bool persistCompacted();
     bool writeCompacted(const EntryMap &snapshot);
     /** Append one group-commit batch under flock; updates counters. */

@@ -1,19 +1,13 @@
 #include "harness/exhaustive.hpp"
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "common/job_pool.hpp"
 #include "common/log.hpp"
-#include "harness/cost_model.hpp"
 #include "harness/lease_provider.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/row_fill.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -85,8 +79,24 @@ enumerateCombos(const std::vector<std::uint32_t> &levels,
 
 namespace {
 
+/** A combo row's store encoding: ipc, bw, l1Mr, l2Mr per app, then
+ * the measured cycles. */
+std::vector<double>
+encodeComboRow(const RunResult &result)
+{
+    std::vector<double> v;
+    for (const AppRunStats &a : result.apps) {
+        v.push_back(a.ipc);
+        v.push_back(a.bw);
+        v.push_back(a.l1Mr);
+        v.push_back(a.l2Mr);
+    }
+    v.push_back(static_cast<double>(result.measuredCycles));
+    return v;
+}
+
 /** Decode a validated cache vector back into a RunResult (the inverse
- * of the encoding in Exhaustive::sweep's simulate path). */
+ * of encodeComboRow). */
 RunResult
 decodeComboRow(const std::vector<double> &v, const TlpCombo &combo,
                std::uint32_t num_apps)
@@ -140,30 +150,6 @@ Exhaustive::jobs() const
     return jobs_ != 0 ? jobs_ : JobPool::defaultJobs();
 }
 
-namespace {
-
-/** One cache-missing row awaiting simulation. */
-struct SweepTask
-{
-    std::size_t row = 0;
-    std::string key;
-    /** Leading attempts the pre-drawn fault schedule fails. */
-    std::uint32_t injectedFails = 0;
-    /** Pre-drawn whole-process crash points (chaos tests): die while
-     * holding the claim / after the durable put, pre-release. */
-    std::uint32_t crashClaimHeld = 0;
-    std::uint32_t crashPostPut = 0;
-    /** 1 = another process claimed the row; wait for its result. */
-    std::uint32_t deferred = 0;
-    /** Outcome, merged into SweepStatus after the pool drains. */
-    std::uint32_t simulated = 0;
-    std::uint32_t fromPeers = 0;
-    std::uint32_t retried = 0;
-    std::uint32_t skipped = 0;
-};
-
-} // namespace
-
 ComboTable
 Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
 {
@@ -181,11 +167,6 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     sweep_status.combos = total;
     table.results.resize(total);
     table.skipped.assign(total, 0);
-
-    const auto decode = [n](const std::vector<double> &v,
-                            const TlpCombo &combo) {
-        return decodeComboRow(v, combo, n);
-    };
 
     // Cross-process sharding: rows are claimed at dispatch through a
     // LeaseProvider, so N cooperating workers split a cold sweep
@@ -205,7 +186,11 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     // same row order), so each one's view of which attempts fail is
     // the same no matter which process ends up running a row.
     FaultInjector *injector = runner_.options().faultInjector;
-    std::vector<SweepTask> tasks;
+    // Per fill row: its table row, and how many leading attempts the
+    // pre-drawn fault schedule fails.
+    std::vector<FillRow> fill;
+    std::vector<std::size_t> fill_row;
+    std::vector<std::uint32_t> injected_fails;
     for (std::size_t row = 0; row < total; ++row) {
         const TlpCombo &combo = table.combos[row];
         std::string key = runner_.comboKey(wl.name, combo);
@@ -214,68 +199,49 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         // survived-but-bogus line, pre-guard NaN) is a miss:
         // recompute and overwrite rather than trust.
         if (const auto cached = cache_.getValidated(key, 4u * n + 1)) {
-            table.results[row] = decode(*cached, combo);
+            table.results[row] = decodeComboRow(*cached, combo, n);
             ++sweep_status.fromCache;
             continue;
         }
 
-        SweepTask task;
-        task.row = row;
-        task.key = std::move(key);
+        FillRow miss;
+        miss.key = std::move(key);
+        miss.sortKey = tlpSortKey(combo);
+        std::uint32_t fails = 0;
         if (injector != nullptr) {
             // Pre-draw this row's injected failures with the same
             // query sequence the serial attempt loop performed: one
             // query per attempt, stopping at the first non-firing
             // (successful) attempt or when the retry budget is gone.
-            while (task.injectedFails <= maxRetries_ &&
+            while (fails <= maxRetries_ &&
                    injector->shouldFire(FaultInjector::Point::RunFail))
-                ++task.injectedFails;
+                ++fails;
             // Whole-process crash points are pre-drawn here too: the
             // shared injector is only ever queried serially, and the
             // draw order is row order regardless of worker count, so
             // a seeded chaos schedule kills the same row at the same
             // point on every run. Per-point counters are independent,
             // so disarmed points leave existing schedules untouched.
-            task.crashClaimHeld = injector->shouldFire(
-                                      FaultInjector::Point::CrashClaimHeld)
-                                      ? 1u
-                                      : 0u;
-            task.crashPostPut = injector->shouldFire(
-                                    FaultInjector::Point::CrashPostPut)
-                                    ? 1u
-                                    : 0u;
+            miss.crashClaimHeld =
+                injector->shouldFire(FaultInjector::Point::CrashClaimHeld);
+            miss.crashPostPut =
+                injector->shouldFire(FaultInjector::Point::CrashPostPut);
         }
-        tasks.push_back(std::move(task));
+        fill.push_back(std::move(miss));
+        fill_row.push_back(row);
+        injected_fails.push_back(fails);
     }
 
-    // Simulate one owned task: bounded retry — a failing run
-    // (pre-drawn injected fault or a genuine crash) is retried, then
-    // skipped; one bad combination must not lose the whole sweep.
-    // Each success is persisted as it completes (checkpoint/resume).
-    // Chaos kill: die the way the kernel kills a worker — SIGKILL, no
-    // destructors, no claim cleanup; the supervisor and the staleness
-    // protocol must recover, and that recovery is what's under test.
-    auto crashNow = [] {
-        (void)::kill(::getpid(), SIGKILL);
-        for (;;)
-            ::pause();
-    };
-
-    auto simulateTask = [&](SweepTask &task) {
-        const TlpCombo &combo = table.combos[task.row];
-
-        // Crash point: the lease is held, nothing is durable yet.
-        // Peers must see the lease go stale and take the row over.
-        if (lease && task.crashClaimHeld)
-            crashNow();
-
-        // Span the whole attempt loop with a background heartbeat so
-        // a single row longer than the staleness window never looks
-        // abandoned to peers (the per-attempt bump below is far too
-        // coarse for that once rows take seconds).
-        std::optional<LeaseHeartbeater> beat;
-        if (lease)
-            beat.emplace(lease.get(), task.key);
+    // Simulate one miss: bounded retry — a failing run (pre-drawn
+    // injected fault or a genuine crash) is retried, then skipped; one
+    // bad combination must not lose the whole sweep. The full run
+    // result goes straight into the row's slot; the engine persists
+    // its encoding.
+    std::vector<std::uint32_t> retried(fill.size(), 0);
+    auto simulate =
+        [&](std::size_t i) -> std::optional<std::vector<double>> {
+        const std::size_t row = fill_row[i];
+        const std::string &key = fill[i].key;
 
         // Workers never touch the shared injector: the run-failure
         // schedule was pre-drawn above, and monitor-level points are
@@ -285,7 +251,7 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         std::optional<Runner> task_runner;
         std::optional<FaultInjector> task_injector;
         if (injector != nullptr) {
-            task_injector.emplace(injector->fork(task.row));
+            task_injector.emplace(injector->fork(row));
             task_injector->disarm(FaultInjector::Point::RunFail);
             RunOptions opts = runner_.options();
             opts.faultInjector = &*task_injector;
@@ -293,239 +259,58 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
             runner = &*task_runner;
         }
 
-        RunResult result;
-        bool done = false;
-        for (std::uint32_t attempt = 0;
-             !done && attempt <= maxRetries_; ++attempt) {
+        for (std::uint32_t attempt = 0; attempt <= maxRetries_;
+             ++attempt) {
             if (attempt > 0)
-                ++task.retried;
-            // Liveness signal for cooperating processes: while this
-            // row is retrying it is being worked on, not abandoned.
-            if (lease)
-                lease->heartbeat(task.key);
-            if (attempt < task.injectedFails) {
-                warn("Exhaustive: run failed for " + task.key +
-                     " (attempt " + std::to_string(attempt + 1) + "/" +
-                     std::to_string(maxRetries_ + 1) +
-                     "): [run-failed] Runner: injected run failure");
+                ++retried[i];
+            const std::string attempt_tag =
+                " (attempt " + std::to_string(attempt + 1) + "/" +
+                std::to_string(maxRetries_ + 1) + "): ";
+            if (attempt < injected_fails[i]) {
+                warn("Exhaustive: run failed for " + key + attempt_tag +
+                     "[run-failed] Runner: injected run failure");
                 continue;
             }
             try {
-                const auto t0 = std::chrono::steady_clock::now();
-                result = runner->runStatic(apps, combo);
-                const std::chrono::duration<double> dt =
-                    std::chrono::steady_clock::now() - t0;
-                SweepCostModel::instance().observe(
-                    combo,
-                    runner_.options().warmupCycles +
-                        runner_.options().measureCycles,
-                    dt.count());
-                done = true;
+                table.results[row] =
+                    runner->runStatic(apps, table.combos[row]);
+                return encodeComboRow(table.results[row]);
             } catch (const FatalError &e) {
-                warn("Exhaustive: run failed for " + task.key +
-                     " (attempt " + std::to_string(attempt + 1) + "/" +
-                     std::to_string(maxRetries_ + 1) + "): " +
+                warn("Exhaustive: run failed for " + key + attempt_tag +
                      e.what());
             }
         }
-        if (done) {
-            std::vector<double> v;
-            for (std::uint32_t a = 0; a < n; ++a) {
-                v.push_back(result.apps[a].ipc);
-                v.push_back(result.apps[a].bw);
-                v.push_back(result.apps[a].l1Mr);
-                v.push_back(result.apps[a].l2Mr);
-            }
-            v.push_back(static_cast<double>(result.measuredCycles));
-            cache_.put(task.key, v);
-            task.simulated = 1;
-            if (lease) {
-                // Publish before dropping the lease: peers read
-                // "lease gone" as "result durable". Filesystem mode
-                // forces the covering group commit of the shared
-                // store; network mode streams the CRC-framed record
-                // to the coordinator, whose own writer commits it.
-                lease->publish(task.key, v);
-                // Crash point: result durable, lease left behind.
-                // Peers break the stale lease and re-probe the store.
-                if (task.crashPostPut)
-                    crashNow();
-                // Stop the background heartbeat before dropping the
-                // lease so a late tick can't mistake our own release
-                // for a takeover.
-                const bool was_fenced = beat && beat->fenced();
-                beat.reset();
-                if (was_fenced || !lease->release(task.key)) {
-                    // A peer fenced us out mid-row and owns it now:
-                    // our durable result is a byte-identical
-                    // duplicate compute, not the one waiters consume.
-                    warn("Exhaustive: fenced while computing " +
-                         task.key + "; result kept as a duplicate");
-                }
-            }
-        } else {
-            result = RunResult{};
-            result.apps.resize(n);
-            result.finalTlp = combo;
-            table.skipped[task.row] = 1;
-            task.skipped = 1;
-            // Durable skip marker: waiting processes replicate the
-            // skip instead of polling a row that will never appear.
-            if (lease) {
-                beat.reset();
-                lease->markSkipped(task.key);
-            }
-        }
-        table.results[task.row] = std::move(result);
+        return std::nullopt;
     };
 
-    // Fold in rows cooperating processes finished since our probe
-    // pass: a completed row's lease is already gone (released after
-    // the durable publish), so leases alone cannot tell "done" from
-    // "never started" — the authoritative store can (the shared file
-    // under filesystem claims, the coordinator's store over the
-    // wire). @return true when the row was assembled from a peer's
-    // result.
-    auto probePeer = [&](SweepTask &task) {
-        const auto v =
-            lease->fetch(task.key, 4u * std::size_t{n} + 1);
-        if (!v)
-            return false;
-        table.results[task.row] = decode(*v, table.combos[task.row]);
-        task.fromPeers = 1;
-        return true;
-    };
+    const std::vector<FilledRow> filled = fillRows(
+        cache_, {lease.get(), jobs(), 4u * std::size_t{n} + 1}, fill,
+        simulate);
 
-    // Dispatch gate: under sharding a worker re-probes the store
-    // (peers may have finished the row already), leases the row right
-    // before simulating it, and re-probes once more after winning the
-    // lease (the owner may have released — result durable — between
-    // probe and acquisition). Cooperating processes thus split the
-    // missing rows by arrival instead of duplicating them; a row
-    // someone else still holds is deferred to the wait phase below.
-    // Echo the lease's fencing epoch into the store header: epochs
-    // past the first mean the row changed hands (a takeover), and a
-    // store written under takeovers should say so until compaction
-    // renders it canonical again.
-    auto noteEpoch = [&](const SweepTask &task) {
-        const std::uint64_t epoch = lease->ownedEpoch(task.key);
-        if (epoch > 1)
-            cache_.noteFencingEpoch(epoch);
-    };
-
-    auto runTask = [&](SweepTask &task) {
-        // Liveness for the sweep supervisor (sweep_supervisor.hpp):
-        // every dispatched row proves this worker is making progress,
-        // leases or not.
-        ClaimHeartbeater::touchWorkerHeartbeat();
-        if (lease) {
-            if (probePeer(task))
-                return;
-            if (!lease->tryAcquire(task.key)) {
-                task.deferred = 1;
-                return;
-            }
-            noteEpoch(task);
-            if (probePeer(task)) {
-                lease->release(task.key);
-                return;
-            }
-        }
-        simulateTask(task);
-    };
-
-    // Longest-expected-first submission (LPT): the barrier at the end
-    // of the sweep waits for the last row, so the expensive rows go
-    // out first instead of landing on a nearly drained pool. This
-    // reorders *submission only* — rows were enumerated, probed, and
-    // pre-drawn in odometer order above and are committed into
-    // pre-assigned slots, so results, files, and accounting are
-    // bit-identical whatever order the cost model picks.
-    const Cycle run_cycles = runner_.options().warmupCycles +
-                             runner_.options().measureCycles;
-    std::vector<double> costs(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        costs[i] = SweepCostModel::instance().expectedCost(
-            table.combos[tasks[i].row], run_cycles);
-    }
-    const std::vector<std::size_t> order = costDescendingOrder(costs);
-
-    const std::uint32_t workers = static_cast<std::uint32_t>(
-        std::min<std::size_t>(jobs(), tasks.size()));
-    if (workers <= 1) {
-        for (const std::size_t i : order)
-            runTask(tasks[i]);
-    } else {
-        JobPool pool(workers);
-        for (const std::size_t i : order)
-            pool.submit([&runTask, &task = tasks[i]] { runTask(task); });
-        pool.wait();
-    }
-
-    // Wait phase (sharding only): rows other processes leased are
-    // assembled in odometer order from the authoritative store. The
-    // lease protocol closes every gap: a finished owner's result
-    // appears on the next fetch, a killed owner's lease goes stale
-    // (immediately, in network mode, when its connection drops) and
-    // is taken over, and a skipping owner leaves a durable marker we
-    // replicate — so this loop always terminates, and the assembled
-    // table is the one a single process would have built.
-    for (SweepTask &task : tasks) {
-        if (!task.deferred)
-            continue;
-        for (bool waiting = true; waiting;) {
-            if (probePeer(task))
-                break;
-            switch (lease->peek(task.key)) {
-              case LeaseProvider::State::Skipped: {
-                RunResult result;
-                result.apps.resize(n);
-                result.finalTlp = table.combos[task.row];
-                table.results[task.row] = std::move(result);
-                table.skipped[task.row] = 1;
-                task.skipped = 1;
-                waiting = false;
-                break;
-              }
-              case LeaseProvider::State::Absent:
-                // Owner takeover race (or it crashed between durable
-                // result and release — the re-probe covers the result
-                // landing after this iteration's fetch): lease it
-                // ourselves; duplicates are byte-identical anyway.
-                if (lease->tryAcquire(task.key)) {
-                    noteEpoch(task);
-                    if (!probePeer(task))
-                        simulateTask(task);
-                    else
-                        lease->release(task.key);
-                    waiting = false;
-                }
-                break;
-              case LeaseProvider::State::Stale:
-                if (lease->breakStale(task.key)) {
-                    noteEpoch(task);
-                    if (!probePeer(task))
-                        simulateTask(task);
-                    else
-                        lease->release(task.key);
-                    waiting = false;
-                }
-                break;
-              case LeaseProvider::State::Active:
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(2));
-                break;
-            }
-        }
-    }
-
-    // Merge per-task outcomes in row order: totals are independent of
+    // Merge per-row outcomes in row order: totals are independent of
     // the workers' completion order.
-    for (const SweepTask &task : tasks) {
-        sweep_status.simulated += task.simulated;
-        sweep_status.fromPeers += task.fromPeers;
-        sweep_status.retried += task.retried;
-        sweep_status.skipped += task.skipped;
+    for (std::size_t i = 0; i < fill.size(); ++i) {
+        const std::size_t row = fill_row[i];
+        sweep_status.retried += retried[i];
+        switch (filled[i].source) {
+          case RowSource::Simulated:
+            ++sweep_status.simulated;
+            break;
+          case RowSource::Peer:
+            table.results[row] =
+                decodeComboRow(filled[i].values, table.combos[row], n);
+            ++sweep_status.fromPeers;
+            break;
+          case RowSource::Skipped: {
+            RunResult result;
+            result.apps.resize(n);
+            result.finalTlp = table.combos[row];
+            table.results[row] = std::move(result);
+            table.skipped[row] = 1;
+            ++sweep_status.skipped;
+            break;
+          }
+        }
     }
 
     status_.add(sweep_status);

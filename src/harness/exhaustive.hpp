@@ -133,28 +133,31 @@ class Exhaustive
     /**
      * Simulate (or fetch) the full combination table for @p wl.
      *
-     * Combinations are independent simulations, so cache misses are
-     * dispatched onto a JobPool of jobs() workers, submitted
-     * longest-expected-first (SweepCostModel) to shrink the straggler
-     * tail at the end-of-sweep barrier; results are committed into
-     * pre-assigned rows (odometer order), making the table — and,
-     * because entries persist sorted, the cache file — bit-identical
-     * to a serial sweep at any job count and any submission order.
+     * Cache probes run serially in odometer order; the misses go to
+     * the row-fill engine (row_fill.hpp), which dispatches them onto
+     * jobs() workers, submitted by descending 1 + sum of TLP levels
+     * (ties in row order) to shrink the straggler tail at the
+     * end-of-sweep barrier. Results are committed into pre-assigned
+     * rows (odometer order), making the table — and, because entries
+     * persist sorted, the compacted cache file — bit-identical to a
+     * serial sweep at any job count and any submission order.
      *
      * Every completed combination is persisted to the disk cache
      * as it finishes, so a killed or crashed sweep resumes from the
      * completed combinations on the next run. A combination whose run
      * fails is retried up to maxRetries() times, then recorded as
      * skipped (zero result, flagged in the table) rather than
-     * aborting the whole sweep. Injected run-failure schedules are
-     * pre-drawn serially in row order at dispatch, so retry/skip
-     * accounting is also identical at any job count.
+     * aborting the whole sweep. Injected run-failure schedules and
+     * chaos crash points are pre-drawn serially in row order at
+     * dispatch, so retry/skip accounting is also identical at any job
+     * count.
      *
-     * With EBM_SWEEP_SHARD=1, N processes sharing the store split a
-     * cold sweep through the shard-claim protocol (shard_claim.hpp):
-     * each worker claims a row before simulating it, rows claimed
+     * With EBM_SWEEP_SHARD=1 (filesystem claims) or
+     * EBM_COORDINATOR=host:port (network leases), N workers sharing
+     * the store split a cold sweep through the engine's lease gate:
+     * each worker leases a row before simulating it, rows leased
      * elsewhere are assembled from the shared store in odometer
-     * order, and a killed peer's rows are reclaimed after its claims
+     * order, and a killed peer's rows are taken over after its leases
      * go stale — the table, fault accounting, and compacted store
      * bytes stay identical at any (process x EBM_JOBS) combination.
      *

@@ -1,8 +1,6 @@
 #include "harness/gpu_pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <utility>
 
@@ -12,20 +10,10 @@ namespace ebm {
 
 namespace {
 
-bool
-envEnabled()
-{
-    const char *e = std::getenv("EBM_GPU_POOL");
-    if (e == nullptr || e[0] == '\0')
-        return true;
-    return !(std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-             std::strcmp(e, "OFF") == 0);
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag{envEnabled()};
+    static std::atomic<bool> flag{true};
     return flag;
 }
 

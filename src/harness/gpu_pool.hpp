@@ -24,10 +24,10 @@
  * shared immutable state (TraceArtifact) is process-wide; only the
  * mutable machine is per-worker.
  *
- * The pool is an accelerator, never a semantic: EBM_GPU_POOL=0 (or
- * setEnabled(false)) makes every lease construct-and-discard, and the
- * golden-digest and pooled-vs-fresh tests pin that both modes produce
- * bit-identical results.
+ * The pool is an accelerator, never a semantic: setEnabled(false)
+ * makes every lease construct-and-discard, and the golden-digest and
+ * pooled-vs-fresh tests pin that both modes produce bit-identical
+ * results.
  */
 #pragma once
 
@@ -163,10 +163,7 @@ class GpuPool
     /** This thread's pool. */
     static GpuPool &threadLocal();
 
-    /**
-     * Process-wide enable switch. Defaults from EBM_GPU_POOL (unset,
-     * "1", "on" = enabled; "0", "off" = disabled), read once.
-     */
+    /** Process-wide enable switch (on by default). */
     static bool enabled();
     static void setEnabled(bool enabled);
 

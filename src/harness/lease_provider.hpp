@@ -1,9 +1,10 @@
 /**
  * @file
- * The lease layer the sweep dispatch gates (Exhaustive::sweep,
- * ProfileDb::profile) coordinate through when several workers fill
- * one cold store: who owns a row, how ownership is kept alive, how a
- * dead owner's row is taken over, and how the row's result travels.
+ * The lease layer the row-fill engine (harness/row_fill.hpp, behind
+ * Exhaustive::sweep and ProfileDb::profile) coordinates through when
+ * several workers fill one cold store: who owns a row, how ownership
+ * is kept alive, how a dead owner's row is taken over, and how the
+ * row's result travels.
  *
  * Two implementations exist behind this interface:
  *

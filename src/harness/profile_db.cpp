@@ -1,16 +1,12 @@
 #include "harness/profile_db.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "common/job_pool.hpp"
 #include "common/log.hpp"
-#include "harness/cost_model.hpp"
 #include "harness/lease_provider.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/row_fill.hpp"
 
 namespace ebm {
 
@@ -26,6 +22,18 @@ ProfileDb::jobs() const
 }
 
 namespace {
+
+/** An alone level's store encoding (ipc, bw, l1Mr, l2Mr) as stats. */
+AppRunStats
+decodeStats(const std::vector<double> &v)
+{
+    AppRunStats stats;
+    stats.ipc = v[0];
+    stats.bw = v[1];
+    stats.l1Mr = v[2];
+    stats.l2Mr = v[3];
+    return stats;
+}
 
 /** Fill bestTlp/ipcAtBest/ebAtBest from a fully populated ladder. */
 void
@@ -59,10 +67,7 @@ ProfileDb::profileCached(const AppProfile &app) const
             runner_.aloneKey(app.name, prof.levels[i]), 4);
         if (!cached)
             return std::nullopt;
-        prof.perLevel[i].ipc = (*cached)[0];
-        prof.perLevel[i].bw = (*cached)[1];
-        prof.perLevel[i].l1Mr = (*cached)[2];
-        prof.perLevel[i].l2Mr = (*cached)[3];
+        prof.perLevel[i] = decodeStats(*cached);
     }
     finalizeBest(prof);
     return prof;
@@ -83,189 +88,52 @@ ProfileDb::profile(const AppProfile &app)
     // Cross-process sharding: levels are leased at dispatch like
     // sweep rows (EBM_SWEEP_SHARD for filesystem claims,
     // EBM_COORDINATOR for network leases). An armed fault injector
-    // keeps the pass serial *and* unsharded — its query order is part
-    // of the documented fault schedule and must not depend on which
-    // process wins a lease.
+    // keeps the pass serial, unsharded and in level order — its query
+    // order is part of the documented fault schedule and must not
+    // depend on which process wins a lease or on row costs.
+    const bool pinned = runner_.options().faultInjector != nullptr;
     std::unique_ptr<LeaseProvider> lease;
-    if (runner_.options().faultInjector == nullptr)
+    if (!pinned)
         lease = makeLeaseProvider(cache_);
 
     // Serial pass in level order: cache probes (and their warnings)
-    // happen in the same order at any job count; misses become tasks.
-    std::vector<std::size_t> misses;
-    std::vector<std::string> keys(prof.levels.size());
+    // happen in the same order at any job count; misses become rows
+    // of the fill, committed into pre-assigned level slots below.
+    std::vector<FillRow> fill;
+    std::vector<std::size_t> fill_level; // Ladder index per fill row.
     for (std::size_t i = 0; i < prof.levels.size(); ++i) {
-        keys[i] = runner_.aloneKey(app.name, prof.levels[i]);
+        std::string key = runner_.aloneKey(app.name, prof.levels[i]);
         // A wrong-shape or non-finite entry is treated as a miss
         // (recompute), not a crash: the cache is an accelerator,
         // never a point of failure.
-        if (const auto cached = cache_.getValidated(keys[i], 4)) {
-            const auto &v = *cached;
-            prof.perLevel[i].ipc = v[0];
-            prof.perLevel[i].bw = v[1];
-            prof.perLevel[i].l1Mr = v[2];
-            prof.perLevel[i].l2Mr = v[3];
-        } else {
-            misses.push_back(i);
+        if (const auto cached = cache_.getValidated(key, 4)) {
+            prof.perLevel[i] = decodeStats(*cached);
+            continue;
         }
+        FillRow miss;
+        miss.key = std::move(key);
+        miss.sortKey = pinned ? 0 : tlpSortKey({prof.levels[i]});
+        fill.push_back(std::move(miss));
+        fill_level.push_back(i);
     }
 
-    // Simulate the missing levels — independent solo runs committed
-    // into pre-assigned slots, so the profile is identical at any job
-    // count. An armed fault injector keeps the pass serial: its query
-    // order is part of the documented fault schedule.
-    const Cycle run_cycles = runner_.options().warmupCycles +
-                             runner_.options().measureCycles;
-    auto simulateLevel = [&](std::size_t i) {
-        // In-run heartbeat: an alone run longer than the staleness
-        // window must not look abandoned to peers
-        // (lease_provider.hpp).
-        std::optional<LeaseHeartbeater> beat;
-        if (lease)
-            beat.emplace(lease.get(), keys[i]);
-        const auto t0 = std::chrono::steady_clock::now();
-        const RunResult r = runner_.runAlone(app, prof.levels[i]);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        SweepCostModel::instance().observe({prof.levels[i]},
-                                           run_cycles, dt.count());
-        const AppRunStats stats = r.apps.at(0);
-        cache_.put(keys[i],
-                   {stats.ipc, stats.bw, stats.l1Mr, stats.l2Mr});
-        prof.perLevel[i] = stats;
-        if (lease) {
-            // Publish before dropping the lease; peers read "lease
-            // gone" as "result durable" (group commit in filesystem
-            // mode, record stream to the coordinator in network
-            // mode).
-            lease->publish(keys[i],
-                           {stats.ipc, stats.bw, stats.l1Mr,
-                            stats.l2Mr});
-            const bool was_fenced = beat->fenced();
-            beat.reset();
-            if (was_fenced || !lease->release(keys[i])) {
-                warn("ProfileDb: fenced while computing " + keys[i] +
-                     "; result kept as a duplicate");
-            }
-        }
+    // Alone runs have no skip path: a failed run throws out of the
+    // fill.
+    auto simulate =
+        [&](std::size_t i) -> std::optional<std::vector<double>> {
+        const AppRunStats stats =
+            runner_.runAlone(app, prof.levels[fill_level[i]]).apps.at(0);
+        return std::vector<double>{stats.ipc, stats.bw, stats.l1Mr,
+                                   stats.l2Mr};
     };
-
-    // Header echo for takeover epochs, as in Exhaustive::sweep.
-    auto noteEpoch = [&](std::size_t i) {
-        const std::uint64_t epoch = lease->ownedEpoch(keys[i]);
-        if (epoch > 1)
-            cache_.noteFencingEpoch(epoch);
-    };
-
-    // Fold in a level a cooperating process finished since our probe
-    // pass (its lease is already released, so only the authoritative
-    // store can tell "done" from "never started").
-    auto probePeer = [&](std::size_t i) {
-        const auto v = lease->fetch(keys[i], 4);
-        if (!v)
-            return false;
-        prof.perLevel[i].ipc = (*v)[0];
-        prof.perLevel[i].bw = (*v)[1];
-        prof.perLevel[i].l1Mr = (*v)[2];
-        prof.perLevel[i].l2Mr = (*v)[3];
-        return true;
-    };
-
-    // Dispatch gate, as in Exhaustive::sweep: re-probe the store,
-    // claim the level right before simulating it, then re-probe once
-    // more (the owner may have released — result durable — between
-    // probe and acquisition); levels cooperating processes still hold
-    // are assembled from the shared store afterwards.
-    std::vector<std::size_t> deferred;
-    std::mutex deferred_mu;
-    auto runLevel = [&](std::size_t i) {
-        ClaimHeartbeater::touchWorkerHeartbeat();
-        if (lease) {
-            if (probePeer(i))
-                return;
-            if (!lease->tryAcquire(keys[i])) {
-                std::lock_guard<std::mutex> lk(deferred_mu);
-                deferred.push_back(i);
-                return;
-            }
-            noteEpoch(i);
-            if (probePeer(i)) {
-                lease->release(keys[i]);
-                return;
-            }
-        }
-        simulateLevel(i);
-    };
-
-    // Longest-expected-first submission, exactly like
-    // Exhaustive::sweep: slots were pre-assigned in level order above,
-    // so the profile (and the cache file) is order-independent. An
-    // armed fault injector pins the historical level order instead —
-    // its query sequence is part of the documented fault schedule and
-    // must not depend on cost predictions.
-    std::vector<std::size_t> order;
-    if (runner_.options().faultInjector != nullptr) {
-        order.resize(misses.size());
-        for (std::size_t m = 0; m < misses.size(); ++m)
-            order[m] = m;
-    } else {
-        std::vector<double> costs(misses.size());
-        for (std::size_t m = 0; m < misses.size(); ++m) {
-            costs[m] = SweepCostModel::instance().expectedCost(
-                {prof.levels[misses[m]]}, run_cycles);
-        }
-        order = costDescendingOrder(costs);
-    }
-
-    const std::size_t workers = std::min<std::size_t>(
-        runner_.options().faultInjector != nullptr ? 1 : jobs(),
-        misses.size());
-    if (workers <= 1) {
-        for (const std::size_t m : order)
-            runLevel(misses[m]);
-    } else {
-        JobPool pool(static_cast<unsigned>(workers));
-        for (const std::size_t m : order)
-            pool.submit([&runLevel, i = misses[m]] { runLevel(i); });
-        pool.wait();
-    }
-
-    // Wait phase (sharding only), in level order: a finished peer's
-    // result appears on the next fetch, a killed peer's lease goes
-    // stale and is taken over. Alone runs have no skip path — a
-    // failure throws — so there is no skip marker to replicate here.
-    std::sort(deferred.begin(), deferred.end());
-    for (const std::size_t i : deferred) {
-        for (bool waiting = true; waiting;) {
-            if (probePeer(i))
-                break;
-            switch (lease->peek(keys[i])) {
-              case LeaseProvider::State::Absent:
-                if (lease->tryAcquire(keys[i])) {
-                    noteEpoch(i);
-                    if (!probePeer(i))
-                        simulateLevel(i);
-                    else
-                        lease->release(keys[i]);
-                    waiting = false;
-                }
-                break;
-              case LeaseProvider::State::Stale:
-                if (lease->breakStale(keys[i])) {
-                    noteEpoch(i);
-                    if (!probePeer(i))
-                        simulateLevel(i);
-                    else
-                        lease->release(keys[i]);
-                    waiting = false;
-                }
-                break;
-              default:
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(2));
-                break;
-            }
-        }
+    const std::vector<FilledRow> filled =
+        fillRows(cache_, {lease.get(), pinned ? 1u : jobs(), 4}, fill,
+                 simulate);
+    for (std::size_t i = 0; i < fill.size(); ++i) {
+        if (filled[i].source == RowSource::Skipped)
+            fatal("ProfileDb: " + fill[i].key +
+                  " was marked skipped by a peer");
+        prof.perLevel[fill_level[i]] = decodeStats(filled[i].values);
     }
 
     finalizeBest(prof);

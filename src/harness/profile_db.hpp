@@ -48,9 +48,11 @@ class ProfileDb
 
     /**
      * Profile (or fetch) one application. Cache-missing ladder levels
-     * are independent solo simulations, dispatched onto a JobPool of
-     * jobs() workers and committed in level order — the profile and
-     * the cache file are bit-identical to a serial pass.
+     * are independent solo simulations, filled by the row-fill engine
+     * (row_fill.hpp) on jobs() workers and committed in level order —
+     * the profile and the compacted cache file are bit-identical to a
+     * serial pass. An armed fault injector runs the misses serially,
+     * unleased, in level order.
      */
     const AppAloneProfile &profile(const AppProfile &app);
 

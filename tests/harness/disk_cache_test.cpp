@@ -33,7 +33,7 @@ slurpFile(const std::string &path)
     return ss.str();
 }
 
-/** The v2 text checksum (mirrors the store's private algorithm). */
+/** The retired v2 text format's per-line checksum (for fixtures). */
 std::uint64_t
 v2Checksum(const std::string &key, const std::vector<double> &values)
 {
@@ -76,6 +76,32 @@ class DiskCacheTest : public ::testing::Test
         std::remove(path_.c_str());
         std::remove((path_ + ".quarantined").c_str());
         std::remove((path_ + ".tmp").c_str());
+    }
+
+    /** Write @p text as the store file, open it, and check the file
+     * is quarantined byte for byte and the store reopens empty in v3. */
+    void
+    expectSetAsideAndReopenedEmpty(const std::string &text)
+    {
+        {
+            std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+            out << text;
+        }
+        {
+            DiskCache cache(path_);
+            EXPECT_TRUE(cache.loadReport().quarantined);
+            EXPECT_EQ(cache.size(), 0u);
+            EXPECT_FALSE(cache.get("alone/BFS/4").has_value());
+            EXPECT_EQ(slurpFile(cache.loadReport().quarantinePath), text);
+            // The store stays usable afterwards.
+            cache.put("fresh", {1.0});
+            EXPECT_TRUE(cache.get("fresh").has_value());
+        }
+        EXPECT_EQ(slurpFile(path_).substr(0, 8), "EBMCBIN3");
+        DiskCache reopened(path_);
+        EXPECT_FALSE(reopened.loadReport().quarantined);
+        EXPECT_EQ(reopened.size(), 1u);
+        EXPECT_FALSE(reopened.get("alone/BFS/4").has_value());
     }
 
     std::string path_;
@@ -124,18 +150,6 @@ TEST_F(DiskCacheTest, EmptyValueAllowed)
     cache.put("empty", {});
     ASSERT_TRUE(cache.get("empty").has_value());
     EXPECT_TRUE(cache.get("empty")->empty());
-}
-
-TEST_F(DiskCacheTest, CorruptLinesAreSkipped)
-{
-    {
-        std::ofstream out(path_);
-        out << "not a valid line\n";
-        out << "good| 1 2 3\n";
-    }
-    DiskCache cache(path_);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.get("good").has_value());
 }
 
 TEST_F(DiskCacheTest, ManyKeys)
@@ -198,24 +212,6 @@ TEST_F(DiskCacheTest, TornTailTruncatesInsteadOfQuarantining)
     EXPECT_EQ(clean.size(), 1u);
     EXPECT_EQ(clean.loadReport().entriesSkipped, 0u);
     EXPECT_FALSE(clean.loadReport().tornTailTruncated);
-}
-
-TEST_F(DiskCacheTest, GarbageFloatsFailChecksumAndAreSkipped)
-{
-    {
-        std::ofstream out(path_);
-        out << "ebmcache v2 " << DiskCache::machineFingerprint()
-            << '\n';
-        out << "junk|0123456789abcdef| 1.0 banana 3.0\n";
-        out << "alsojunk|00ff| 0.5e+\n";
-    }
-    DiskCache cache(path_);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.loadReport().entriesSkipped, 2u);
-    EXPECT_TRUE(cache.loadReport().quarantined);
-    // The cache stays usable afterwards.
-    cache.put("fresh", {1.0});
-    EXPECT_TRUE(cache.get("fresh").has_value());
 }
 
 TEST_F(DiskCacheTest, FlippedBitMidFileFailsChecksumAndQuarantines)
@@ -306,13 +302,14 @@ TEST_F(DiskCacheTest, ForeignMachineFingerprintQuarantines)
 
 TEST_F(DiskCacheTest, DuplicateKeysLastWins)
 {
-    // The append-only v1 format could accumulate duplicate keys; the
-    // later record must win and the duplicate must be counted.
+    // Appends never rewrite, so a key put twice leaves two frames in
+    // the store; on load the later frame must win and the duplicate
+    // must be counted.
     {
-        std::ofstream out(path_);
-        out << "dup| 1\n";
-        out << "other| 7\n";
-        out << "dup| 2\n";
+        DiskCache cache(path_);
+        cache.put("dup", {1.0});
+        cache.put("other", {7.0});
+        cache.put("dup", {2.0});
     }
     DiskCache cache(path_);
     EXPECT_EQ(cache.size(), 2u);
@@ -330,55 +327,40 @@ TEST_F(DiskCacheTest, UnwritableDirectoryDegradesToMemoryOnly)
     EXPECT_EQ((*cache.get("k"))[0], 1.0);
 }
 
+// v1 (plain text) and v2 (checksummed text) stores are no longer read.
+// A pre-v3 file is "migrated" by setting it aside whole and restarting
+// the store as an empty v3 file: well-formed entries, corrupt lines and
+// garbage floats alike are recomputed rather than parsed.
 TEST_F(DiskCacheTest, LegacyV1FileIsMigrated)
 {
-    {
-        std::ofstream out(path_);
-        out << "alone/BFS/4| 0.5 0.25\n";
-        out << "not a valid line\n";
-        out << "combo/x/1/1| 1 2 3 4 5\n";
-    }
-    DiskCache cache(path_);
-    EXPECT_TRUE(cache.loadReport().migratedV1);
-    EXPECT_EQ(cache.size(), 2u);
-    ASSERT_TRUE(cache.get("alone/BFS/4").has_value());
-    EXPECT_EQ((*cache.get("alone/BFS/4"))[1], 0.25);
+    expectSetAsideAndReopenedEmpty("alone/BFS/4| 0.5 0.25\n"
+                                   "combo/x/1/1| 1 2 3 4 5\n");
+}
 
-    // The file on disk is now binary v3 and round-trips losslessly.
-    DiskCache upgraded(path_);
-    EXPECT_FALSE(upgraded.loadReport().migratedV1);
-    EXPECT_EQ(upgraded.size(), 2u);
-    EXPECT_EQ(slurpFile(path_).substr(0, 8), "EBMCBIN3");
+TEST_F(DiskCacheTest, CorruptLinesAreSkipped)
+{
+    expectSetAsideAndReopenedEmpty("not a valid line\n"
+                                   "good| 1 2 3\n");
 }
 
 TEST_F(DiskCacheTest, V2TextFileIsMigratedToV3)
 {
     const std::vector<double> a = {0.5, 0.25};
     const std::vector<double> b = {1.0, 2.0, 3.0, 4.0, 5.0};
-    {
-        std::ofstream out(path_);
-        out << "ebmcache v2 " << DiskCache::machineFingerprint()
-            << '\n';
-        out.precision(17);
-        out << "alone/BFS/4|" << toHex(v2Checksum("alone/BFS/4", a))
-            << "| 0.5 0.25\n";
-        out << "combo/x/1/1|" << toHex(v2Checksum("combo/x/1/1", b))
-            << "| 1 2 3 4 5\n";
-    }
-    DiskCache cache(path_);
-    EXPECT_TRUE(cache.loadReport().migratedV2);
-    EXPECT_FALSE(cache.loadReport().quarantined);
-    EXPECT_EQ(cache.size(), 2u);
-    ASSERT_TRUE(cache.get("combo/x/1/1").has_value());
-    EXPECT_EQ((*cache.get("combo/x/1/1"))[4], 5.0);
+    expectSetAsideAndReopenedEmpty(
+        "ebmcache v2 " + DiskCache::machineFingerprint() + "\n" +
+        "alone/BFS/4|" + toHex(v2Checksum("alone/BFS/4", a)) +
+        "| 0.5 0.25\n" +
+        "combo/x/1/1|" + toHex(v2Checksum("combo/x/1/1", b)) +
+        "| 1 2 3 4 5\n");
+}
 
-    // The migrated file is binary v3, loads without another
-    // migration, and serves bit-identical doubles.
-    DiskCache upgraded(path_);
-    EXPECT_FALSE(upgraded.loadReport().migratedV2);
-    EXPECT_EQ(upgraded.size(), 2u);
-    EXPECT_EQ((*upgraded.get("alone/BFS/4"))[1], 0.25);
-    EXPECT_EQ(slurpFile(path_).substr(0, 8), "EBMCBIN3");
+TEST_F(DiskCacheTest, GarbageFloatsFailChecksumAndAreSkipped)
+{
+    expectSetAsideAndReopenedEmpty(
+        "ebmcache v2 " + DiskCache::machineFingerprint() + "\n" +
+        "junk|0123456789abcdef| 1.0 banana 3.0\n"
+        "alsojunk|00ff| 0.5e+\n");
 }
 
 TEST_F(DiskCacheTest, BinaryHeaderFingerprintMismatchQuarantines)
