@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -242,9 +243,9 @@ BM_CacheOpen(benchmark::State &state)
 }
 BENCHMARK(BM_CacheOpen)->Unit(benchmark::kMicrosecond);
 
-/** Remove a claim directory and its markers (flat, no subdirs). */
+/** Remove the supervisor's heartbeat directory (flat, no subdirs). */
 void
-removeClaimDir(const std::string &dir)
+removeHeartbeatDir(const std::string &dir)
 {
     if (DIR *d = ::opendir(dir.c_str())) {
         while (struct dirent *e = ::readdir(d)) {
@@ -259,8 +260,10 @@ removeClaimDir(const std::string &dir)
 
 /**
  * Cross-process cold sweep: range(0) cooperating processes share one
- * store under EBM_SWEEP_SHARD=1, splitting the 64 simulations via the
- * claim protocol instead of each running all of them. Wall clock is
+ * store under EBM_SWEEP_SHARD=1, splitting the 64 simulations through
+ * the elected local coordinator instead of each running all of them.
+ * The server's lease RPC service time over the local socket is
+ * reported as rpc_p50_us / rpc_p99_us. Wall clock is
  * the parent's fork-to-last-exit span; at N processes the aggregate
  * simulation work stays ~64 rows, so the span approaches the
  * single-process time divided by the usable core count (on a loaded
@@ -275,41 +278,74 @@ BM_SweepMultiProcess(benchmark::State &state)
 {
     const int procs = static_cast<int>(state.range(0));
     const std::string path = "bench_sweep_mp.cache";
+    const std::string rpc_path = path + ".rpc";
     ::setenv("EBM_SWEEP_SHARD", "1", 1);
 
+    double p50_us = 0.0;
+    double p99_us = 0.0;
     for (auto _ : state) {
         state.PauseTiming();
         std::remove(path.c_str());
-        removeClaimDir(path + ".claims");
+        std::remove(rpc_path.c_str());
+        int done[2];
+        int go[2];
+        if (::pipe(done) != 0 || ::pipe(go) != 0) {
+            state.SkipWithError("pipe failed");
+            break;
+        }
         state.ResumeTiming();
 
         std::vector<pid_t> kids;
         for (int c = 0; c < procs; ++c) {
             const pid_t pid = ::fork();
             if (pid == 0) {
+                ::close(done[0]);
+                ::close(go[1]);
                 {
                     Runner runner(benchConfig(), benchOptions());
                     DiskCache cache(path);
                     Exhaustive ex(runner, cache);
                     ex.setJobs(1);
                     ex.sweep(makePair("BFS", "FFT"));
+                    // Once every peer has finished its sweep, the
+                    // elected server's RPC receipts are final.
+                    char byte = 1;
+                    (void)!::write(done[1], &byte, 1);
+                    (void)!::read(go[0], &byte, 1);
+                    if (const Coordinator *server = cache.leaseServer()) {
+                        const Coordinator::Stats st = server->stats();
+                        std::ofstream(rpc_path)
+                            << st.rpcP50Us << " " << st.rpcP99Us;
+                    }
                 }
                 ::_exit(0);
             }
             kids.push_back(pid);
         }
+        ::close(done[1]);
+        ::close(go[0]);
+        for (int c = 0; c < procs; ++c) {
+            char byte = 0;
+            if (::read(done[0], &byte, 1) != 1)
+                break;
+        }
+        ::close(go[1]);
+        ::close(done[0]);
         for (const pid_t pid : kids) {
             int status = 0;
             ::waitpid(pid, &status, 0);
             if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
                 state.SkipWithError("sharded child failed");
         }
+        std::ifstream(rpc_path) >> p50_us >> p99_us;
     }
     state.SetLabel("procs=" + std::to_string(procs));
+    state.counters["rpc_p50_us"] = p50_us;
+    state.counters["rpc_p99_us"] = p99_us;
 
     ::unsetenv("EBM_SWEEP_SHARD");
     std::remove(path.c_str());
-    removeClaimDir(path + ".claims");
+    std::remove(rpc_path.c_str());
 }
 BENCHMARK(BM_SweepMultiProcess)
     ->Arg(1)
@@ -339,8 +375,7 @@ BM_SweepSupervised(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         std::remove(path.c_str());
-        removeClaimDir(path + ".claims");
-        removeClaimDir(path + ".hb");
+        removeHeartbeatDir(path + ".hb");
         state.ResumeTiming();
 
         SweepSupervisor::Options o;
@@ -365,8 +400,7 @@ BM_SweepSupervised(benchmark::State &state)
 
     ::unsetenv("EBM_SWEEP_SHARD");
     std::remove(path.c_str());
-    removeClaimDir(path + ".claims");
-    removeClaimDir(path + ".hb");
+    removeHeartbeatDir(path + ".hb");
 }
 BENCHMARK(BM_SweepSupervised)
     ->Arg(2)

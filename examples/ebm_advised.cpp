@@ -6,8 +6,8 @@
  * queries over a Unix-domain socket: a pair whose exhaustive sweep and
  * alone profiles are already in the store is answered from memory in
  * microseconds; a cold pair is filled asynchronously on the ordinary
- * sweep machinery (JobPool parallelism, durable persistence, shard
- * claims) while the client polls a ticket or blocks under a deadline.
+ * sweep machinery (JobPool parallelism, durable persistence, row
+ * leases) while the client polls a ticket or blocks under a deadline.
  *
  * Usage: ebm_advised [--socket PATH] [--cache FILE] [--fast]
  *                    [--jobs N] [--coordinator HOST:PORT]

@@ -47,8 +47,8 @@ class FaultInjector
         IoEio,            ///< Write fails up front with EIO.
         IoAbortAfterWrite,///< Process dies (SIGKILL) after a write.
         IoAbortMidWrite,  ///< Process dies (SIGKILL) mid-write (torn).
-        // --- Whole-process crash points in the sweep claim protocol --
-        CrashClaimHeld,   ///< Die right after winning a row's claim.
+        // --- Whole-process crash points in the sweep lease protocol --
+        CrashClaimHeld,   ///< Die right after winning a row's lease.
         CrashPostPut,     ///< Die after the durable put, pre-release.
         kNumPoints,
     };

@@ -2,9 +2,8 @@
  * @file
  * Injectable I/O seam for crash-consistency testing.
  *
- * Every durable write the result store and the claim protocol perform
- * goes through an IoShim instead of calling pwrite/fsync/ftruncate
- * directly. With no FaultInjector attached the shim is a transparent
+ * Every durable write the result store performs goes through an
+ * IoShim instead of calling pwrite/fsync/ftruncate directly. With no FaultInjector attached the shim is a transparent
  * retry-on-EINTR wrapper (the exact loops DiskCache used inline); with
  * one attached, it deterministically injects the I/O failures a real
  * deployment meets:
@@ -17,7 +16,7 @@
  *                        error) with the matching errno.
  *   - IoAbortAfterWrite: the process dies (SIGKILL) immediately after
  *                        a complete write — durable frame, no cleanup,
- *                        claims left behind.
+ *                        leases left behind.
  *   - IoAbortMidWrite:   the process dies with only half the buffer
  *                        written — the canonical torn-tail producer.
  *

@@ -23,6 +23,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -74,30 +75,40 @@ class UniqueFd
     int fd_ = -1;
 };
 
-/** Fill @p addr from @p path. @return false when the path is too long
- * for sun_path (the classic 108-byte limit). */
-inline bool
+/**
+ * Fill @p addr from @p path and return the address length to pass to
+ * bind()/connect(), or 0 when the name does not fit sun_path (108
+ * bytes). A @p path starting with '\0' names a socket in the Linux
+ * abstract namespace: no file is created, and the name vanishes with
+ * the last descriptor of the socket bound to it.
+ */
+inline socklen_t
 unixSockAddr(const std::string &path, sockaddr_un &addr)
 {
     std::memset(&addr, 0, sizeof addr);
     addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof addr.sun_path)
-        return false;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    return true;
+    if (path.empty() || path.size() >= sizeof addr.sun_path)
+        return 0;
+    std::memcpy(addr.sun_path, path.data(), path.size());
+    return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
+                                  path.size() +
+                                  (path[0] == '\0' ? 0 : 1));
 }
 
 /**
  * Bind and listen on a Unix-domain socket at @p path. A stale socket
  * file from a dead daemon is unlinked first (the caller is expected
  * to own the path; two live daemons on one path is a deployment
- * error this cannot detect).
+ * error this cannot detect). An abstract name (leading '\0') is never
+ * unlinked: bind() fails while another socket holds it, which is what
+ * lets the first binder win an election.
  */
 inline Result<UniqueFd>
 netListenUnix(const std::string &path, int backlog = 64)
 {
     sockaddr_un addr;
-    if (!unixSockAddr(path, addr)) {
+    const socklen_t len = unixSockAddr(path, addr);
+    if (len == 0) {
         return Error{Errc::InvalidArgument,
                      "socket path too long: " + path};
     }
@@ -106,9 +117,10 @@ netListenUnix(const std::string &path, int backlog = 64)
         return Error{Errc::CacheIo, "socket() failed: " +
                                         std::string(std::strerror(errno))};
     }
-    ::unlink(path.c_str());
-    if (::bind(fd.get(), reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0) {
+    if (path[0] != '\0')
+        ::unlink(path.c_str());
+    if (::bind(fd.get(), reinterpret_cast<sockaddr *>(&addr), len) !=
+        0) {
         return Error{Errc::CacheIo,
                      "bind(" + path + ") failed: " +
                          std::string(std::strerror(errno))};
@@ -121,12 +133,13 @@ netListenUnix(const std::string &path, int backlog = 64)
     return fd;
 }
 
-/** Connect to the Unix-domain socket at @p path. */
+/** Connect to the Unix-domain socket at @p path (or abstract name). */
 inline Result<UniqueFd>
 netConnectUnix(const std::string &path)
 {
     sockaddr_un addr;
-    if (!unixSockAddr(path, addr)) {
+    const socklen_t len = unixSockAddr(path, addr);
+    if (len == 0) {
         return Error{Errc::InvalidArgument,
                      "socket path too long: " + path};
     }
@@ -138,7 +151,7 @@ netConnectUnix(const std::string &path)
     int rc;
     do {
         rc = ::connect(fd.get(), reinterpret_cast<sockaddr *>(&addr),
-                       sizeof addr);
+                       len);
     } while (rc != 0 && errno == EINTR);
     if (rc != 0) {
         return Error{Errc::CacheIo,
@@ -146,6 +159,19 @@ netConnectUnix(const std::string &path)
                          std::string(std::strerror(errno))};
     }
     return fd;
+}
+
+/** Is the peer of Unix-domain socket @p fd running as this process's
+ * effective uid (SO_PEERCRED)? False when the credentials cannot be
+ * read. */
+inline bool
+netPeerIsSameUser(int fd)
+{
+    ucred cred{};
+    socklen_t len = sizeof cred;
+    if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) != 0)
+        return false;
+    return cred.uid == ::geteuid();
 }
 
 /**

@@ -16,7 +16,7 @@
  *     cold pair dispatch exactly one simulation) and enqueued to a
  *     background fill thread that drives the ordinary
  *     `ProfileDb::profile` + `Exhaustive::sweep` machinery, JobPool
- *     parallelism, disk persistence, shard claims and all — so a
+ *     parallelism, disk persistence, row leases and all — so a
  *     co-resident sweep worker (EBM_SWEEP_SHARD=1) and the daemon
  *     never double-simulate a row. The caller gets a ticket to poll,
  *     or blocks on the fill up to a deadline.

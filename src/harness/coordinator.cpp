@@ -6,7 +6,7 @@
 #include "common/log.hpp"
 #include "common/wire.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_provider.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -76,7 +76,7 @@ Coordinator::staleThreshold() const
 {
     return options_.staleThreshold.count() > 0
                ? options_.staleThreshold
-               : ShardClaims::staleThreshold();
+               : leaseStaleThreshold();
 }
 
 Status
@@ -90,6 +90,17 @@ Coordinator::bind()
     listener_ = std::move(fd.value());
     port_ = netLocalPort(listener_.get());
     return Status::success();
+}
+
+Status
+Coordinator::start(UniqueFd listener)
+{
+    if (started_ || listener_.valid())
+        return Error{Errc::InvalidArgument,
+                     "Coordinator: already bound"};
+    listener_ = std::move(listener);
+    local_ = true;
+    return start();
 }
 
 Status
@@ -132,13 +143,50 @@ Coordinator::stop()
         acceptThread_.join();
     listener_.reset();
     started_ = false;
-    std::vector<std::thread> conns;
+    std::unordered_map<std::uint64_t, std::thread> conns;
     {
         std::lock_guard<std::mutex> lk(connMu_);
         conns.swap(connThreads_);
+        finished_.clear();
     }
-    for (std::thread &t : conns)
-        t.join();
+    for (auto &entry : conns)
+        entry.second.join();
+}
+
+void
+Coordinator::retire()
+{
+    // Stop accepting first: shutdown() wakes the accept thread, and
+    // closing the listener frees its name, so a process that starts
+    // filling this store from now on elects a new server instead of
+    // queueing on a dying one.
+    if (listener_.valid())
+        ::shutdown(listener_.get(), SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    listener_.reset();
+    {
+        std::unique_lock<std::mutex> lk(connMu_);
+        shutdownCv_.wait_for(lk, staleThreshold(),
+                             [this] { return openFds_.empty(); });
+    }
+    stop();
+}
+
+void
+Coordinator::reapFinishedLocked()
+{
+    // A finished connection thread only has its return left to run,
+    // so these joins are immediate. Without them a long-lived server
+    // would keep one dead thread per connection ever served.
+    for (const std::uint64_t id : finished_) {
+        const auto it = connThreads_.find(id);
+        if (it == connThreads_.end())
+            continue;
+        it->second.join();
+        connThreads_.erase(it);
+    }
+    finished_.clear();
 }
 
 std::string
@@ -185,6 +233,12 @@ Coordinator::acceptLoop()
         const int fd = netAccept(listener_.get());
         if (fd < 0)
             return; // Listener closed (stop()) or errored.
+        if (local_ && !netPeerIsSameUser(fd)) {
+            // The same-host socket is reachable by every local user;
+            // only this user's processes may lease its rows.
+            ::close(fd);
+            continue;
+        }
         std::uint64_t conn_id = 0;
         {
             std::lock_guard<std::mutex> lk(connMu_);
@@ -192,14 +246,20 @@ Coordinator::acceptLoop()
                 ::close(fd);
                 return;
             }
+            reapFinishedLocked();
             conn_id = nextConnId_++;
             openFds_.insert(fd);
-            connThreads_.emplace_back(
-                [this, fd, conn_id] { serveConnection(fd, conn_id); });
-        }
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++counters_.connections;
+            {
+                // Counted before the first reply can go out, so a
+                // connected peer is always in stats().
+                std::lock_guard<std::mutex> slk(statsMu_);
+                ++counters_.connections;
+            }
+            connThreads_.emplace(
+                conn_id,
+                std::thread([this, fd, conn_id] {
+                    serveConnection(fd, conn_id);
+                }));
         }
     }
 }
@@ -230,8 +290,10 @@ Coordinator::serveConnection(int fd, std::uint64_t conn_id)
     {
         std::lock_guard<std::mutex> lk(connMu_);
         openFds_.erase(fd);
+        ::close(fd);
+        finished_.push_back(conn_id);
     }
-    ::close(fd);
+    shutdownCv_.notify_all();
 }
 
 void
@@ -279,12 +341,15 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         std::string key;
         if (!epochAndKey(payload, 3, epoch, key))
             return "ERROR bad-request";
-        // Sync before dropping the lease: peers read "lease gone" as
-        // "result durable", the same contract release() has against
-        // claim files. The sync runs outside the lease mutex (it can
-        // block on the writer); a fenced releaser pays for a spurious
-        // sync, which is harmless.
-        cache_.sync();
+        // Peers read "lease gone" as "result durable". A record
+        // streamed over PUT may still sit in this store's group
+        // commit, so sync before dropping the lease. Same-host peers
+        // synced the shared file themselves (publish) and never PUT,
+        // so their releases skip the wait. The sync runs outside the
+        // lease mutex (it can block on the writer); a fenced releaser
+        // pays for a spurious sync, which is harmless.
+        if (streamed_.load(std::memory_order_acquire))
+            cache_.sync();
         return validateEpoch(key, epoch, true) ? "OK" : "FENCED";
     }
     if (payload.rfind("SKIPMARK ", 0) == 0) {
@@ -360,13 +425,12 @@ Coordinator::handleAcquire(const std::string &key,
                 return "SKIP";
             }
             // Expired marker from an old sweep: drop it so the row is
-            // retried, matching the filesystem skip-marker policy.
+            // retried (a failed combination is never persisted).
             skips_.erase(skip);
         }
         if (leases_.count(key) != 0) {
             // Someone holds it — even a stale holder: waiters go
-            // through PEEK/BREAK, exactly like claim files where
-            // O_EXCL fails until the stale claim is broken.
+            // through PEEK/BREAK, which re-checks staleness.
             std::lock_guard<std::mutex> slk(statsMu_);
             ++counters_.acquiresDenied;
             return "HELD";
@@ -379,8 +443,8 @@ Coordinator::handleAcquire(const std::string &key,
         ++counters_.acquiresGranted;
     }
     // Epochs past the first mean the row changed hands at some point:
-    // echo into the store header (cleared again by compact()), the
-    // same bookkeeping the filesystem protocol does worker-side.
+    // echo into the store header (cleared again by compact()), as the
+    // row-fill engine also does worker-side.
     if (epoch > 1)
         cache_.noteFencingEpoch(epoch);
     return "OK " + std::to_string(epoch);
@@ -477,6 +541,7 @@ Coordinator::handlePut(const std::string &payload)
     // into one append+fsync, and REL's sync() makes them durable
     // before any lease drops.
     cache_.put(frame.key, frame.values);
+    streamed_.store(true, std::memory_order_release);
     {
         std::lock_guard<std::mutex> slk(statsMu_);
         ++counters_.recordsCommitted;

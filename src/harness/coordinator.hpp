@@ -1,14 +1,21 @@
 /**
  * @file
- * The sweep coordinator: the network half of the distributed sweep
- * fabric (DESIGN.md §8.6). One Coordinator owns a v3 result store and
- * hands out row leases over TCP; ebm_sweep_worker processes
- * (EBM_COORDINATOR=host:port, harness/lease_net.hpp) run the ordinary
- * dispatch loop against leased rows and stream CRC-framed v3 records
- * back, which the coordinator group-commits through its own DiskCache
- * writer — so `compact()` byte-identity stays the merge invariant
- * across machines exactly as it is across processes on one
- * filesystem.
+ * The sweep coordinator: the one implementation of lease semantics
+ * in the fill fabric (DESIGN.md §8.3, §8.6). A Coordinator hands out
+ * row leases over one result store, on either of two listeners:
+ *
+ *   - a same-host abstract AF_UNIX socket named after the store
+ *     (EBM_SWEEP_SHARD=1): the process that wins bind() runs the
+ *     Coordinator inside its DiskCache and every process filling the
+ *     store, its own included, leases through it. Only peers with
+ *     this process's uid are accepted (SO_PEERCRED). Results travel
+ *     through the shared store file, so PUT/GET go unused;
+ *   - TCP (the ebm_coordinator daemon, EBM_COORDINATOR=host:port):
+ *     ebm_sweep_worker processes share no file and stream CRC-framed
+ *     v3 records back, which the coordinator group-commits through
+ *     its own DiskCache writer.
+ *
+ * Either way `compact()` byte-identity stays the merge invariant.
  *
  * Protocol: EBS1 frames (common/wire.hpp), one request/response pair
  * per frame. Text verbs, with the record stream carrying raw storefmt
@@ -17,7 +24,7 @@
  *   HELLO <fingerprint> <catalogVersion>  -> OK <staleMs> | ERROR ...
  *   ACQ <key>            -> OK <epoch> | HELD | SKIP
  *   HB <epoch> <key>     -> OK | FENCED
- *   REL <epoch> <key>    -> OK | FENCED      (store synced first)
+ *   REL <epoch> <key>    -> OK | FENCED      (streamed records synced)
  *   SKIPMARK <epoch> <key> -> OK | FENCED
  *   PEEK <key>           -> ABSENT | ACTIVE | STALE | SKIP
  *   BREAK <key>          -> OK <epoch> | DENIED
@@ -25,18 +32,17 @@
  *   PUT\n<storefmt frame> -> OK | ERROR ...
  *   PING / STATS / SHUTDOWN -> OK ...
  *
- * Fencing over TCP: the coordinator is the single authority for
- * per-key epochs (replacing the durable `<keyfp>.epoch` sidecars),
- * heartbeats are RPCs timestamped on the coordinator's clock, and
- * staleness is judged against the same EBM_CLAIM_STALE_MS window the
- * filesystem protocol uses. A connection that drops — worker killed,
- * crashed mid-record-stream, network gone — orphans its leases
- * immediately: peers see STALE without waiting out the window, BREAK
- * reassigns the row under a bumped epoch, and the dead owner's
- * epoch-carrying verbs are refused (FENCED) if it ever resurfaces. A
- * record cut off mid-stream never reaches the store at all: the wire
- * frame doesn't reassemble, so unlike a torn file append there is no
- * tail to truncate.
+ * Fencing: the coordinator is the single authority for per-key
+ * epochs, which live in memory for its lifetime. Heartbeats are RPCs
+ * timestamped on the coordinator's clock, and staleness is judged
+ * against EBM_CLAIM_STALE_MS (leaseStaleThreshold()). A connection
+ * that drops — worker killed, crashed mid-record-stream, network
+ * gone — orphans its leases immediately: peers see STALE without
+ * waiting out the window, BREAK reassigns the row under a bumped
+ * epoch, and the dead owner's epoch-carrying verbs are refused
+ * (FENCED) if it ever resurfaces. A record cut off mid-stream never
+ * reaches the store at all: the wire frame doesn't reassemble, so
+ * unlike a torn file append there is no tail to truncate.
  *
  * Lease RPC service time is recorded in a LatencyHistogram
  * (common/stats.hpp) and surfaced through STATS and stats() — the
@@ -45,6 +51,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -63,7 +70,7 @@ namespace ebm {
 
 class DiskCache;
 
-/** TCP lease/record server over one result store. */
+/** Lease/record server over one result store. */
 class Coordinator
 {
   public:
@@ -73,7 +80,7 @@ class Coordinator
         std::string host = "127.0.0.1";
         /** 0 = kernel-assigned ephemeral; read back with port(). */
         std::uint16_t port = 0;
-        /** Lease staleness window; zero = EBM_CLAIM_STALE_MS. */
+        /** Lease staleness window; zero = leaseStaleThreshold(). */
         std::chrono::milliseconds staleThreshold{0};
         /** Honor the SHUTDOWN verb (daemon mode). */
         bool allowRemoteShutdown = false;
@@ -119,6 +126,19 @@ class Coordinator
     /** bind() if not yet bound, then start the accept thread. */
     Status start();
 
+    /** Serve on an already-bound Unix-domain @p listener (the elected
+     * same-host socket) instead of TCP. Peers running under another
+     * uid are refused at accept. */
+    Status start(UniqueFd listener);
+
+    /**
+     * Shut down gracefully: stop accepting at once (freeing the
+     * listener's name for the next election), wait at most one
+     * staleness window for connected peers to hang up, then stop().
+     * A peer still connected after that degrades to standalone.
+     */
+    void retire();
+
     /** Stop accepting, shut open connections, join all threads. Safe
      * to call twice; the destructor calls it. */
     void stop();
@@ -151,6 +171,8 @@ class Coordinator
 
     void acceptLoop();
     void serveConnection(int fd, std::uint64_t conn_id);
+    /** Join connection threads that have finished (connMu_ held). */
+    void reapFinishedLocked();
     /** Handle one request payload; returns the response payload. */
     std::string handle(const std::string &payload,
                        std::uint64_t conn_id);
@@ -173,21 +195,27 @@ class Coordinator
 
     UniqueFd listener_;
     std::uint16_t port_ = 0;
+    /** Serving the same-host Unix socket (peer uid checked). */
+    bool local_ = false;
     std::thread acceptThread_;
     bool started_ = false;
+    /** A PUT has been committed: REL must sync before acking. */
+    std::atomic<bool> streamed_{false};
 
     mutable std::mutex connMu_;
-    std::vector<std::thread> connThreads_;
+    std::unordered_map<std::uint64_t, std::thread> connThreads_;
+    /** Connections whose thread has finished serving (to join). */
+    std::vector<std::uint64_t> finished_;
     std::unordered_set<int> openFds_;
     std::uint64_t nextConnId_ = 1;
     bool stopping_ = false;
     bool shutdownRequested_ = false;
+    /** Signals SHUTDOWN/stop() and connections closing (retire()). */
     std::condition_variable shutdownCv_;
 
     mutable std::mutex leaseMu_;
     std::unordered_map<std::string, Lease> leases_;
-    /** Per-key monotonic epoch counters (the coordinator-lifetime
-     * analogue of the `<keyfp>.epoch` sidecars). */
+    /** Per-key monotonic epoch counters. */
     std::unordered_map<std::string, std::uint64_t> epochs_;
     std::unordered_map<std::string,
                        std::chrono::steady_clock::time_point>

@@ -18,7 +18,7 @@
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/coordinator.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -118,6 +118,31 @@ DiskCache::DiskCache(std::string path, FaultInjector *injector,
       shards_(shards != 0 ? shards : kDefaultShards)
 {
     load();
+}
+
+DiskCache::~DiskCache()
+{
+    std::unique_ptr<Coordinator> server;
+    {
+        std::lock_guard<std::mutex> lk(serverMu_);
+        server = std::move(leaseServer_);
+    }
+    if (server != nullptr)
+        server->retire();
+}
+
+void
+DiskCache::adoptLeaseServer(std::unique_ptr<Coordinator> server)
+{
+    std::lock_guard<std::mutex> lk(serverMu_);
+    leaseServer_ = std::move(server);
+}
+
+const Coordinator *
+DiskCache::leaseServer() const
+{
+    std::lock_guard<std::mutex> lk(serverMu_);
+    return leaseServer_.get();
 }
 
 DiskCache::Shard &
@@ -253,8 +278,8 @@ DiskCache::load()
     const std::uint32_t fmt = header.formatVersion;
     const std::uint32_t cat = header.catalogVersion;
     const std::string &fingerprint = header.fingerprint;
-    // A nonzero epoch marks appends made under claim takeovers (the
-    // fencing protocol in shard_claim.hpp); reported, not validated.
+    // A nonzero epoch marks appends made under lease takeovers (the
+    // fencing protocol in lease_provider.hpp); reported, not validated.
     loadReport_.fencingEpoch = header.fencingEpoch;
     fencingEpoch_.store(header.fencingEpoch, std::memory_order_relaxed);
     if (fmt != storefmt::kFormatVersionV3 ||
@@ -472,11 +497,11 @@ DiskCache::quarantineAndRewrite()
     // Re-persist whatever survived so the next open is clean even if
     // no further put() happens.
     if (size() != 0 || loadReport_.quarantined)
-        persistCompacted();
+        compact();
 }
 
 bool
-DiskCache::persistCompacted()
+DiskCache::compact()
 {
     if (readOnly_) {
         warn("DiskCache: " + path_ +
@@ -552,20 +577,6 @@ DiskCache::writeCompacted(const EntryMap &snapshot)
     std::lock_guard<std::mutex> lk(persistMu_);
     loadReport_.bytesWritten += buf.size();
     return true;
-}
-
-bool
-DiskCache::compact()
-{
-    // Compaction renders the store canonical again; the claim dir's
-    // leftover fencing counters from finished rows go with it (a
-    // sidecar under a live claim is kept — see sweepOrphanedEpochs).
-    const std::size_t swept = sweepOrphanedEpochs(path_);
-    if (swept > 0) {
-        warn("DiskCache: swept " + std::to_string(swept) +
-             " orphaned epoch sidecar(s) for " + path_);
-    }
-    return persistCompacted();
 }
 
 std::size_t
@@ -646,7 +657,7 @@ DiskCache::appendBatch(const std::vector<Entry> &batch)
             }
             if (ready) {
                 // Echo the max fencing epoch this process appended
-                // under into the header (shard_claim.hpp), while the
+                // under into the header (lease_provider.hpp), while the
                 // exclusive flock serializes the read-modify-write.
                 // Raw pwrite, not the shim: metadata only — a torn
                 // epoch field degrades reporting, never frames — and
@@ -792,7 +803,7 @@ DiskCache::tryPut(const std::string &key,
     if (readOnly_) {
         // Degraded mode: the in-memory view stays warm (the insert
         // above) but no append is attempted, so callers that require
-        // durability can tell and refuse to release sweep claims.
+        // durability can tell and refuse to release sweep leases.
         std::lock_guard<std::mutex> lk(persistMu_);
         ++persistFailures_;
         return Status(Error{Errc::CacheIo,

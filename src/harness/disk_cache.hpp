@@ -40,7 +40,10 @@
  * Cross-process sharing: writers from different processes interleave
  * appends safely under `flock`, and `refresh()` folds frames appended
  * by other processes since the last scan into memory — the read side
- * of the sweep shard-claim protocol (harness/shard_claim.hpp).
+ * of same-host lease fills (harness/lease_provider.hpp). The process
+ * elected to coordinate those fills keeps its Coordinator here
+ * (adoptLeaseServer), so the server lives exactly as long as the
+ * store it was elected for.
  *
  * Thread safety: all public operations may be called concurrently.
  * The in-memory map is sharded by key hash (one mutex per shard); the
@@ -52,6 +55,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -63,6 +67,8 @@
 #include "common/io_fault.hpp"
 
 namespace ebm {
+
+class Coordinator;
 
 /** Durable key -> vector<double> store backed by a binary file. */
 class DiskCache
@@ -78,7 +84,7 @@ class DiskCache
         bool tornTailTruncated = false;  ///< Tail chopped to last frame.
         bool readOnlyMode = false;       ///< Serving without appends.
         /** Max fencing epoch stamped into the header by appenders
-         * (shard_claim.hpp); 0 in clean/compacted stores. */
+         * (lease_provider.hpp); 0 in clean/compacted stores. */
         std::uint64_t fencingEpoch = 0;
         std::string quarantinePath;
 
@@ -101,6 +107,10 @@ class DiskCache
     explicit DiskCache(std::string path,
                        FaultInjector *injector = nullptr,
                        std::uint32_t shards = 0);
+
+    /** Retires an adopted lease server (Coordinator::retire) before
+     * the store it serves goes away. */
+    ~DiskCache();
 
     /** Look up @p key. */
     std::optional<std::vector<double>> get(const std::string &key) const;
@@ -143,9 +153,9 @@ class DiskCache
     bool readOnly() const { return readOnly_; }
 
     /**
-     * Record the caller's fencing epoch (shard_claim.hpp): the max is
-     * echoed into the store header's epoch field by subsequent
-     * appends, so a store written under claim takeovers is
+     * Record the caller's fencing epoch (lease_provider.hpp): the max
+     * is echoed into the store header's epoch field by subsequent
+     * appends, so a store written under lease takeovers is
      * distinguishable from a clean one until compact() (which always
      * stamps 0, keeping compacted bytes canonical).
      */
@@ -156,8 +166,9 @@ class DiskCache
      * durably appended (or its batch has failed and been counted).
      * Group commit lets put() return as soon as the active writer is
      * bound to cover its entry; cross-process coordination
-     * (harness/shard_claim.hpp) must sync() before releasing a row's
-     * claim, because peers read "claim gone" as "result durable".
+     * (harness/lease_provider.hpp) must sync() before releasing a
+     * row's lease, because peers read "lease gone" as "result
+     * durable".
      */
     void sync();
 
@@ -221,6 +232,17 @@ class DiskCache
     /** One-line persist-amplification summary (bench status lines). */
     std::string persistSummaryLine() const;
 
+    /**
+     * Keep the same-host lease server this process was elected to run
+     * for this store (NetLeaseProvider::joinLocal). It serves until
+     * this DiskCache is destroyed.
+     */
+    void adoptLeaseServer(std::unique_ptr<Coordinator> server);
+
+    /** The adopted lease server, or null when another process (or
+     * none) coordinates this store. */
+    const Coordinator *leaseServer() const;
+
     /** Format-v3 header fingerprint of this machine's float ABI. */
     static std::string machineFingerprint();
 
@@ -280,8 +302,6 @@ class DiskCache
     void quarantineAndRewrite();
     /** All shards merged (for compaction snapshots and rewrites). */
     EntryMap gatherAll() const;
-    /** Full sorted rewrite (quarantine recovery, compact). */
-    bool persistCompacted();
     bool writeCompacted(const EntryMap &snapshot);
     /** Append one group-commit batch under flock; updates counters. */
     bool appendBatch(const std::vector<Entry> &batch);
@@ -312,6 +332,9 @@ class DiskCache
     mutable std::mutex ioMu_;
     /** File offset up to which frames have been folded into memory. */
     std::uint64_t scanOffset_ = 0;
+
+    mutable std::mutex serverMu_;
+    std::unique_ptr<Coordinator> leaseServer_;
 };
 
 } // namespace ebm

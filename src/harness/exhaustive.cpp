@@ -168,10 +168,10 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     table.results.resize(total);
     table.skipped.assign(total, 0);
 
-    // Cross-process sharding: rows are claimed at dispatch through a
+    // Cross-process sharding: rows are leased at dispatch through a
     // LeaseProvider, so N cooperating workers split a cold sweep
-    // instead of each simulating all of it. EBM_SWEEP_SHARD selects
-    // filesystem claim files against the shared store;
+    // instead of each simulating all of it. EBM_SWEEP_SHARD leases
+    // from the elected same-host coordinator of the shared store;
     // EBM_COORDINATOR=host:port leases rows from an ebm_coordinator
     // over TCP and streams results back as CRC-framed records.
     const std::unique_ptr<LeaseProvider> lease =

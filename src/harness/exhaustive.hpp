@@ -118,7 +118,7 @@ enum class OptTarget : std::uint8_t {
 
 /**
  * All |levels|^n TLP combinations in odometer order — the one row
- * order every sweep, probe, and shard-claim schedule shares.
+ * order every sweep, probe, and lease schedule shares.
  */
 std::vector<TlpCombo>
 enumerateCombos(const std::vector<std::uint32_t> &levels,
@@ -152,8 +152,8 @@ class Exhaustive
      * dispatch, so retry/skip accounting is also identical at any job
      * count.
      *
-     * With EBM_SWEEP_SHARD=1 (filesystem claims) or
-     * EBM_COORDINATOR=host:port (network leases), N workers sharing
+     * With EBM_SWEEP_SHARD=1 (same-host leases) or
+     * EBM_COORDINATOR=host:port (TCP leases), N workers sharing
      * the store split a cold sweep through the engine's lease gate:
      * each worker leases a row before simulating it, rows leased
      * elsewhere are assembled from the shared store in odometer

@@ -1,20 +1,50 @@
 #include "harness/lease_net.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 #include "common/log.hpp"
+#include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
 
-NetLeaseProvider::NetLeaseProvider(UniqueFd fd, Options options)
-    : options_(options), fd_(std::move(fd))
+namespace {
+
+/** The abstract AF_UNIX name (leading '\0') of the same-host
+ * coordinator for the store at @p store_path. */
+std::string
+localSocketName(const std::string &store_path)
+{
+    // Canonicalize through the directory (the store file itself may
+    // not exist yet), so every spelling of one store's path meets at
+    // one name. The name is a hash, which fits any sun_path.
+    const std::size_t slash = store_path.rfind('/');
+    const std::size_t base = slash == std::string::npos ? 0 : slash + 1;
+    const std::string dir = base == 0 ? "." : store_path.substr(0, base);
+    std::string canonical = store_path;
+    char resolved[PATH_MAX];
+    if (::realpath(dir.c_str(), resolved) != nullptr)
+        canonical = std::string(resolved) + "/" + store_path.substr(base);
+    // FNV-1a of the path: a frame checksum with no values.
+    const std::uint64_t h = storefmt::entryChecksum(canonical, {});
+    char name[32];
+    std::snprintf(name, sizeof name, "ebm-lease-%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string(1, '\0') + name;
+}
+
+} // namespace
+
+NetLeaseProvider::NetLeaseProvider(UniqueFd fd, Options options,
+                                   DiskCache *store)
+    : options_(options), store_(store), fd_(std::move(fd))
 {
 }
 
@@ -61,8 +91,16 @@ NetLeaseProvider::connect(const std::string &address,
         }
         std::this_thread::sleep_for(options.connectBackoff);
     }
+    return handshake(std::move(fd), options, nullptr,
+                     "coordinator at " + address);
+}
+
+std::unique_ptr<NetLeaseProvider>
+NetLeaseProvider::handshake(UniqueFd fd, const Options &options,
+                            DiskCache *store, const std::string &peer)
+{
     auto provider = std::unique_ptr<NetLeaseProvider>(
-        new NetLeaseProvider(std::move(fd), options));
+        new NetLeaseProvider(std::move(fd), options, store));
     // Handshake before any lease verb: a worker whose doubles don't
     // round-trip byte-identically with the coordinator's store (or
     // whose app catalog disagrees) must not contribute records.
@@ -71,8 +109,7 @@ NetLeaseProvider::connect(const std::string &address,
         "HELLO " + DiskCache::machineFingerprint() + " " +
         std::to_string(kAppCatalogVersion));
     if (!reply || reply->rfind("OK", 0) != 0) {
-        warn("NetLeaseProvider: coordinator at " + address +
-             " refused the handshake" +
+        warn("NetLeaseProvider: " + peer + " refused the handshake" +
              (reply ? ": " + *reply : std::string()));
         return nullptr;
     }
@@ -83,12 +120,40 @@ NetLeaseProvider::connect(const std::string &address,
     return provider;
 }
 
+std::unique_ptr<NetLeaseProvider>
+NetLeaseProvider::joinLocal(DiskCache &cache)
+{
+    const std::string name = localSocketName(cache.path());
+    // A loser of a simultaneous election retries its connect until
+    // the winner is listening; 50 rounds of 20 ms bound the wait.
+    constexpr int kRounds = 50;
+    for (int round = 0; round < kRounds; ++round) {
+        auto conn = netConnectUnix(name);
+        if (conn) {
+            return handshake(std::move(conn.value()), Options{}, &cache,
+                             "local coordinator for " + cache.path());
+        }
+        // Nothing answers: stand for election. bind() fails while any
+        // other socket holds the name, so at most one process wins.
+        auto listener = netListenUnix(name);
+        if (listener) {
+            auto server =
+                std::make_unique<Coordinator>(cache, Coordinator::Options{});
+            if (server->start(std::move(listener.value())))
+                cache.adoptLeaseServer(std::move(server));
+            continue;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return nullptr;
+}
+
 int
 NetLeaseProvider::timeoutMs() const
 {
     if (options_.rpcTimeout.count() > 0)
         return static_cast<int>(options_.rpcTimeout.count());
-    const auto window = ShardClaims::staleThreshold() * 4;
+    const auto window = leaseStaleThreshold() * 4;
     return static_cast<int>(
         std::max<std::chrono::milliseconds::rep>(window.count(),
                                                  2000));
@@ -233,6 +298,14 @@ bool
 NetLeaseProvider::publish(const std::string &key,
                           const std::vector<double> &values)
 {
+    if (store_ != nullptr) {
+        // The caller already put() the entry into the shared store;
+        // group commit may return before the covering batch lands,
+        // and peers read "lease gone" as "result durable" — so force
+        // the flush here, before the caller drops the lease.
+        store_->sync();
+        return true;
+    }
     // The record travels as the exact storefmt frame an append would
     // write — key, raw double bit patterns, CRC — inside the wire
     // envelope; the coordinator re-verifies the CRC and group-commits
@@ -247,6 +320,10 @@ NetLeaseProvider::publish(const std::string &key,
 std::optional<std::vector<double>>
 NetLeaseProvider::fetch(const std::string &key, std::size_t expected)
 {
+    if (store_ != nullptr) {
+        store_->refresh();
+        return store_->getValidated(key, expected);
+    }
     std::lock_guard<std::mutex> lk(mu_);
     const auto reply = rpc("GET " + key);
     if (!reply || reply->rfind("HIT\n", 0) != 0)

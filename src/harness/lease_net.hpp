@@ -1,12 +1,22 @@
 /**
  * @file
- * Network lease client: the worker half of the distributed sweep
- * fabric (harness/coordinator.hpp has the protocol). A
- * NetLeaseProvider speaks the lease verbs as request/response RPCs
- * over one TCP connection to an ebm_coordinator, and implements the
- * result transport by streaming CRC-framed v3 records (PUT) and
- * probing the coordinator's store (GET) — the worker's own DiskCache
- * is private scratch in this mode.
+ * Lease client: the worker half of the lease fabric
+ * (harness/coordinator.hpp has the protocol). A NetLeaseProvider
+ * speaks the lease verbs as request/response RPCs over one connection
+ * to a Coordinator, reached one of two ways:
+ *
+ *   - joinLocal(): the same-host coordinator of one store, on an
+ *     abstract AF_UNIX socket named after the store's canonical path.
+ *     The first process to find the name free binds it and serves
+ *     in-process (the server lives inside that process's DiskCache);
+ *     every process, the server's own included, then connects as a
+ *     client. Results travel through the shared store file:
+ *     publish() is the group-commit sync(), fetch() is refresh()
+ *     then a validated get;
+ *   - connect(): an ebm_coordinator daemon over TCP. The worker shares
+ *     no file with it, so results are streamed as CRC-framed v3
+ *     records (PUT) and probed in the coordinator's store (GET); the
+ *     worker's own DiskCache is private scratch in this mode.
  *
  * Threading: the sweep's JobPool workers and every LeaseHeartbeater
  * tick share this one connection; RPCs are serialized under a mutex
@@ -17,8 +27,8 @@
  * dependency. If the connection breaks — coordinator gone, RPC
  * timeout, garbled frame — the provider latches a degraded mode that
  * behaves like no coordination at all: every tryAcquire is granted
- * locally (epoch 0), peeks read Absent, publishes fail quietly. The
- * sweep then computes everything itself, which is always correct,
+ * locally (epoch 0), peeks read Absent, TCP publishes fail quietly.
+ * The sweep then computes everything itself, which is always correct,
  * merely not shared; and because real peers never see this worker's
  * leases again (its connection died with it), the coordinator orphans
  * them and peers take the rows over under bumped epochs.
@@ -68,6 +78,16 @@ class NetLeaseProvider final : public LeaseProvider
     static std::unique_ptr<NetLeaseProvider>
     connect(const std::string &address);
 
+    /**
+     * Join the same-host coordinator for @p cache's store, standing
+     * for election when nothing answers: bind() on the store's
+     * socket name succeeds for exactly one process, which starts a
+     * Coordinator inside @p cache (DiskCache::adoptLeaseServer) and
+     * then connects to it like any peer. @return nullptr when no
+     * coordinator could be joined or started.
+     */
+    static std::unique_ptr<NetLeaseProvider> joinLocal(DiskCache &cache);
+
     bool tryAcquire(const std::string &key) override;
     bool heartbeat(const std::string &key) override;
     bool release(const std::string &key) override;
@@ -79,7 +99,10 @@ class NetLeaseProvider final : public LeaseProvider
                  const std::vector<double> &values) override;
     std::optional<std::vector<double>>
     fetch(const std::string &key, std::size_t expected) override;
-    const char *kind() const override { return "net"; }
+    const char *kind() const override
+    {
+        return store_ != nullptr ? "local" : "net";
+    }
 
     /** Has the connection been lost (standalone degrade latched)? */
     bool degraded() const;
@@ -91,7 +114,12 @@ class NetLeaseProvider final : public LeaseProvider
     }
 
   private:
-    NetLeaseProvider(UniqueFd fd, Options options);
+    NetLeaseProvider(UniqueFd fd, Options options, DiskCache *store);
+
+    /** HELLO over a fresh connection; nullptr when refused. */
+    static std::unique_ptr<NetLeaseProvider>
+    handshake(UniqueFd fd, const Options &options, DiskCache *store,
+              const std::string &peer);
 
     /** One serialized request/response exchange. Returns std::nullopt
      * (and latches degraded mode) on any transport failure. */
@@ -100,6 +128,9 @@ class NetLeaseProvider final : public LeaseProvider
     int timeoutMs() const;
 
     Options options_;
+    /** The shared store file results travel through (joinLocal), or
+     * null to stream them over the connection (connect). */
+    DiskCache *const store_;
     std::chrono::milliseconds staleMs_{0};
 
     mutable std::mutex mu_;

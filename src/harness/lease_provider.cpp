@@ -1,115 +1,19 @@
 #include "harness/lease_provider.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_net.hpp"
-#include "harness/shard_claim.hpp"
 
 namespace ebm {
-
-namespace {
-
-/**
- * Filesystem claims behind the LeaseProvider interface: ownership
- * verbs delegate to ShardClaims (O_EXCL claim files, mtime
- * heartbeats, durable epoch sidecars), and the result transport is
- * the shared store file itself — publish() forces the covering group
- * commit, fetch() folds in peer appends and probes. This is the
- * pre-network claim protocol verbatim; the multiprocess and chaos
- * suites lock its byte behavior.
- */
-class FsLeaseProvider final : public LeaseProvider
-{
-  public:
-    explicit FsLeaseProvider(DiskCache &cache)
-        : cache_(cache), claims_(cache.path())
-    {
-    }
-
-    bool
-    tryAcquire(const std::string &key) override
-    {
-        return claims_.tryAcquire(key);
-    }
-
-    bool
-    heartbeat(const std::string &key) override
-    {
-        return claims_.heartbeat(key);
-    }
-
-    bool
-    release(const std::string &key) override
-    {
-        return claims_.release(key);
-    }
-
-    bool
-    markSkipped(const std::string &key) override
-    {
-        return claims_.markSkipped(key);
-    }
-
-    State
-    peek(const std::string &key) override
-    {
-        switch (claims_.peek(key)) {
-          case ShardClaims::State::Absent:
-            return State::Absent;
-          case ShardClaims::State::Active:
-            return State::Active;
-          case ShardClaims::State::Stale:
-            return State::Stale;
-          case ShardClaims::State::Skipped:
-            break;
-        }
-        return State::Skipped;
-    }
-
-    bool
-    breakStale(const std::string &key) override
-    {
-        return claims_.breakStale(key);
-    }
-
-    std::uint64_t
-    ownedEpoch(const std::string &key) const override
-    {
-        return claims_.ownedEpoch(key);
-    }
-
-    bool
-    publish(const std::string &key,
-            const std::vector<double> &values) override
-    {
-        // The caller already put() the entry into the shared store;
-        // group commit may return before the covering batch lands,
-        // and peers read "lease gone" as "result durable" — so force
-        // the flush here, before the caller drops the lease.
-        (void)key;
-        (void)values;
-        cache_.sync();
-        return true;
-    }
-
-    std::optional<std::vector<double>>
-    fetch(const std::string &key, std::size_t expected) override
-    {
-        cache_.refresh();
-        return cache_.getValidated(key, expected);
-    }
-
-    const char *kind() const override { return "fs"; }
-
-  private:
-    DiskCache &cache_;
-    ShardClaims claims_;
-};
-
-} // namespace
 
 std::unique_ptr<LeaseProvider>
 makeLeaseProvider(DiskCache &cache)
@@ -124,9 +28,35 @@ makeLeaseProvider(DiskCache &cache)
              "; sweep degrades to standalone (results stay local)");
         return nullptr;
     }
-    if (ShardClaims::shardingEnabled())
-        return std::make_unique<FsLeaseProvider>(cache);
-    return nullptr;
+    if (!envFlag("EBM_SWEEP_SHARD", false))
+        return nullptr;
+    auto local = NetLeaseProvider::joinLocal(cache);
+    if (local == nullptr) {
+        warn("makeLeaseProvider: no local coordinator for " +
+             cache.path() + "; sweep degrades to standalone");
+    }
+    return local;
+}
+
+std::chrono::milliseconds
+leaseStaleThreshold()
+{
+    return std::chrono::milliseconds(
+        envUint("EBM_CLAIM_STALE_MS", 10000, 1, 3600000));
+}
+
+void
+touchWorkerHeartbeat()
+{
+    const char *path = std::getenv("EBM_WORKER_HEARTBEAT");
+    if (path == nullptr || path[0] == '\0')
+        return;
+    if (::utimensat(AT_FDCWD, path, nullptr, 0) != 0 &&
+        errno == ENOENT) {
+        const int fd = ::open(path, O_CREAT | O_WRONLY, 0644);
+        if (fd >= 0)
+            ::close(fd);
+    }
 }
 
 LeaseHeartbeater::LeaseHeartbeater(LeaseProvider *lease, std::string key)
@@ -153,18 +83,17 @@ void
 LeaseHeartbeater::run()
 {
     // A quarter of the staleness window keeps a live owner at least
-    // three missed ticks away from ever looking stale (both modes
-    // share the EBM_CLAIM_STALE_MS window; the coordinator judges
-    // network leases against the same knob on its own clock).
-    const auto interval = std::max(
-        ShardClaims::staleThreshold() / 4,
-        std::chrono::milliseconds(10));
+    // three missed ticks away from ever looking stale (the
+    // coordinator judges leases against the same window on its own
+    // clock).
+    const auto interval = std::max(leaseStaleThreshold() / 4,
+                                   std::chrono::milliseconds(10));
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
         if (cv_.wait_for(lk, interval, [this] { return stop_; }))
             return;
         lk.unlock();
-        ClaimHeartbeater::touchWorkerHeartbeat();
+        touchWorkerHeartbeat();
         const bool ok = lease_->heartbeat(key_);
         lk.lock();
         if (!ok) {

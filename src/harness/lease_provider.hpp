@@ -6,36 +6,38 @@
  * is kept alive, how a dead owner's row is taken over, and how the
  * row's result travels.
  *
- * Two implementations exist behind this interface:
+ * One implementation holds the lease semantics: the Coordinator
+ * (harness/coordinator.hpp), spoken to by a NetLeaseProvider
+ * (harness/lease_net.hpp). It is reached one of two ways:
  *
- *   - filesystem claims (FsLeaseProvider over harness/shard_claim.*):
- *     O_EXCL claim files + mtime heartbeats + durable epoch sidecars
- *     in `<store>.claims/`, for workers sharing one filesystem
- *     (EBM_SWEEP_SHARD=1);
- *   - network leases (NetLeaseProvider, harness/lease_net.hpp):
- *     the same verbs as RPCs against an ebm_coordinator daemon that
- *     owns the store, for workers that share nothing but a TCP route
- *     (EBM_COORDINATOR=host:port).
+ *   - same host (EBM_SWEEP_SHARD=1): every process filling one store
+ *     connects to a coordinator on a local AF_UNIX socket named after
+ *     the store's canonical path. When nothing answers, the process
+ *     binds that name and serves in-process for as long as its
+ *     DiskCache lives — winning bind() is the election. Results
+ *     travel through the shared store file (publish = group-commit
+ *     sync, fetch = refresh + validated get), so each row is appended
+ *     once, by its owner;
+ *   - across hosts (EBM_COORDINATOR=host:port): workers lease rows
+ *     from an ebm_coordinator daemon over TCP and, sharing no file,
+ *     stream each result to it as a CRC-framed v3 record (PUT/GET),
+ *     group-committed by the coordinator's own DiskCache writer.
  *
- * The split between ownership verbs and the publish()/fetch() result
- * transport is what makes one dispatch gate serve both: under
- * filesystem claims a result travels through the shared store file
- * (publish = group-commit sync, fetch = refresh + validated get);
- * under network leases it travels as a CRC-framed v3 record over the
- * coordinator connection, group-committed by the coordinator's own
- * DiskCache writer. Either way the merge invariant is unchanged:
- * compact() sorts by key and the simulation is deterministic, so any
- * mix of workers, takeovers, and duplicate computes compacts to the
- * same bytes a serial fill would have produced.
+ * Either way the merge invariant is unchanged: compact() sorts by key
+ * and the simulation is deterministic, so any mix of workers,
+ * takeovers, and duplicate computes compacts to the same bytes a
+ * serial fill would have produced.
  *
- * Like the claim protocol it abstracts, a LeaseProvider is an
- * *optimization, never a correctness dependency*: every verb may fail
- * (fenced, disconnected, degraded) and the caller falls back to
- * computing locally — duplicates are byte-identical.
+ * A LeaseProvider is an *optimization, never a correctness
+ * dependency*: every verb may fail (fenced, disconnected, degraded)
+ * and the caller falls back to computing locally — duplicates are
+ * byte-identical. A coordinator killed outright leaves its peers
+ * standalone for the rest of their sweep.
  */
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -53,8 +55,7 @@ class DiskCache;
 class LeaseProvider
 {
   public:
-    /** A waiter's view of another worker's lease on a key (mirrors
-     * ShardClaims::State — the wait-phase state machine is shared). */
+    /** A waiter's view of another worker's lease on a key. */
     enum class State : std::uint8_t {
         Absent,  ///< No lease (result durable, or owner takeover race).
         Active,  ///< A live owner is computing the row.
@@ -95,9 +96,9 @@ class LeaseProvider
 
     /**
      * Make the owned row's result durable where waiting peers will
-     * find it: the shared store file (filesystem mode — the caller
+     * find it: the shared store file (same-host mode — the caller
      * already put() it; this forces the covering group commit) or the
-     * coordinator's store (network mode — the record is streamed as a
+     * coordinator's store (TCP mode — the record is streamed as a
      * CRC-framed v3 frame and acknowledged once committed). Call
      * before release(). @return false when the result could not be
      * made durable for peers (it is still good locally).
@@ -114,7 +115,7 @@ class LeaseProvider
     virtual std::optional<std::vector<double>>
     fetch(const std::string &key, std::size_t expected) = 0;
 
-    /** Implementation tag for logs/diagnostics ("fs", "net"). */
+    /** Transport tag for logs/diagnostics ("local", "net"). */
     virtual const char *kind() const = 0;
 };
 
@@ -122,23 +123,34 @@ class LeaseProvider
  * Pick the lease provider for one sweep against @p cache from the
  * environment, in priority order:
  *
- *   1. EBM_COORDINATOR=host:port — network leases against that
- *      coordinator (connection failure degrades to standalone with a
- *      warning: the sweep computes everything locally, which is
- *      always correct, merely not shared);
- *   2. EBM_SWEEP_SHARD=1 — filesystem claims next to the store;
+ *   1. EBM_COORDINATOR=host:port — TCP leases against that
+ *      coordinator;
+ *   2. EBM_SWEEP_SHARD=1 — the elected same-host coordinator for
+ *      @p cache's store (joined, or started inside @p cache);
  *   3. neither — nullptr (the ordinary uncoordinated sweep).
+ *
+ * When no coordinator can be reached the result is nullptr with a
+ * warning: the sweep computes everything locally, which is always
+ * correct, merely not shared.
  */
 std::unique_ptr<LeaseProvider> makeLeaseProvider(DiskCache &cache);
 
+/** The lease staleness window, EBM_CLAIM_STALE_MS (default 10000):
+ * a lease unrenewed for longer is taken over, and a skip marker older
+ * than it expires. Read on every call, so tests can shrink it. */
+std::chrono::milliseconds leaseStaleThreshold();
+
+/** Touch the EBM_WORKER_HEARTBEAT file (the sweep supervisor's
+ * liveness signal), creating it if missing. No-op when unset. */
+void touchWorkerHeartbeat();
+
 /**
- * Periodic in-run heartbeat for one held lease (RAII) — the
- * LeaseProvider counterpart of ClaimHeartbeater (shard_claim.hpp),
- * spanning a row's whole attempt loop with a background thread that
- * renews the lease every staleThreshold()/4 so a row longer than the
- * staleness window never looks abandoned to peers. The same tick
- * touches the EBM_WORKER_HEARTBEAT file, tying the sweep
- * supervisor's hang detector to the same liveness signal.
+ * Periodic in-run heartbeat for one held lease (RAII), spanning a
+ * row's whole attempt loop with a background thread that renews the
+ * lease every leaseStaleThreshold()/4 (at least 10 ms) so a row
+ * longer than the staleness window never looks abandoned to peers.
+ * The same tick touches the EBM_WORKER_HEARTBEAT file, tying the
+ * sweep supervisor's hang detector to the same liveness signal.
  *
  * If a tick discovers the lease was fenced (a peer took the row over
  * after a stall longer than the window), it stops renewing and

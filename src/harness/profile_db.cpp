@@ -86,8 +86,8 @@ ProfileDb::profile(const AppProfile &app)
     prof.perLevel.resize(prof.levels.size());
 
     // Cross-process sharding: levels are leased at dispatch like
-    // sweep rows (EBM_SWEEP_SHARD for filesystem claims,
-    // EBM_COORDINATOR for network leases). An armed fault injector
+    // sweep rows (EBM_SWEEP_SHARD for same-host leases,
+    // EBM_COORDINATOR for TCP leases). An armed fault injector
     // keeps the pass serial, unsharded and in level order — its query
     // order is part of the documented fault schedule and must not
     // depend on which process wins a lease or on row costs.

@@ -13,7 +13,6 @@
 #include "common/log.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_provider.hpp"
-#include "harness/shard_claim.hpp"
 
 namespace ebm {
 
@@ -68,8 +67,7 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
     // probe: a completed row's lease is already gone (released after
     // the durable publish), so leases alone cannot tell "done" from
     // "never started" — the authoritative store can (the shared file
-    // under filesystem claims, the coordinator's store over the
-    // wire).
+    // for same-host peers, the coordinator's store over TCP).
     auto probePeer = [&](std::size_t i) {
         auto v = lease->fetch(rows[i].key, options.width);
         if (!v)
@@ -107,9 +105,9 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
         cache.put(row.key, *values);
         if (lease != nullptr) {
             // Publish before dropping the lease: peers read "lease
-            // gone" as "result durable". Filesystem mode forces the
-            // covering group commit of the shared store; network mode
-            // streams the CRC-framed record to the coordinator, whose
+            // gone" as "result durable". Same-host peers force the
+            // covering group commit of the shared store; TCP workers
+            // stream the CRC-framed record to the coordinator, whose
             // own writer commits it.
             lease->publish(row.key, *values);
             // Crash point: result durable, lease left behind. Peers
@@ -143,7 +141,7 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
         // Liveness for the sweep supervisor (sweep_supervisor.hpp):
         // every dispatched row proves this worker is making progress,
         // leases or not.
-        ClaimHeartbeater::touchWorkerHeartbeat();
+        touchWorkerHeartbeat();
         if (lease != nullptr) {
             if (probePeer(i))
                 return;
@@ -182,8 +180,8 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
     // Wait phase (leased fills only): rows other workers held are
     // assembled in row order. The lease protocol closes every gap: a
     // finished owner's result appears on the next fetch, a killed
-    // owner's lease goes stale (immediately, in network mode, when its
-    // connection drops) and is taken over, and a skipping owner leaves
+    // owner's lease goes stale (immediately, when its connection
+    // drops) and is taken over, and a skipping owner leaves
     // a durable marker we replicate — so this loop always terminates,
     // and the assembled rows are the ones a single worker would have
     // produced.

@@ -15,7 +15,7 @@
  *     [12..15]  u32 app-catalog version at write time
  *     [16..55]  machine float-ABI fingerprint, NUL-padded
  *     [56..63]  u64 max fencing epoch under which frames were appended
- *               (0 in compacted/clean stores; see shard_claim.hpp)
+ *               (0 in compacted/clean stores; see lease_provider.hpp)
  *   frame:
  *     u32 frame magic | u32 keyLen | u32 valueCount |
  *     keyLen key bytes | valueCount raw doubles | u64 checksum
@@ -158,8 +158,13 @@ parseFrameAt(const char *data, std::size_t off, std::size_t end,
         return FrameParse::Torn;
     out.key.assign(data + off + kFrameHeadBytes, key_len);
     out.values.resize(value_count);
-    std::memcpy(out.values.data(), data + off + kFrameHeadBytes + key_len,
-                value_count * sizeof(double));
+    // A zero-value frame leaves values.data() null, and memcpy from or
+    // to a null pointer is undefined even for zero bytes.
+    if (value_count > 0) {
+        std::memcpy(out.values.data(),
+                    data + off + kFrameHeadBytes + key_len,
+                    value_count * sizeof(double));
+    }
     std::uint64_t stored_sum = 0;
     std::memcpy(&stored_sum, data + off + need - kFrameTailBytes,
                 sizeof stored_sum);

@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_provider.hpp"
 
 namespace ebm {
 
@@ -77,10 +77,10 @@ SweepSupervisor::SweepSupervisor(Options options)
     if (options_.workers == 0)
         options_.workers = 1;
     if (options_.hangTimeout.count() == 0) {
-        // Hang must be slower than staleness: a stuck worker's claims
+        // Hang must be slower than staleness: a stuck worker's leases
         // should go stale (and be taken over) before the supervisor
         // spends a restart on it.
-        options_.hangTimeout = 4 * ShardClaims::staleThreshold();
+        options_.hangTimeout = 4 * leaseStaleThreshold();
     }
     if (!options_.heartbeatDir.empty()) {
         if (::mkdir(options_.heartbeatDir.c_str(), 0777) != 0 &&
@@ -125,7 +125,7 @@ SweepSupervisor::run(const WorkerFn &worker)
         }
         if (pid == 0) {
             // Child: advertise the heartbeat file to the sweep loop
-            // (ClaimHeartbeater::touchWorkerHeartbeat), run the
+            // (touchWorkerHeartbeat in lease_provider.hpp), run the
             // worker body, and exit without running the parent's
             // atexit chain twice.
             if (!hb.empty())
@@ -229,7 +229,7 @@ SweepSupervisor::run(const WorkerFn &worker)
 
             // Hang detection: the worker is alive but its heartbeat
             // file has gone silent past the timeout — kill it and let
-            // the normal crash path restart it (claims it held go
+            // the normal crash path restart it (leases it held go
             // stale and peers take them over meanwhile).
             const std::string hb = heartbeatPath(s);
             if (!hb.empty()) {

@@ -4,7 +4,7 @@
  * them, restart the ones that die or hang, and report what happened.
  *
  * The sharded sweep already survives worker death at the *protocol*
- * level — claims go stale and peers take the rows over — but someone
+ * level — leases go stale and peers take the rows over — but someone
  * still has to put a replacement worker back, or an N-way sweep
  * quietly degrades to 1-way after N-1 crashes. SweepSupervisor is
  * that someone: a parent process that
@@ -15,10 +15,10 @@
  *     exit or a signal) under a capped exponential backoff and a
  *     per-slot restart budget,
  *   - watches per-slot heartbeat files (EBM_WORKER_HEARTBEAT, touched
- *     by the sweep loop and by ClaimHeartbeater ticks) and SIGKILLs a
+ *     by the sweep loop and by LeaseHeartbeater ticks) and SIGKILLs a
  *     worker whose heartbeat goes silent for longer than the hang
  *     timeout — a live-but-stuck worker is a crash that forgot to
- *     happen, and its claims only go stale after it stops
+ *     happen, and its leases only go stale after it stops
  *     heartbeating them.
  *
  * Per-row retry budgets stay where they were: inside the sweep
@@ -29,7 +29,7 @@
  * sweep without it.
  *
  * Determinism: supervision never touches result bytes. Workers append
- * to the last-wins store under the claim protocol, so any interleaving
+ * to the last-wins store under the lease protocol, so any interleaving
  * of crashes, restarts, and takeovers compacts to the same canonical
  * file (the chaos suite checks exactly this with cmp).
  */
@@ -56,7 +56,7 @@ class SweepSupervisor
         /** Restart budget per slot (beyond the first launch). */
         std::uint32_t maxRestarts = 5;
         /** Silence on the slot's heartbeat file before the worker is
-         * declared hung and SIGKILLed. Zero = derive from the claim
+         * declared hung and SIGKILLed. Zero = derive from the lease
          * staleness window (4x EBM_CLAIM_STALE_MS). */
         std::chrono::milliseconds hangTimeout{0};
         /** Capped exponential restart backoff: base * 2^restarts,
@@ -68,8 +68,8 @@ class SweepSupervisor
         std::string heartbeatDir;
         /** Coordinator address ("host:port") exported to each worker
          * child as EBM_COORDINATOR, so supervised workers lease rows
-         * over TCP instead of filesystem claims. Empty = inherit the
-         * parent's environment unchanged. */
+         * over TCP instead of from the same-host election. Empty =
+         * inherit the parent's environment unchanged. */
         std::string coordinator;
     };
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * The chaos acceptance suite: supervised sharded sweeps with workers
- * SIGKILLed at seeded crash points — claim held (nothing durable),
- * post-put pre-release (result durable, claim orphaned), and mid-way
+ * SIGKILLed at seeded crash points — lease held (nothing durable),
+ * post-put pre-release (result durable, lease orphaned), and mid-way
  * through a store append (torn bytes on disk) — across {2, 4}
  * processes x jobs {1, 8}. The supervisor restarts every victim, the
  * staleness protocol re-homes their rows, torn tails are truncated by
@@ -71,6 +71,7 @@ class ScopedEnv
     std::string old_;
 };
 
+/** Remove a flat directory (the supervisor's heartbeat files). */
 void
 removeDirTree(const std::string &dir)
 {
@@ -157,7 +158,6 @@ class ChaosSweepTest : public ::testing::Test
             std::remove((p + ".quarantined").c_str());
             std::remove((p + ".tmp").c_str());
             std::remove((p + ".fsck-quarantine").c_str());
-            removeDirTree(p + ".claims");
         }
         removeDirTree(hb_dir_);
     }
@@ -267,7 +267,6 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
     } grid[] = {{2, 1}, {2, 8}, {4, 1}, {4, 8}};
     for (const auto &cfg : grid) {
         std::remove(shared_path_.c_str());
-        removeDirTree(shared_path_ + ".claims");
         removeDirTree(hb_dir_);
         runChaosCell(cfg.procs, cfg.jobs, shared_path_, hb_dir_, ref,
                      ref_bytes, ladder);

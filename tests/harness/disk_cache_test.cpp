@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,7 +17,7 @@
 
 #include "../test_util.hpp"
 #include "common/rng.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_provider.hpp"
 
 namespace ebm {
 namespace {
@@ -744,103 +743,93 @@ TEST_F(DiskCacheTest, NotedFencingEpochIsEchoedIntoTheHeader)
 }
 
 // ---------------------------------------------------------------------
-// Epoch-sidecar hygiene: compact() sweeps `<keyfp>.epoch` files whose
-// claim is gone and whose mtime is past the staleness window — the
-// long-lived store stops accreting one sidecar per key ever swept.
+// Lease hygiene: leases and their fencing epochs live in the elected
+// coordinator's memory, so a leased fill leaves nothing beside the
+// store, and compaction of a leased store is compaction of its
+// entries — the same bytes an unleased fill compacts to.
 // ---------------------------------------------------------------------
 
-/** Count regular files under @p dir whose name ends with @p suffix. */
-std::size_t
-countFilesWithSuffix(const std::string &dir, const std::string &suffix)
+/** One leased fill of @p keys into @p cache, through the elected
+ * local coordinator (EBM_SWEEP_SHARD=1): acquire, put, publish,
+ * release, as the row-fill engine does. */
+void
+leasedFill(DiskCache &cache, const std::vector<std::string> &keys)
 {
-    std::size_t n = 0;
-    DIR *d = ::opendir(dir.c_str());
-    if (d == nullptr)
-        return 0;
-    while (struct dirent *e = ::readdir(d)) {
-        const std::string name = e->d_name;
-        if (name.size() >= suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) == 0)
-            ++n;
+    ::setenv("EBM_SWEEP_SHARD", "1", 1);
+    auto lease = makeLeaseProvider(cache);
+    ::unsetenv("EBM_SWEEP_SHARD");
+    ASSERT_NE(lease, nullptr);
+    ASSERT_STREQ(lease->kind(), "local");
+    for (const std::string &key : keys) {
+        ASSERT_TRUE(lease->tryAcquire(key));
+        cache.put(key, {1.0});
+        ASSERT_TRUE(lease->publish(key, {1.0}));
+        ASSERT_TRUE(lease->release(key));
     }
-    ::closedir(d);
-    return n;
 }
 
-/** Remove every file under @p dir, then the dir itself. */
-void
-removeClaimDir(const std::string &dir)
+/** The compacted bytes of an unleased store holding @p keys. */
+std::string
+unleasedCompactedBytes(const std::string &path,
+                       const std::vector<std::string> &keys)
 {
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
+    std::string bytes;
+    {
+        DiskCache cache(path);
+        for (const std::string &key : keys)
+            cache.put(key, {1.0});
+        EXPECT_TRUE(cache.compact());
+        bytes = slurpFile(path);
     }
-    ::rmdir(dir.c_str());
+    std::remove(path.c_str());
+    return bytes;
 }
 
 TEST_F(DiskCacheTest, CompactSweepsOrphanedEpochSidecars)
 {
-    const std::string claims_dir = path_ + ".claims";
-    {
-        // A finished sharded sweep: claims released, epoch counters
-        // left behind as orphans.
-        ShardClaims claims(path_);
-        ASSERT_TRUE(claims.tryAcquire("row/a"));
-        ASSERT_TRUE(claims.tryAcquire("row/b"));
-        ASSERT_TRUE(claims.release("row/a"));
-        ASSERT_TRUE(claims.release("row/b"));
-    }
-    ASSERT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 2u);
+    const std::vector<std::string> keys = {"row/a", "row/b"};
+    const std::string expected =
+        unleasedCompactedBytes(path_ + ".ref", keys);
 
     DiskCache cache(path_);
-    cache.put("row/a", {1.0});
-    cache.sync();
+    leasedFill(cache, keys);
+    EXPECT_TRUE(test::filesBeside(path_).empty())
+        << "a leased fill must leave no claim files or sidecars";
 
-    // Inside the staleness window the sidecars are load-bearing (a
-    // paused owner may still need to be fenced): compact keeps them.
-    ASSERT_TRUE(cache.compact());
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 2u);
-
-    // Past the window they are garbage: compact sweeps them.
+    // Even with a 1 ms staleness window there is nothing to sweep:
+    // compaction is the same as for an unleased store.
     ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     const bool compacted = cache.compact();
     ::unsetenv("EBM_CLAIM_STALE_MS");
     ASSERT_TRUE(compacted);
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 0u);
-
-    removeClaimDir(claims_dir);
+    EXPECT_EQ(slurpFile(path_), expected);
+    EXPECT_TRUE(test::filesBeside(path_).empty());
 }
 
 TEST_F(DiskCacheTest, CompactKeepsEpochSidecarsUnderLiveClaims)
 {
-    const std::string claims_dir = path_ + ".claims";
-    ShardClaims claims(path_);
-    ASSERT_TRUE(claims.tryAcquire("row/held"));
-    ASSERT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 1u);
+    const std::string expected =
+        unleasedCompactedBytes(path_ + ".ref", {"row/held"});
 
     DiskCache cache(path_);
+    ::setenv("EBM_SWEEP_SHARD", "1", 1);
+    auto lease = makeLeaseProvider(cache);
+    ::unsetenv("EBM_SWEEP_SHARD");
+    ASSERT_NE(lease, nullptr);
+    ASSERT_TRUE(lease->tryAcquire("row/held"));
     cache.put("row/held", {1.0});
     cache.sync();
 
-    // Even with a 1ms window the sidecar survives: its claim file is
-    // present, so the epoch is owned, not orphaned — deleting it
-    // would reset the fence under a live owner.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const bool compacted = cache.compact();
-    ::unsetenv("EBM_CLAIM_STALE_MS");
-    ASSERT_TRUE(compacted);
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 1u);
-
-    EXPECT_TRUE(claims.release("row/held"));
-    removeClaimDir(claims_dir);
+    // Compacting under a live lease neither touches the lease nor
+    // writes anything but the canonical store.
+    ASSERT_TRUE(cache.compact());
+    EXPECT_EQ(slurpFile(path_), expected);
+    EXPECT_TRUE(test::filesBeside(path_).empty());
+    EXPECT_EQ(lease->ownedEpoch("row/held"), 1u);
+    EXPECT_TRUE(lease->heartbeat("row/held"))
+        << "compaction must not fence the live owner";
+    EXPECT_TRUE(lease->release("row/held"));
 }
 
 } // namespace

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -53,22 +52,6 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-/** Remove a flat directory (claim dirs hold no subdirectories). */
-void
-removeDirTree(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-    }
-    ::rmdir(dir.c_str());
 }
 
 /** Bitwise table equality (the cross-machine identity contract). */
@@ -133,7 +116,6 @@ class DistributedSweepTest : public ::testing::Test
             std::remove(p.c_str());
             std::remove((p + ".quarantined").c_str());
             std::remove((p + ".tmp").c_str());
-            removeDirTree(p + ".claims");
         }
     }
 
@@ -504,7 +486,7 @@ TEST_F(DistributedSweepTest, WorkerKilledMidSweepIsRecovered)
 
 /**
  * RunFail-injected workers over the wire: the persistently failing
- * combination is skipped by whichever worker claims it, the skip
+ * combination is skipped by whichever worker leases it, the skip
  * marker is replicated through SKIPMARK/PEEK instead of sidecar
  * files, and the compacted store matches the injected serial run.
  */

@@ -1,22 +1,25 @@
 /**
  * @file
- * Cross-process sweep sharding: the ShardClaims protocol in isolation,
- * the deferred-row wait phase driven single-process (skip replication,
- * stale-claim takeover), and the full acceptance scenario — N forked
- * processes cooperatively filling one cold sweep through a shared
- * store, each producing the bit-identical table, with the compacted
- * store byte-identical to a single-process run.
+ * Same-host sweep sharding (EBM_SWEEP_SHARD=1): the lease protocol as
+ * peers of the elected local coordinator see it, the election itself
+ * (exactly one server among forked processes; a killed server leaves
+ * its peers standalone and still byte-identical), the deferred-row
+ * wait phase driven single-process (skip replication, stale-lease
+ * takeover), and the full acceptance scenario — N forked processes
+ * cooperatively filling one cold sweep through a shared store, each
+ * producing the bit-identical table, with the compacted store
+ * byte-identical to a single-process run.
  *
  * The forked suites run in their own binary: fork()/waitpid()
  * orchestration should never share a process with unrelated tests.
  */
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -28,14 +31,16 @@
 
 #include "../test_util.hpp"
 #include "common/fault_injector.hpp"
+#include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_provider.hpp"
 
 namespace ebm {
 namespace {
 
 using Point = FaultInjector::Point;
+using State = LeaseProvider::State;
 
 std::string
 slurp(const std::string &path)
@@ -73,20 +78,20 @@ class ScopedEnv
     std::string old_;
 };
 
-/** Remove a flat directory (claim dirs hold no subdirectories). */
-void
-removeDirTree(const std::string &dir)
+/**
+ * A peer of the elected local coordinator for @p cache's store: the
+ * first peer of a store elects @p cache to serve, later ones connect.
+ */
+std::unique_ptr<LeaseProvider>
+joinPeer(DiskCache &cache)
 {
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
+    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
+    auto peer = makeLeaseProvider(cache);
+    EXPECT_NE(peer, nullptr);
+    if (peer != nullptr) {
+        EXPECT_STREQ(peer->kind(), "local");
     }
-    ::rmdir(dir.c_str());
+    return peer;
 }
 
 /** Bitwise table equality (the cross-process identity contract). */
@@ -144,7 +149,6 @@ class MultiprocessSweepTest : public ::testing::Test
             std::remove(p.c_str());
             std::remove((p + ".quarantined").c_str());
             std::remove((p + ".tmp").c_str());
-            removeDirTree(p + ".claims");
         }
         for (int i = 0; i < 8; ++i)
             std::remove(statusPath(i).c_str());
@@ -162,165 +166,186 @@ class MultiprocessSweepTest : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// ShardClaims protocol units.
+// Lease protocol units, through the elected local coordinator.
 // ---------------------------------------------------------------------
 
 TEST_F(MultiprocessSweepTest, ClaimIsExclusiveUntilReleased)
 {
-    ShardClaims claims(shared_path_);
-    EXPECT_EQ(claims.peek("row"), ShardClaims::State::Absent);
-    EXPECT_TRUE(claims.tryAcquire("row"));
-    EXPECT_FALSE(claims.tryAcquire("row")) << "claims are exclusive";
-    EXPECT_EQ(claims.peek("row"), ShardClaims::State::Active);
+    DiskCache host(shared_path_);
+    auto lease = joinPeer(host);
+    ASSERT_NE(lease, nullptr);
+    EXPECT_NE(host.leaseServer(), nullptr)
+        << "the store's first peer wins the election";
+    EXPECT_EQ(lease->peek("row"), State::Absent);
+    EXPECT_TRUE(lease->tryAcquire("row"));
+    EXPECT_FALSE(lease->tryAcquire("row")) << "leases are exclusive";
+    EXPECT_EQ(lease->peek("row"), State::Active);
 
-    // A second ShardClaims on the same store (another process's view)
-    // contends for the same files.
-    ShardClaims peer(shared_path_);
-    EXPECT_FALSE(peer.tryAcquire("row"));
-    EXPECT_EQ(peer.peek("row"), ShardClaims::State::Active);
+    // A second store on the same path (another process's view) joins
+    // the same coordinator instead of electing its own.
+    DiskCache other(shared_path_);
+    auto peer = joinPeer(other);
+    ASSERT_NE(peer, nullptr);
+    EXPECT_EQ(other.leaseServer(), nullptr);
+    EXPECT_FALSE(peer->tryAcquire("row"));
+    EXPECT_EQ(peer->peek("row"), State::Active);
 
-    claims.release("row");
-    EXPECT_EQ(peer.peek("row"), ShardClaims::State::Absent);
-    EXPECT_TRUE(peer.tryAcquire("row"));
-    peer.release("row");
+    lease->release("row");
+    EXPECT_EQ(peer->peek("row"), State::Absent);
+    EXPECT_TRUE(peer->tryAcquire("row"));
+    peer->release("row");
 }
 
 TEST_F(MultiprocessSweepTest, DistinctKeysNeverContend)
 {
-    ShardClaims claims(shared_path_);
-    EXPECT_TRUE(claims.tryAcquire("row/a"));
-    EXPECT_TRUE(claims.tryAcquire("row/b"));
-    claims.release("row/a");
-    claims.release("row/b");
+    DiskCache host(shared_path_);
+    auto lease = joinPeer(host);
+    ASSERT_NE(lease, nullptr);
+    EXPECT_TRUE(lease->tryAcquire("row/a"));
+    EXPECT_TRUE(lease->tryAcquire("row/b"));
+    lease->release("row/a");
+    lease->release("row/b");
 }
 
 TEST_F(MultiprocessSweepTest, SkipMarkerIsDurableAndExpires)
 {
-    ShardClaims claims(shared_path_);
-    ASSERT_TRUE(claims.tryAcquire("row"));
-    claims.markSkipped("row");
+    DiskCache host(shared_path_);
+    auto lease = joinPeer(host);
+    auto peer = joinPeer(host);
+    ASSERT_TRUE(lease != nullptr && peer != nullptr);
+    ASSERT_TRUE(lease->tryAcquire("row"));
+    lease->markSkipped("row");
 
-    // The marker outlives the claim and blocks re-acquisition: every
+    // The marker outlives the lease and blocks re-acquisition: every
     // cooperating process replicates the skip.
-    EXPECT_EQ(claims.peek("row"), ShardClaims::State::Skipped);
-    EXPECT_TRUE(claims.isSkipped("row"));
-    EXPECT_FALSE(claims.tryAcquire("row"));
+    EXPECT_EQ(lease->peek("row"), State::Skipped);
+    EXPECT_EQ(peer->peek("row"), State::Skipped);
+    EXPECT_FALSE(lease->tryAcquire("row"));
+    EXPECT_FALSE(peer->tryAcquire("row"));
 
-    // Past the staleness window the marker expires and is removed, so
-    // the next sweep retries the row (single-process semantics: a
-    // failed combination is never persisted).
+    // Past the staleness window the marker expires, so the next sweep
+    // retries the row (single-process semantics: a failed
+    // combination is never persisted).
     {
         ScopedEnv stale("EBM_CLAIM_STALE_MS", "1");
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        EXPECT_FALSE(claims.isSkipped("row"));
-        EXPECT_EQ(claims.peek("row"), ShardClaims::State::Absent);
-        EXPECT_TRUE(claims.tryAcquire("row"));
-        claims.release("row");
+        EXPECT_EQ(lease->peek("row"), State::Absent);
+        EXPECT_TRUE(lease->tryAcquire("row"));
+        lease->release("row");
     }
 }
 
 TEST_F(MultiprocessSweepTest, StaleClaimIsBrokenAndTakenOver)
 {
-    ShardClaims owner(shared_path_);
-    ASSERT_TRUE(owner.tryAcquire("row"));
-
-    ShardClaims waiter(shared_path_);
+    DiskCache host(shared_path_);
+    auto owner = joinPeer(host);
+    auto waiter = joinPeer(host);
+    ASSERT_TRUE(owner != nullptr && waiter != nullptr);
+    ASSERT_TRUE(owner->tryAcquire("row"));
     {
         // A window comfortably wider than any single check below, so
         // "fresh" observations never race the clock — but short
         // enough that waiting it out keeps the test quick.
         ScopedEnv stale("EBM_CLAIM_STALE_MS", "250");
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        EXPECT_EQ(waiter.peek("row"), ShardClaims::State::Stale);
+        EXPECT_EQ(waiter->peek("row"), State::Stale);
 
-        // A heartbeat revives the claim...
-        owner.heartbeat("row");
-        EXPECT_EQ(waiter.peek("row"), ShardClaims::State::Active);
-        EXPECT_FALSE(waiter.breakStale("row"))
-            << "a fresh claim must never be broken";
+        // A heartbeat revives the lease...
+        owner->heartbeat("row");
+        EXPECT_EQ(waiter->peek("row"), State::Active);
+        EXPECT_FALSE(waiter->breakStale("row"))
+            << "a fresh lease must never be broken";
 
         // ...and silence lets the waiter take over.
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        EXPECT_TRUE(waiter.breakStale("row"));
-        EXPECT_EQ(owner.peek("row"), ShardClaims::State::Active);
-        waiter.release("row");
+        EXPECT_TRUE(waiter->breakStale("row"));
+        EXPECT_EQ(owner->peek("row"), State::Active);
+        waiter->release("row");
     }
 }
 
 // ---------------------------------------------------------------------
 // Fencing epochs: a stale owner that resumes after takeover cannot
-// double-release or clobber the newer epoch's claim.
+// double-release or clobber the newer epoch's lease.
 // ---------------------------------------------------------------------
 
 TEST_F(MultiprocessSweepTest, AcquireMintsMonotonicEpochs)
 {
-    ShardClaims claims(shared_path_);
-    ASSERT_TRUE(claims.tryAcquire("row"));
-    EXPECT_EQ(claims.ownedEpoch("row"), 1u);
-    EXPECT_EQ(claims.claimEpoch("row"), 1u);
-    EXPECT_TRUE(claims.release("row"));
-    EXPECT_EQ(claims.ownedEpoch("row"), 0u) << "released = not owned";
+    DiskCache host(shared_path_);
+    auto lease = joinPeer(host);
+    auto peer = joinPeer(host);
+    ASSERT_TRUE(lease != nullptr && peer != nullptr);
+    ASSERT_TRUE(lease->tryAcquire("row"));
+    EXPECT_EQ(lease->ownedEpoch("row"), 1u);
+    EXPECT_TRUE(lease->release("row"));
+    EXPECT_EQ(lease->ownedEpoch("row"), 0u) << "released = not owned";
 
-    ASSERT_TRUE(claims.tryAcquire("row"));
-    EXPECT_EQ(claims.ownedEpoch("row"), 2u)
-        << "every acquisition bumps the durable epoch";
-    EXPECT_TRUE(claims.release("row"));
+    ASSERT_TRUE(lease->tryAcquire("row"));
+    EXPECT_EQ(lease->ownedEpoch("row"), 2u)
+        << "every acquisition bumps the key's epoch";
+    EXPECT_TRUE(lease->release("row"));
+
+    // The counter is the coordinator's, shared by every peer.
+    ASSERT_TRUE(peer->tryAcquire("row"));
+    EXPECT_EQ(peer->ownedEpoch("row"), 3u);
+    EXPECT_TRUE(peer->release("row"));
 }
 
 TEST_F(MultiprocessSweepTest, FencedOwnerCannotReleaseOrSkip)
 {
-    ShardClaims owner(shared_path_);
-    ASSERT_TRUE(owner.tryAcquire("row"));
-    EXPECT_EQ(owner.ownedEpoch("row"), 1u);
+    DiskCache host(shared_path_);
+    auto owner = joinPeer(host);
+    auto waiter = joinPeer(host);
+    ASSERT_TRUE(owner != nullptr && waiter != nullptr);
+    ASSERT_TRUE(owner->tryAcquire("row"));
+    EXPECT_EQ(owner->ownedEpoch("row"), 1u);
 
     // The owner stalls past the staleness window; a waiter takes the
     // row over under a bumped epoch.
-    ShardClaims waiter(shared_path_);
     {
         ScopedEnv stale("EBM_CLAIM_STALE_MS", "50");
         std::this_thread::sleep_for(std::chrono::milliseconds(80));
-        ASSERT_TRUE(waiter.breakStale("row"));
+        ASSERT_TRUE(waiter->breakStale("row"));
     }
-    EXPECT_EQ(waiter.ownedEpoch("row"), 2u);
-    EXPECT_EQ(waiter.claimEpoch("row"), 2u);
+    EXPECT_EQ(waiter->ownedEpoch("row"), 2u);
 
     // The resumed stale owner is fenced on every verb: heartbeat
-    // refuses to freshen the newer claim, release leaves it in place,
+    // refuses to freshen the newer lease, release leaves it in place,
     // markSkipped writes no marker.
-    EXPECT_FALSE(owner.heartbeat("row"));
-    EXPECT_FALSE(owner.release("row"));
-    EXPECT_EQ(waiter.claimEpoch("row"), 2u)
-        << "the newer claim survives the stale owner's release";
-    EXPECT_EQ(waiter.peek("row"), ShardClaims::State::Active);
-    ASSERT_TRUE(owner.tryAcquire("other"));
-    EXPECT_FALSE(owner.markSkipped("row"));
-    EXPECT_FALSE(waiter.isSkipped("row"))
+    EXPECT_FALSE(owner->heartbeat("row"));
+    EXPECT_FALSE(owner->release("row"));
+    EXPECT_EQ(waiter->peek("row"), State::Active)
+        << "the newer lease survives the stale owner's release";
+    ASSERT_TRUE(owner->tryAcquire("other"));
+    EXPECT_FALSE(owner->markSkipped("row"));
+    EXPECT_NE(waiter->peek("row"), State::Skipped)
         << "a fenced owner must not skip the new owner's row";
 
     // The rightful owner's verbs still work.
-    EXPECT_TRUE(waiter.heartbeat("row"));
-    EXPECT_TRUE(waiter.release("row"));
-    EXPECT_TRUE(owner.release("other"));
+    EXPECT_TRUE(waiter->heartbeat("row"));
+    EXPECT_TRUE(waiter->release("row"));
+    EXPECT_TRUE(owner->release("other"));
 }
 
 TEST_F(MultiprocessSweepTest, TakeoverEpochReachesTheStoreHeader)
 {
     // A takeover (epoch 2) noted on the cache is stamped into the
     // header by the next append; compaction re-canonicalizes to 0.
-    ShardClaims dead(shared_path_);
-    ASSERT_TRUE(dead.tryAcquire("row"));
-    ShardClaims taker(shared_path_);
+    DiskCache cache(shared_path_);
+    auto dead = joinPeer(cache);
+    auto taker = joinPeer(cache);
+    ASSERT_TRUE(dead != nullptr && taker != nullptr);
+    ASSERT_TRUE(dead->tryAcquire("row"));
     {
         ScopedEnv stale("EBM_CLAIM_STALE_MS", "50");
         std::this_thread::sleep_for(std::chrono::milliseconds(80));
-        ASSERT_TRUE(taker.breakStale("row"));
+        ASSERT_TRUE(taker->breakStale("row"));
     }
 
-    DiskCache cache(shared_path_);
-    cache.noteFencingEpoch(taker.ownedEpoch("row"));
+    cache.noteFencingEpoch(taker->ownedEpoch("row"));
     cache.put("row", {1.0});
-    cache.sync();
-    EXPECT_TRUE(taker.release("row"));
+    ASSERT_TRUE(taker->publish("row", {1.0}));
+    EXPECT_TRUE(taker->release("row"));
 
     {
         DiskCache reopened(shared_path_);
@@ -339,20 +364,20 @@ TEST_F(MultiprocessSweepTest, TakeoverEpochReachesTheStoreHeader)
 TEST_F(MultiprocessSweepTest, HeartbeaterKeepsLongRowFreshAtTinyWindow)
 {
     ScopedEnv stale("EBM_CLAIM_STALE_MS", "200");
-    ShardClaims owner(shared_path_);
-    ASSERT_TRUE(owner.tryAcquire("long-row"));
-
-    ShardClaims peer(shared_path_);
+    DiskCache host(shared_path_);
+    auto owner = joinPeer(host);
+    auto peer = joinPeer(host);
+    ASSERT_TRUE(owner != nullptr && peer != nullptr);
+    ASSERT_TRUE(owner->tryAcquire("long-row"));
     {
         // The heartbeater spans a "run" three windows long; the peer
-        // polls throughout and must never see the claim go stale.
-        ClaimHeartbeater beat(&owner, "long-row");
+        // polls throughout and must never see the lease go stale.
+        LeaseHeartbeater beat(owner.get(), "long-row");
         const auto until = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(650);
         while (std::chrono::steady_clock::now() < until) {
-            EXPECT_NE(peer.peek("long-row"),
-                      ShardClaims::State::Stale)
-                << "in-run heartbeat lost the claim mid-row";
+            EXPECT_NE(peer->peek("long-row"), State::Stale)
+                << "in-run heartbeat lost the lease mid-row";
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(20));
         }
@@ -360,10 +385,10 @@ TEST_F(MultiprocessSweepTest, HeartbeaterKeepsLongRowFreshAtTinyWindow)
     }
 
     // Control: with the heartbeater gone, the same silence makes the
-    // claim stale — proving the poll above was a real observation.
+    // lease stale — proving the poll above was a real observation.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    EXPECT_EQ(peer.peek("long-row"), ShardClaims::State::Stale);
-    EXPECT_TRUE(owner.release("long-row"));
+    EXPECT_EQ(peer->peek("long-row"), State::Stale);
+    EXPECT_TRUE(owner->release("long-row"));
 }
 
 /**
@@ -429,8 +454,8 @@ TEST_F(MultiprocessSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
 // ---------------------------------------------------------------------
 
 /**
- * A peer's durable skip marker is replicated: the sharded sweep
- * defers the claimed row, sees the marker, and records the same
+ * A peer's skip marker is replicated: the sharded sweep defers the
+ * leased row, sees the marker, and records the same
  * skipped row a single process would after exhausting retries.
  */
 TEST_F(MultiprocessSweepTest, PeerSkipMarkerIsReplicated)
@@ -438,10 +463,12 @@ TEST_F(MultiprocessSweepTest, PeerSkipMarkerIsReplicated)
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     const Workload wl = makePair("BLK", "TRD");
 
-    ShardClaims peer(shared_path_);
+    DiskCache peer_cache(shared_path_);
+    auto peer = joinPeer(peer_cache);
+    ASSERT_NE(peer, nullptr);
     const std::string key = runner.comboKey(wl.name, {4, 1});
-    ASSERT_TRUE(peer.tryAcquire(key));
-    peer.markSkipped(key);
+    ASSERT_TRUE(peer->tryAcquire(key));
+    peer->markSkipped(key);
 
     ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     DiskCache cache(shared_path_);
@@ -461,17 +488,19 @@ TEST_F(MultiprocessSweepTest, PeerSkipMarkerIsReplicated)
 }
 
 /**
- * A claim whose owner died (no heartbeat) is taken over: the sweep
- * defers the row, waits out the staleness window, breaks the claim,
- * and simulates the row itself — no gap in the table.
+ * A lease whose owner went silent (no heartbeat) is taken over: the
+ * sweep defers the row, waits out the staleness window, breaks the
+ * lease, and simulates the row itself — no gap in the table.
  */
 TEST_F(MultiprocessSweepTest, StaleClaimedRowIsTakenOverBySweep)
 {
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     const Workload wl = makePair("BLK", "TRD");
 
-    ShardClaims dead(shared_path_);
-    ASSERT_TRUE(dead.tryAcquire(runner.comboKey(wl.name, {4, 4})));
+    DiskCache dead_cache(shared_path_);
+    auto dead = joinPeer(dead_cache);
+    ASSERT_NE(dead, nullptr);
+    ASSERT_TRUE(dead->tryAcquire(runner.comboKey(wl.name, {4, 4})));
 
     ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     ScopedEnv stale("EBM_CLAIM_STALE_MS", "1");
@@ -597,7 +626,6 @@ TEST_F(MultiprocessSweepTest, ForkedColdSweepMatchesSingleProcess)
     } grid[] = {{2, 1}, {2, 8}, {4, 1}};
     for (const auto &cfg : grid) {
         std::remove(shared_path_.c_str());
-        removeDirTree(shared_path_ + ".claims");
 
         const std::vector<std::size_t> simulated = runShardedChildren(
             cfg.procs, cfg.jobs, shared_path_, stem_, ref, ladder,
@@ -620,13 +648,17 @@ TEST_F(MultiprocessSweepTest, ForkedColdSweepMatchesSingleProcess)
         ASSERT_TRUE(merged.compact());
         EXPECT_EQ(slurp(shared_path_), ref_bytes)
             << cfg.procs << "p/" << cfg.jobs << "j";
+        // Leases live in the coordinator: no claims directory, no
+        // sidecar of any kind is left beside the store.
+        EXPECT_NE(::access((shared_path_ + ".claims").c_str(), F_OK), 0);
+        EXPECT_TRUE(test::filesBeside(shared_path_).empty());
     }
 }
 
 /**
  * The same acceptance scenario with the RunFail injector armed: the
  * persistently failing combination is skipped by whichever process
- * claims it, the skip marker is replicated everywhere, and the tables
+ * leases it, the skip marker is replicated everywhere, and the tables
  * still match the single-process injected run.
  */
 TEST_F(MultiprocessSweepTest, ForkedSweepWithInjectedFailuresMatches)
@@ -667,6 +699,175 @@ TEST_F(MultiprocessSweepTest, ForkedSweepWithInjectedFailuresMatches)
     DiskCache merged(shared_path_);
     EXPECT_EQ(merged.size(), 3u)
         << "the skipped combination must never be persisted";
+    ASSERT_TRUE(merged.compact());
+    EXPECT_EQ(slurp(shared_path_), ref_bytes);
+}
+
+// ---------------------------------------------------------------------
+// The election: one server per store among forked processes, and a
+// killed server costs duplicate work, never a wrong byte.
+// ---------------------------------------------------------------------
+
+/**
+ * Two forked processes join one store's fabric at the same time:
+ * exactly one wins bind() and serves, and the server's Coordinator
+ * counts both connections — its own fills' and the peer's.
+ */
+TEST_F(MultiprocessSweepTest, ForkedPeersElectExactlyOneServer)
+{
+    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
+    int ready[2];
+    int go[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    ASSERT_EQ(::pipe(go), 0);
+    std::vector<pid_t> kids;
+    for (int c = 0; c < 2; ++c) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(ready[0]);
+            ::close(go[1]);
+            int rc = 0;
+            {
+                DiskCache cache(shared_path_);
+                auto lease = makeLeaseProvider(cache);
+                if (lease == nullptr ||
+                    std::string(lease->kind()) != "local")
+                    rc = 2;
+                // Report only once both peers are connected: the
+                // parent closes `go` after reading both ready bytes.
+                char byte = 1;
+                (void)!::write(ready[1], &byte, 1);
+                (void)!::read(go[0], &byte, 1);
+                const Coordinator *server = cache.leaseServer();
+                std::ofstream st(statusPath(c));
+                st << (server != nullptr ? 1 : 0) << " "
+                   << (server != nullptr ? server->stats().connections
+                                         : 0)
+                   << "\n";
+            }
+            ::_exit(rc);
+        }
+        kids.push_back(pid);
+    }
+    ::close(ready[1]);
+    ::close(go[0]);
+    for (std::size_t c = 0; c < kids.size(); ++c) {
+        char byte = 0;
+        EXPECT_EQ(::read(ready[0], &byte, 1), 1);
+    }
+    ::close(go[1]);
+    ::close(ready[0]);
+
+    int servers = 0;
+    std::uint64_t server_connections = 0;
+    for (std::size_t c = 0; c < kids.size(); ++c) {
+        int status = 0;
+        EXPECT_EQ(::waitpid(kids[c], &status, 0), kids[c]);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "child " << c;
+        std::ifstream st(statusPath(static_cast<int>(c)));
+        int is_server = 0;
+        std::uint64_t connections = 0;
+        st >> is_server >> connections;
+        servers += is_server;
+        if (is_server != 0)
+            server_connections = connections;
+    }
+    EXPECT_EQ(servers, 1) << "exactly one process serves the store";
+    EXPECT_EQ(server_connections, 2u)
+        << "the server counts its own connection and the peer's";
+}
+
+/**
+ * SIGKILL the serving process mid-fill. Its peer loses the
+ * connection, degrades to standalone, and still finishes: its table
+ * is bit-identical to a serial fill's, and the compacted store equals
+ * the serial fill's bytes.
+ */
+TEST_F(MultiprocessSweepTest, KilledServerLeavesTheSurvivorBitIdentical)
+{
+    // Rows long enough that the server is still filling when it dies.
+    RunOptions slow = test::tinyOptions();
+    slow.measureCycles = 60000;
+    const std::vector<std::uint32_t> ladder = {1, 2, 4};
+    Runner runner(test::tinyConfig(2), slow);
+    const Workload wl = makePair("BLK", "TRD");
+
+    ComboTable ref;
+    std::string ref_bytes;
+    {
+        DiskCache cache(ref_path_);
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        ref = ex.sweep(wl, ladder);
+        ASSERT_TRUE(cache.compact());
+        ref_bytes = slurp(ref_path_);
+    }
+
+    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
+    int elected[2];
+    int joined[2];
+    ASSERT_EQ(::pipe(elected), 0);
+    ASSERT_EQ(::pipe(joined), 0);
+
+    const pid_t server = ::fork();
+    ASSERT_GE(server, 0);
+    if (server == 0) {
+        DiskCache cache(shared_path_);
+        auto hold = makeLeaseProvider(cache);
+        if (hold == nullptr || cache.leaseServer() == nullptr)
+            ::_exit(3);
+        char byte = 1;
+        (void)!::write(elected[1], &byte, 1);
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        (void)ex.sweep(wl, ladder);
+        ::_exit(0);
+    }
+    char byte = 0;
+    ASSERT_EQ(::read(elected[0], &byte, 1), 1);
+
+    const pid_t survivor = ::fork();
+    ASSERT_GE(survivor, 0);
+    if (survivor == 0) {
+        int rc = 0;
+        {
+            DiskCache cache(shared_path_);
+            auto probe = makeLeaseProvider(cache);
+            if (probe == nullptr || cache.leaseServer() != nullptr)
+                rc = 3; // Must have joined the server, not elected.
+            probe.reset();
+            (void)!::write(joined[1], &byte, 1);
+            Exhaustive ex(runner, cache);
+            ex.setJobs(1);
+            if (!tablesBitIdentical(ref, ex.sweep(wl, ladder)))
+                rc = 2;
+        }
+        ::_exit(rc);
+    }
+    ASSERT_EQ(::read(joined[0], &byte, 1), 1);
+
+    // Kill the server once it has made a row durable: mid-fill.
+    for (int i = 0; i < 2000; ++i) {
+        if (DiskCache(shared_path_).size() > 0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(::kill(server, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(server, &status, 0), server);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the server finished before it could be killed mid-fill";
+
+    ASSERT_EQ(::waitpid(survivor, &status, 0), survivor);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "survivor exit " << WEXITSTATUS(status);
+    for (int fd : {elected[0], elected[1], joined[0], joined[1]})
+        ::close(fd);
+
+    DiskCache merged(shared_path_);
+    EXPECT_EQ(merged.size(), ref.combos.size());
     ASSERT_TRUE(merged.compact());
     EXPECT_EQ(slurp(shared_path_), ref_bytes);
 }

@@ -20,8 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_provider.hpp"
 #include "harness/store_fsck.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
@@ -234,36 +235,37 @@ TEST_F(StoreFsckTest, RepairZeroesTheFencingEpoch)
 
 TEST_F(StoreFsckTest, RepairSweepsOrphanedEpochSidecars)
 {
-    const std::string claims_dir = path_ + ".claims";
     {
+        // A leased fill: the row is leased through the elected local
+        // coordinator, appended, published and released.
         DiskCache cache(path_);
+        ::setenv("EBM_SWEEP_SHARD", "1", 1);
+        auto lease = makeLeaseProvider(cache);
+        ::unsetenv("EBM_SWEEP_SHARD");
+        ASSERT_NE(lease, nullptr);
+        ASSERT_TRUE(lease->tryAcquire("row"));
         cache.put("row", {1.0});
-        cache.sync();
+        ASSERT_TRUE(lease->publish("row", {1.0}));
+        ASSERT_TRUE(lease->release("row"));
     }
-    {
-        // A finished sharded row leaves its epoch counter orphaned.
-        ShardClaims claims(path_);
-        ASSERT_TRUE(claims.tryAcquire("row"));
-        ASSERT_TRUE(claims.release("row"));
-    }
+    EXPECT_TRUE(test::filesBeside(path_).empty());
+    const std::string bytes = slurp(path_);
 
-    // Scrub-only never touches sidecars, even stale ones.
+    // Scrub and repair agree the leased store is clean; repair leaves
+    // its bytes alone and finds nothing beside it to groom.
     ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     const FsckReport scrub = fsckStore(path_);
-    EXPECT_EQ(scrub.orphanedEpochsRemoved, 0u);
-
-    // Repair sweeps them and reports the count in the summary.
     FsckOptions options;
     options.repair = true;
     const FsckReport report = fsckStore(path_, options);
     ::unsetenv("EBM_CLAIM_STALE_MS");
+    EXPECT_EQ(scrub.verdict, FsckReport::Verdict::Clean);
     EXPECT_EQ(report.verdict, FsckReport::Verdict::Clean);
-    EXPECT_EQ(report.orphanedEpochsRemoved, 1u);
-    EXPECT_NE(report.summaryLine().find("epoch sidecar"),
-              std::string::npos);
-
-    ::rmdir(claims_dir.c_str()); // Empty once the sidecar is swept.
+    EXPECT_FALSE(report.repaired);
+    EXPECT_EQ(slurp(path_), bytes);
+    EXPECT_EQ(report.summaryLine().find("sidecar"), std::string::npos);
+    EXPECT_TRUE(test::filesBeside(path_).empty());
 }
 
 } // namespace

@@ -6,7 +6,10 @@
  */
 #pragma once
 
+#include <dirent.h>
+
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -109,6 +112,31 @@ computeApp(const std::string &name = "COMPUTE", std::uint32_t seed = 13)
     p.fracL1Reuse = 1.0;
     p.l1ReuseLines = 8;
     return p;
+}
+
+/**
+ * What lies beside the store at @p path: every name in its directory
+ * that starts with the store's file name, other than the store itself
+ * (claim directories, sidecars, temp files).
+ */
+inline std::vector<std::string>
+filesBeside(const std::string &path)
+{
+    const std::size_t slash = path.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash);
+    const std::string base =
+        slash == std::string::npos ? path : path.substr(slash + 1);
+    std::vector<std::string> found;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (const dirent *e = ::readdir(d)) {
+            const std::string name = e->d_name;
+            if (name != base && name.rfind(base, 0) == 0)
+                found.push_back(name);
+        }
+        ::closedir(d);
+    }
+    return found;
 }
 
 } // namespace ebm::test
