@@ -95,6 +95,53 @@ unixSockAddr(const std::string &path, sockaddr_un &addr)
                                   (path[0] == '\0' ? 0 : 1));
 }
 
+/** The failure of @p call on @p name, from errno. */
+inline Error
+netErrno(const std::string &call, const std::string &name)
+{
+    return Error{Errc::CacheIo, call + "(" + name + ") failed: " +
+                                    std::string(std::strerror(errno))};
+}
+
+/** A new @p family stream socket bound to @p addr and listening
+ * (@p name labels errors). SO_REUSEADDR is set so a restarted TCP
+ * daemon does not trip over its predecessor's TIME_WAIT; Unix sockets
+ * ignore it. */
+inline Result<UniqueFd>
+netListenAt(int family, const sockaddr *addr, socklen_t len,
+            const std::string &name, int backlog)
+{
+    UniqueFd fd(::socket(family, SOCK_STREAM, 0));
+    if (!fd.valid())
+        return netErrno("socket", "");
+    const int one = 1;
+    (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one,
+                       sizeof one);
+    if (::bind(fd.get(), addr, len) != 0)
+        return netErrno("bind", name);
+    if (::listen(fd.get(), backlog) != 0)
+        return netErrno("listen", name);
+    return fd;
+}
+
+/** A new @p family stream socket connected to @p addr (@p name labels
+ * errors). */
+inline Result<UniqueFd>
+netConnectAt(int family, const sockaddr *addr, socklen_t len,
+             const std::string &name)
+{
+    UniqueFd fd(::socket(family, SOCK_STREAM, 0));
+    if (!fd.valid())
+        return netErrno("socket", "");
+    int rc;
+    do {
+        rc = ::connect(fd.get(), addr, len);
+    } while (rc != 0 && errno == EINTR);
+    if (rc != 0)
+        return netErrno("connect", name);
+    return fd;
+}
+
 /**
  * Bind and listen on a Unix-domain socket at @p path. A stale socket
  * file from a dead daemon is unlinked first (the caller is expected
@@ -112,25 +159,10 @@ netListenUnix(const std::string &path, int backlog = 64)
         return Error{Errc::InvalidArgument,
                      "socket path too long: " + path};
     }
-    UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!fd.valid()) {
-        return Error{Errc::CacheIo, "socket() failed: " +
-                                        std::string(std::strerror(errno))};
-    }
     if (path[0] != '\0')
         ::unlink(path.c_str());
-    if (::bind(fd.get(), reinterpret_cast<sockaddr *>(&addr), len) !=
-        0) {
-        return Error{Errc::CacheIo,
-                     "bind(" + path + ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
-    if (::listen(fd.get(), backlog) != 0) {
-        return Error{Errc::CacheIo,
-                     "listen(" + path + ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
-    return fd;
+    return netListenAt(AF_UNIX, reinterpret_cast<sockaddr *>(&addr), len,
+                       path, backlog);
 }
 
 /** Connect to the Unix-domain socket at @p path (or abstract name). */
@@ -143,22 +175,8 @@ netConnectUnix(const std::string &path)
         return Error{Errc::InvalidArgument,
                      "socket path too long: " + path};
     }
-    UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!fd.valid()) {
-        return Error{Errc::CacheIo, "socket() failed: " +
-                                        std::string(std::strerror(errno))};
-    }
-    int rc;
-    do {
-        rc = ::connect(fd.get(), reinterpret_cast<sockaddr *>(&addr),
-                       len);
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-        return Error{Errc::CacheIo,
-                     "connect(" + path + ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
-    return fd;
+    return netConnectAt(AF_UNIX, reinterpret_cast<sockaddr *>(&addr),
+                        len, path);
 }
 
 /** Is the peer of Unix-domain socket @p fd running as this process's
@@ -218,8 +236,7 @@ tcpSockAddr(const std::string &host, std::uint16_t port,
 
 /**
  * Bind and listen on TCP @p host:@p port (port 0 = kernel-assigned
- * ephemeral; read it back with netLocalPort). SO_REUSEADDR is set so
- * a restarted daemon does not trip over its predecessor's TIME_WAIT.
+ * ephemeral; read it back with netLocalPort).
  */
 inline Result<UniqueFd>
 netListenTcp(const std::string &host, std::uint16_t port,
@@ -230,28 +247,9 @@ netListenTcp(const std::string &host, std::uint16_t port,
         return Error{Errc::InvalidArgument,
                      "not a numeric IPv4 address: " + host};
     }
-    UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) {
-        return Error{Errc::CacheIo, "socket() failed: " +
-                                        std::string(std::strerror(errno))};
-    }
-    const int one = 1;
-    (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof one);
-    if (::bind(fd.get(), reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0) {
-        return Error{Errc::CacheIo,
-                     "bind(" + host + ":" + std::to_string(port) +
-                         ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
-    if (::listen(fd.get(), backlog) != 0) {
-        return Error{Errc::CacheIo,
-                     "listen(" + host + ":" + std::to_string(port) +
-                         ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
-    return fd;
+    return netListenAt(AF_INET, reinterpret_cast<sockaddr *>(&addr),
+                       sizeof addr, host + ":" + std::to_string(port),
+                       backlog);
 }
 
 /** The local port a bound socket ended up on (resolves port 0). */
@@ -277,41 +275,14 @@ netConnectTcp(const std::string &host, std::uint16_t port)
         return Error{Errc::InvalidArgument,
                      "not a numeric IPv4 address: " + host};
     }
-    UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) {
-        return Error{Errc::CacheIo, "socket() failed: " +
-                                        std::string(std::strerror(errno))};
-    }
-    int rc;
-    do {
-        rc = ::connect(fd.get(), reinterpret_cast<sockaddr *>(&addr),
-                       sizeof addr);
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-        return Error{Errc::CacheIo,
-                     "connect(" + host + ":" + std::to_string(port) +
-                         ") failed: " +
-                         std::string(std::strerror(errno))};
-    }
+    auto fd = netConnectAt(AF_INET, reinterpret_cast<sockaddr *>(&addr),
+                           sizeof addr, host + ":" + std::to_string(port));
+    if (!fd)
+        return fd;
     const int one = 1;
-    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one,
+    (void)::setsockopt(fd.value().get(), IPPROTO_TCP, TCP_NODELAY, &one,
                        sizeof one);
     return fd;
-}
-
-/** Accept one connection; retries EINTR. @return -1 when the listener
- * was closed (the clean-shutdown path) or errored. */
-inline int
-netAccept(int listen_fd)
-{
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0)
-            return fd;
-        if (errno == EINTR)
-            continue;
-        return -1;
-    }
 }
 
 /**

@@ -437,13 +437,11 @@ validateApps(const std::vector<std::string> &apps)
 } // namespace
 
 AdvisorServer::AdvisorServer(AdvisorService &service, Options opts)
-    : service_(service), opts_(std::move(opts))
+    : service_(service), opts_(std::move(opts)),
+      frames_([this](const std::string &payload,
+                     std::uint64_t) { return handleRequest(payload); },
+              service.requestLatency())
 {
-}
-
-AdvisorServer::~AdvisorServer()
-{
-    stop();
 }
 
 Status
@@ -452,120 +450,16 @@ AdvisorServer::start()
     auto listener = netListenUnix(opts_.socketPath);
     if (!listener.ok())
         return listener.error();
-    listenFd_ = std::move(listener.value());
-    acceptThread_ = std::thread([this] { acceptLoop(); });
-    return Status::success();
+    bound_ = true;
+    return frames_.start(std::move(listener.value()), false);
 }
 
 void
 AdvisorServer::stop()
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stopping_)
-            return;
-        stopping_ = true;
-        // Wake blocked conn threads: recv() returns 0/err after
-        // shutdown(), so they fall out of their read loops.
-        for (const int fd : liveConnFds_)
-            ::shutdown(fd, SHUT_RDWR);
-    }
-    shutdownCv_.notify_all();
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    std::vector<std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        conns.swap(connThreads_);
-    }
-    for (std::thread &t : conns)
-        t.join();
-    listenFd_.reset();
-    ::unlink(opts_.socketPath.c_str());
-}
-
-bool
-AdvisorServer::shutdownRequested() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return shutdownRequested_ || stopping_;
-}
-
-void
-AdvisorServer::waitShutdownRequested()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    shutdownCv_.wait(lk, [this] {
-        return shutdownRequested_ || stopping_;
-    });
-}
-
-void
-AdvisorServer::acceptLoop()
-{
-    for (;;) {
-        // Poll with a short timeout so stop() is observed even when no
-        // client ever connects (closing an fd another thread is
-        // blocked in accept() on is not portable).
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (stopping_)
-                return;
-        }
-        if (!netWaitReadable(listenFd_.get(), 100))
-            continue;
-        const int fd = netAccept(listenFd_.get());
-        if (fd < 0)
-            return;
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stopping_) {
-            ::close(fd);
-            return;
-        }
-        liveConnFds_.insert(fd);
-        connThreads_.emplace_back(
-            [this, fd] { serveConnection(fd); });
-    }
-}
-
-void
-AdvisorServer::serveConnection(int fd)
-{
-    servefmt::FrameReader reader;
-    std::string payload;
-    for (;;) {
-        std::string bad;
-        const auto status = reader.next(payload, &bad);
-        if (status == servefmt::FrameReader::Status::Bad) {
-            // One best-effort diagnostic, then drop: a garbled stream
-            // cannot be resynchronized (no frame boundaries left).
-            servefmt::sendFrame(fd,
-                                errorReply("bad-frame", bad));
-            break;
-        }
-        if (status == servefmt::FrameReader::Status::NeedMore) {
-            char buf[4096];
-            const ssize_t n = netRead(fd, buf, sizeof buf);
-            if (n <= 0)
-                break; // EOF, error, or stop()'s shutdown().
-            reader.feed(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::string reply = handleRequest(payload);
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        service_.recordRequestLatency(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                .count()));
-        if (!servefmt::sendFrame(fd, reply))
-            break;
-        if (reply == "OK BYE")
-            break; // SHUTDOWN acknowledged; close our end.
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    liveConnFds_.erase(fd);
-    ::close(fd);
+    frames_.stop();
+    if (std::exchange(bound_, false))
+        ::unlink(opts_.socketPath.c_str());
 }
 
 std::optional<std::string>
@@ -785,11 +679,8 @@ AdvisorServer::handleRequest(const std::string &payload)
             return errorReply("bad-request",
                               "remote shutdown is disabled");
         }
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            shutdownRequested_ = true;
-        }
-        shutdownCv_.notify_all();
+        // The server closes this connection after the reply.
+        frames_.requestShutdown();
         return "OK BYE";
     }
     return errorReply("bad-request", "unknown verb '" + verb + "'");

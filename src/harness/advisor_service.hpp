@@ -22,7 +22,10 @@
  *     or blocks on the fill up to a deadline.
  *
  * AdvisorServer wraps the service in a Unix-domain-socket front door
- * speaking the CRC-framed text protocol of serve_protocol.hpp.
+ * speaking the CRC-framed text protocol of serve_protocol.hpp. It
+ * keeps only that request grammar: accept, connection threads,
+ * bad-frame replies and shutdown belong to the shared FrameServer
+ * (common/frame_server.hpp).
  */
 #pragma once
 
@@ -32,13 +35,12 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/net.hpp"
+#include "common/frame_server.hpp"
 #include "common/stats.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/profile_db.hpp"
@@ -181,11 +183,8 @@ class AdvisorService
     /** Snapshot the serving counters. */
     Stats stats() const;
 
-    /** Record one framed-request service latency (server calls this). */
-    void recordRequestLatency(std::uint64_t ns)
-    {
-        latency_.record(ns);
-    }
+    /** Where the server records each framed request's service time. */
+    LatencyHistogram &requestLatency() { return latency_; }
 
     /** Block until no fill is queued or running (tests, shutdown). */
     void drainFills();
@@ -264,7 +263,7 @@ class AdvisorServer
     };
 
     AdvisorServer(AdvisorService &service, Options opts);
-    ~AdvisorServer();
+    ~AdvisorServer() { stop(); }
 
     AdvisorServer(const AdvisorServer &) = delete;
     AdvisorServer &operator=(const AdvisorServer &) = delete;
@@ -272,14 +271,14 @@ class AdvisorServer
     /** Bind the socket and start accepting. */
     Status start();
 
-    /** Stop accepting, shut down live connections, join threads. */
+    /** Stop accepting, shut down live connections, join threads, and
+     * unlink the socket file. */
     void stop();
 
     /** Block until a client's SHUTDOWN verb (or stop()). */
-    void waitShutdownRequested();
+    void waitForShutdown() { frames_.waitForShutdown(); }
 
-    bool shutdownRequested() const;
-    const std::string &socketPath() const { return opts_.socketPath; }
+    bool shutdownRequested() const { return frames_.shutdownRequested(); }
 
     /**
      * Answer one request payload (exposed for tests: the wire layers
@@ -288,8 +287,6 @@ class AdvisorServer
     std::string handleRequest(const std::string &payload);
 
   private:
-    void acceptLoop();
-    void serveConnection(int fd);
     std::string handleAdvise(const std::vector<std::string> &toks);
     std::string handlePair(const std::vector<std::string> &toks);
     std::string handlePoll(const std::vector<std::string> &toks);
@@ -305,16 +302,9 @@ class AdvisorServer
 
     AdvisorService &service_;
     Options opts_;
-
-    UniqueFd listenFd_;
-    std::thread acceptThread_;
-
-    mutable std::mutex mu_;
-    std::condition_variable shutdownCv_;
-    bool stopping_ = false;
-    bool shutdownRequested_ = false;
-    std::vector<std::thread> connThreads_;
-    std::set<int> liveConnFds_;
+    /** start() bound the socket file, so stop() unlinks it. */
+    bool bound_ = false;
+    FrameServer frames_;
 };
 
 } // namespace ebm

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "common/log.hpp"
 #include "common/wire.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_provider.hpp"
@@ -65,11 +64,19 @@ Coordinator::Stats::summaryLine() const
 }
 
 Coordinator::Coordinator(DiskCache &cache, Options options)
-    : cache_(cache), options_(std::move(options))
+    : cache_(cache), options_(std::move(options)),
+      server_([this](const std::string &payload,
+                     std::uint64_t conn) { return handle(payload, conn); },
+              rpcLatency_,
+              [this](std::uint64_t conn) {
+                  // EOF, error, or stop(): whatever this worker still
+                  // held is dead weight — orphan it so peers take the
+                  // rows over immediately instead of waiting out the
+                  // staleness window.
+                  orphanConnection(conn);
+              })
 {
 }
-
-Coordinator::~Coordinator() { stop(); }
 
 std::chrono::milliseconds
 Coordinator::staleThreshold() const
@@ -95,98 +102,15 @@ Coordinator::bind()
 Status
 Coordinator::start(UniqueFd listener)
 {
-    if (started_ || listener_.valid())
-        return Error{Errc::InvalidArgument,
-                     "Coordinator: already bound"};
-    listener_ = std::move(listener);
-    local_ = true;
-    return start();
+    return server_.start(std::move(listener), true);
 }
 
 Status
 Coordinator::start()
 {
-    if (started_)
-        return Status::success();
     if (Status st = bind(); !st)
         return st;
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        stopping_ = false;
-    }
-    acceptThread_ = std::thread([this] { acceptLoop(); });
-    started_ = true;
-    return Status::success();
-}
-
-void
-Coordinator::stop()
-{
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        if (stopping_ && !started_ && !listener_.valid())
-            return;
-        stopping_ = true;
-        // Unblock connection threads stuck in recv: a reader sees
-        // EOF/error and falls out of its loop.
-        for (const int fd : openFds_)
-            ::shutdown(fd, SHUT_RDWR);
-    }
-    shutdownCv_.notify_all();
-    // close() alone does not wake a thread blocked in accept();
-    // shutdown() on the listening socket does (accept fails with
-    // EINVAL). Only close the fd after the loop has exited, so the
-    // number cannot be reused under a still-running accept call.
-    if (listener_.valid())
-        ::shutdown(listener_.get(), SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    listener_.reset();
-    started_ = false;
-    std::unordered_map<std::uint64_t, std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        conns.swap(connThreads_);
-        finished_.clear();
-    }
-    for (auto &entry : conns)
-        entry.second.join();
-}
-
-void
-Coordinator::retire()
-{
-    // Stop accepting first: shutdown() wakes the accept thread, and
-    // closing the listener frees its name, so a process that starts
-    // filling this store from now on elects a new server instead of
-    // queueing on a dying one.
-    if (listener_.valid())
-        ::shutdown(listener_.get(), SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    listener_.reset();
-    {
-        std::unique_lock<std::mutex> lk(connMu_);
-        shutdownCv_.wait_for(lk, staleThreshold(),
-                             [this] { return openFds_.empty(); });
-    }
-    stop();
-}
-
-void
-Coordinator::reapFinishedLocked()
-{
-    // A finished connection thread only has its return left to run,
-    // so these joins are immediate. Without them a long-lived server
-    // would keep one dead thread per connection ever served.
-    for (const std::uint64_t id : finished_) {
-        const auto it = connThreads_.find(id);
-        if (it == connThreads_.end())
-            continue;
-        it->second.join();
-        connThreads_.erase(it);
-    }
-    finished_.clear();
+    return server_.start(std::move(listener_), false);
 }
 
 std::string
@@ -197,122 +121,30 @@ Coordinator::address() const
            ":" + std::to_string(port_);
 }
 
-bool
-Coordinator::shutdownRequested() const
-{
-    std::lock_guard<std::mutex> lk(connMu_);
-    return shutdownRequested_ || stopping_;
-}
-
-void
-Coordinator::waitForShutdown()
-{
-    std::unique_lock<std::mutex> lk(connMu_);
-    shutdownCv_.wait(lk, [this] {
-        return shutdownRequested_ || stopping_;
-    });
-}
-
 Coordinator::Stats
 Coordinator::stats() const
 {
     Stats s;
     {
-        std::lock_guard<std::mutex> lk(statsMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         s = counters_;
     }
+    s.connections = server_.connections();
+    s.rpcs = rpcLatency_.count();
     s.rpcP50Us = rpcLatency_.percentile(0.50) / 1000.0;
     s.rpcP99Us = rpcLatency_.percentile(0.99) / 1000.0;
     return s;
 }
 
 void
-Coordinator::acceptLoop()
-{
-    for (;;) {
-        const int fd = netAccept(listener_.get());
-        if (fd < 0)
-            return; // Listener closed (stop()) or errored.
-        if (local_ && !netPeerIsSameUser(fd)) {
-            // The same-host socket is reachable by every local user;
-            // only this user's processes may lease its rows.
-            ::close(fd);
-            continue;
-        }
-        std::uint64_t conn_id = 0;
-        {
-            std::lock_guard<std::mutex> lk(connMu_);
-            if (stopping_) {
-                ::close(fd);
-                return;
-            }
-            reapFinishedLocked();
-            conn_id = nextConnId_++;
-            openFds_.insert(fd);
-            {
-                // Counted before the first reply can go out, so a
-                // connected peer is always in stats().
-                std::lock_guard<std::mutex> slk(statsMu_);
-                ++counters_.connections;
-            }
-            connThreads_.emplace(
-                conn_id,
-                std::thread([this, fd, conn_id] {
-                    serveConnection(fd, conn_id);
-                }));
-        }
-    }
-}
-
-void
-Coordinator::serveConnection(int fd, std::uint64_t conn_id)
-{
-    wire::FrameReader reader;
-    std::string payload;
-    while (wire::recvFrame(fd, reader, payload)) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::string response = handle(payload, conn_id);
-        rpcLatency_.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++counters_.rpcs;
-        }
-        if (!wire::sendFrame(fd, response))
-            break;
-    }
-    // EOF, error, or stop(): whatever this worker still held is dead
-    // weight — orphan it so peers take the rows over immediately
-    // instead of waiting out the staleness window.
-    orphanConnection(conn_id);
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        openFds_.erase(fd);
-        ::close(fd);
-        finished_.push_back(conn_id);
-    }
-    shutdownCv_.notify_all();
-}
-
-void
 Coordinator::orphanConnection(std::uint64_t conn_id)
 {
-    std::size_t orphaned = 0;
-    {
-        std::lock_guard<std::mutex> lk(leaseMu_);
-        for (auto &entry : leases_) {
-            if (entry.second.conn == conn_id &&
-                !entry.second.orphaned) {
-                entry.second.orphaned = true;
-                ++orphaned;
-            }
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto &entry : leases_) {
+        if (entry.second.conn == conn_id && !entry.second.orphaned) {
+            entry.second.orphaned = true;
+            ++counters_.orphanedLeases;
         }
-    }
-    if (orphaned > 0) {
-        std::lock_guard<std::mutex> lk(statsMu_);
-        counters_.orphanedLeases += orphaned;
     }
 }
 
@@ -329,17 +161,11 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         return handleGet(keyAfter(payload, 3));
     if (payload.rfind("BREAK ", 0) == 0)
         return handleBreak(keyAfter(payload, 5), conn_id);
-    if (payload.rfind("HB ", 0) == 0) {
+    const std::string verb = payload.substr(0, payload.find(' '));
+    if (verb == "HB" || verb == "REL" || verb == "SKIPMARK") {
         std::uint64_t epoch = 0;
         std::string key;
-        if (!epochAndKey(payload, 2, epoch, key))
-            return "ERROR bad-request";
-        return validateEpoch(key, epoch, false) ? "OK" : "FENCED";
-    }
-    if (payload.rfind("REL ", 0) == 0) {
-        std::uint64_t epoch = 0;
-        std::string key;
-        if (!epochAndKey(payload, 3, epoch, key))
+        if (!epochAndKey(payload, verb.size(), epoch, key))
             return "ERROR bad-request";
         // Peers read "lease gone" as "result durable". A record
         // streamed over PUT may still sit in this store's group
@@ -348,31 +174,9 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         // so their releases skip the wait. The sync runs outside the
         // lease mutex (it can block on the writer); a fenced releaser
         // pays for a spurious sync, which is harmless.
-        if (streamed_.load(std::memory_order_acquire))
+        if (verb == "REL" && streamed_.load(std::memory_order_acquire))
             cache_.sync();
-        return validateEpoch(key, epoch, true) ? "OK" : "FENCED";
-    }
-    if (payload.rfind("SKIPMARK ", 0) == 0) {
-        std::uint64_t epoch = 0;
-        std::string key;
-        if (!epochAndKey(payload, 8, epoch, key))
-            return "ERROR bad-request";
-        std::lock_guard<std::mutex> lk(leaseMu_);
-        const auto it = leases_.find(key);
-        if (it == leases_.end() || it->second.epoch != epoch) {
-            std::lock_guard<std::mutex> slk(statsMu_);
-            ++counters_.fencedOps;
-            return "FENCED";
-        }
-        // Marker first, lease second, like markSkipped(): a waiter
-        // that sees the lease vanish must already see why.
-        skips_[key] = std::chrono::steady_clock::now();
-        leases_.erase(it);
-        {
-            std::lock_guard<std::mutex> slk(statsMu_);
-            ++counters_.skipsMarked;
-        }
-        return "OK";
+        return applyEpochVerb(verb, key, epoch) ? "OK" : "FENCED";
     }
     if (payload.rfind("HELLO ", 0) == 0) {
         const auto tokens = wire::splitTokens(payload);
@@ -393,15 +197,11 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
     if (payload == "PING")
         return "OK";
     if (payload == "STATS")
-        return statsLine();
+        return "OK " + stats().summaryLine();
     if (payload == "SHUTDOWN") {
         if (!options_.allowRemoteShutdown)
             return "ERROR forbidden remote shutdown is disabled";
-        {
-            std::lock_guard<std::mutex> lk(connMu_);
-            shutdownRequested_ = true;
-        }
-        shutdownCv_.notify_all();
+        server_.requestShutdown();
         return "OK";
     }
     return "ERROR bad-request";
@@ -416,11 +216,10 @@ Coordinator::handleAcquire(const std::string &key,
     const auto now = std::chrono::steady_clock::now();
     std::uint64_t epoch = 0;
     {
-        std::lock_guard<std::mutex> lk(leaseMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         const auto skip = skips_.find(key);
         if (skip != skips_.end()) {
             if (now - skip->second <= staleThreshold()) {
-                std::lock_guard<std::mutex> slk(statsMu_);
                 ++counters_.acquiresDenied;
                 return "SKIP";
             }
@@ -431,15 +230,11 @@ Coordinator::handleAcquire(const std::string &key,
         if (leases_.count(key) != 0) {
             // Someone holds it — even a stale holder: waiters go
             // through PEEK/BREAK, which re-checks staleness.
-            std::lock_guard<std::mutex> slk(statsMu_);
             ++counters_.acquiresDenied;
             return "HELD";
         }
         epoch = ++epochs_[key];
         leases_[key] = Lease{epoch, now, conn_id, false};
-    }
-    {
-        std::lock_guard<std::mutex> slk(statsMu_);
         ++counters_.acquiresGranted;
     }
     // Epochs past the first mean the row changed hands at some point:
@@ -458,7 +253,7 @@ Coordinator::handleBreak(const std::string &key, std::uint64_t conn_id)
     const auto now = std::chrono::steady_clock::now();
     std::uint64_t epoch = 0;
     {
-        std::lock_guard<std::mutex> lk(leaseMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         const auto it = leases_.find(key);
         if (it == leases_.end())
             return "DENIED"; // Vanished: owner finished; re-probe.
@@ -468,9 +263,6 @@ Coordinator::handleBreak(const std::string &key, std::uint64_t conn_id)
             return "DENIED";
         epoch = ++epochs_[key];
         it->second = Lease{epoch, now, conn_id, false};
-    }
-    {
-        std::lock_guard<std::mutex> slk(statsMu_);
         ++counters_.takeovers;
     }
     if (epoch > 1)
@@ -482,7 +274,7 @@ std::string
 Coordinator::handlePeek(const std::string &key)
 {
     const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lk(leaseMu_);
+    std::lock_guard<std::mutex> lk(mu_);
     const auto skip = skips_.find(key);
     if (skip != skips_.end()) {
         if (now - skip->second <= staleThreshold())
@@ -499,22 +291,27 @@ Coordinator::handlePeek(const std::string &key)
 }
 
 bool
-Coordinator::validateEpoch(const std::string &key, std::uint64_t epoch,
-                           bool erase)
+Coordinator::applyEpochVerb(const std::string &verb, const std::string &key,
+                            std::uint64_t epoch)
 {
-    std::lock_guard<std::mutex> lk(leaseMu_);
+    std::lock_guard<std::mutex> lk(mu_);
     const auto it = leases_.find(key);
     if (it == leases_.end() || it->second.epoch != epoch) {
-        std::lock_guard<std::mutex> slk(statsMu_);
         ++counters_.fencedOps;
         return false;
     }
-    if (erase) {
-        leases_.erase(it);
-    } else {
+    if (verb == "HB") {
         it->second.beat = std::chrono::steady_clock::now();
         it->second.orphaned = false;
+        return true;
     }
+    if (verb == "SKIPMARK") {
+        // Marker first, lease second, like markSkipped(): a waiter
+        // that sees the lease vanish must already see why.
+        skips_[key] = std::chrono::steady_clock::now();
+        ++counters_.skipsMarked;
+    }
+    leases_.erase(it);
     return true;
 }
 
@@ -531,10 +328,8 @@ Coordinator::handlePut(const std::string &payload)
         payload.data(), kVerbBytes, payload.size(), frame);
     if (parsed != storefmt::FrameParse::Ok ||
         kVerbBytes + frame.bytes != payload.size()) {
-        {
-            std::lock_guard<std::mutex> slk(statsMu_);
-            ++counters_.badFrames;
-        }
+        std::lock_guard<std::mutex> lk(mu_);
+        ++counters_.badFrames;
         return "ERROR bad-frame";
     }
     // The normal group-commit path: concurrent workers' records batch
@@ -543,7 +338,7 @@ Coordinator::handlePut(const std::string &payload)
     cache_.put(frame.key, frame.values);
     streamed_.store(true, std::memory_order_release);
     {
-        std::lock_guard<std::mutex> slk(statsMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         ++counters_.recordsCommitted;
         counters_.recordBytes += frame.bytes;
     }
@@ -555,23 +350,17 @@ Coordinator::handleGet(const std::string &key)
 {
     const auto values = cache_.get(key);
     if (!values) {
-        std::lock_guard<std::mutex> slk(statsMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         ++counters_.fetchMisses;
         return "MISS";
     }
     {
-        std::lock_guard<std::mutex> slk(statsMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         ++counters_.fetchHits;
     }
     std::string out = "HIT\n";
     storefmt::appendFrame(out, key, *values);
     return out;
-}
-
-std::string
-Coordinator::statsLine() const
-{
-    return "OK " + stats().summaryLine();
 }
 
 } // namespace ebm

@@ -44,25 +44,24 @@
  * reaches the store at all: the wire frame doesn't reassemble, so
  * unlike a torn file append there is no tail to truncate.
  *
- * Lease RPC service time is recorded in a LatencyHistogram
- * (common/stats.hpp) and surfaced through STATS and stats() — the
- * fabric's scaling story depends on this number staying microscopic
- * next to a row's simulation time.
+ * Accept, connection threads, bad-frame replies and shutdown belong
+ * to the shared FrameServer (common/frame_server.hpp); this class
+ * keeps the lease state and verbs. Lease RPC service time is recorded
+ * in a LatencyHistogram (common/stats.hpp) and surfaced through STATS
+ * and stats() — the fabric's scaling story depends on this number
+ * staying microscopic next to a row's simulation time.
  */
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "common/error.hpp"
+#include "common/frame_server.hpp"
 #include "common/net.hpp"
 #include "common/stats.hpp"
 
@@ -109,7 +108,6 @@ class Coordinator
     };
 
     Coordinator(DiskCache &cache, Options options);
-    ~Coordinator();
 
     Coordinator(const Coordinator &) = delete;
     Coordinator &operator=(const Coordinator &) = delete;
@@ -123,7 +121,7 @@ class Coordinator
      */
     Status bind();
 
-    /** bind() if not yet bound, then start the accept thread. */
+    /** bind() if not yet bound, then start serving. */
     Status start();
 
     /** Serve on an already-bound Unix-domain @p listener (the elected
@@ -137,11 +135,11 @@ class Coordinator
      * staleness window for connected peers to hang up, then stop().
      * A peer still connected after that degrades to standalone.
      */
-    void retire();
+    void retire() { server_.retire(staleThreshold()); }
 
     /** Stop accepting, shut open connections, join all threads. Safe
-     * to call twice; the destructor calls it. */
-    void stop();
+     * to call twice; destruction does it too. */
+    void stop() { server_.stop(); }
 
     /** The bound port (after bind()/start()); 0 before. */
     std::uint16_t port() const { return port_; }
@@ -152,10 +150,7 @@ class Coordinator
     Stats stats() const;
 
     /** Did a client ask for SHUTDOWN (daemon mode)? */
-    bool shutdownRequested() const;
-
-    /** Block until SHUTDOWN or stop(). */
-    void waitForShutdown();
+    bool shutdownRequested() const { return server_.shutdownRequested(); }
 
     /** The staleness window in force (options or env). */
     std::chrono::milliseconds staleThreshold() const;
@@ -169,10 +164,6 @@ class Coordinator
         bool orphaned = false; ///< Owner's connection dropped.
     };
 
-    void acceptLoop();
-    void serveConnection(int fd, std::uint64_t conn_id);
-    /** Join connection threads that have finished (connMu_ held). */
-    void reapFinishedLocked();
     /** Handle one request payload; returns the response payload. */
     std::string handle(const std::string &payload,
                        std::uint64_t conn_id);
@@ -183,37 +174,23 @@ class Coordinator
     std::string handlePeek(const std::string &key);
     std::string handlePut(const std::string &payload);
     std::string handleGet(const std::string &key);
-    /** Validate an epoch-carrying verb; erases the lease on success
-     * when @p erase is set. */
-    bool validateEpoch(const std::string &key, std::uint64_t epoch,
-                       bool erase);
+    /** Apply epoch-carrying @p verb (HB, REL or SKIPMARK) to @p key's
+     * lease; false (fenced) when @p epoch is not the lease's. */
+    bool applyEpochVerb(const std::string &verb, const std::string &key,
+                        std::uint64_t epoch);
     void orphanConnection(std::uint64_t conn_id);
-    std::string statsLine() const;
 
     DiskCache &cache_;
     Options options_;
 
+    /** The TCP listener between bind() and start(). */
     UniqueFd listener_;
     std::uint16_t port_ = 0;
-    /** Serving the same-host Unix socket (peer uid checked). */
-    bool local_ = false;
-    std::thread acceptThread_;
-    bool started_ = false;
     /** A PUT has been committed: REL must sync before acking. */
     std::atomic<bool> streamed_{false};
 
-    mutable std::mutex connMu_;
-    std::unordered_map<std::uint64_t, std::thread> connThreads_;
-    /** Connections whose thread has finished serving (to join). */
-    std::vector<std::uint64_t> finished_;
-    std::unordered_set<int> openFds_;
-    std::uint64_t nextConnId_ = 1;
-    bool stopping_ = false;
-    bool shutdownRequested_ = false;
-    /** Signals SHUTDOWN/stop() and connections closing (retire()). */
-    std::condition_variable shutdownCv_;
-
-    mutable std::mutex leaseMu_;
+    /** Guards the lease maps and counters_. */
+    mutable std::mutex mu_;
     std::unordered_map<std::string, Lease> leases_;
     /** Per-key monotonic epoch counters. */
     std::unordered_map<std::string, std::uint64_t> epochs_;
@@ -221,9 +198,12 @@ class Coordinator
                        std::chrono::steady_clock::time_point>
         skips_;
 
-    LatencyHistogram rpcLatency_;
-    mutable std::mutex statsMu_;
     Stats counters_;
+    LatencyHistogram rpcLatency_;
+
+    /** Last: destroyed (stopped) first, while the state its
+     * connection threads use is still alive. */
+    FrameServer server_;
 };
 
 } // namespace ebm

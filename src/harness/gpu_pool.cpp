@@ -135,14 +135,6 @@ GpuPool::retainedBytes() const
     return total;
 }
 
-std::size_t
-GpuPool::defaultRetainedBudget()
-{
-    return static_cast<std::size_t>(
-               envUint("EBM_SNAPSHOT_BUDGET_MB", 256, 1, 1u << 20)) *
-           1024 * 1024;
-}
-
 void
 GpuPool::clear()
 {

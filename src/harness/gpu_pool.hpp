@@ -40,6 +40,11 @@
 
 namespace ebm {
 
+/** Byte budget for retained warm-state snapshots: GpuPool's
+ * lease-retained snapshots and the WarmStateCache LRU each keep at
+ * most this much. */
+inline constexpr std::size_t kSnapshotBudgetBytes = std::size_t{256} << 20;
+
 class Gpu;
 
 /** Thread-local cache of reusable Gpu instances. */
@@ -179,12 +184,10 @@ class GpuPool
     void release(Lease::Key key, std::unique_ptr<Gpu> gpu,
                  std::vector<Retained> retained, bool poisoned);
 
-    static std::size_t defaultRetainedBudget();
-
     /** Idle instances, oldest first; small, scanned linearly. */
     std::vector<Entry> idle_;
     Stats stats_;
-    std::size_t retainedBudget_ = defaultRetainedBudget();
+    std::size_t retainedBudget_ = kSnapshotBudgetBytes;
 
     static constexpr std::size_t kMaxIdle = 4;
 };

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
@@ -54,16 +55,16 @@ NetLeaseProvider::connect(const std::string &address)
     // The env-driven entry point (makeLeaseProvider) honors retry
     // overrides so a CI job or test can shrink the 40x250ms default
     // budget when the coordinator is expected to already be up.
+    // Both go through the strict shared parser: "-1" or "8x" warns
+    // and keeps the default instead of wrapping or truncating.
     Options options;
-    if (const char *s = std::getenv("EBM_NET_CONNECT_ATTEMPTS")) {
-        const unsigned long v = std::strtoul(s, nullptr, 10);
-        if (v > 0)
-            options.connectAttempts = static_cast<std::uint32_t>(v);
-    }
-    if (const char *s = std::getenv("EBM_NET_CONNECT_BACKOFF_MS")) {
-        options.connectBackoff =
-            std::chrono::milliseconds(std::strtoul(s, nullptr, 10));
-    }
+    options.connectAttempts = static_cast<std::uint32_t>(
+        envUint("EBM_NET_CONNECT_ATTEMPTS", options.connectAttempts, 1,
+                UINT32_MAX));
+    options.connectBackoff = std::chrono::milliseconds(
+        envUint("EBM_NET_CONNECT_BACKOFF_MS",
+                static_cast<std::uint64_t>(options.connectBackoff.count()),
+                0, 60 * 1000));
     return connect(address, options);
 }
 

@@ -57,8 +57,8 @@ class Runner
 
     /**
      * Disk-cache key for one shared-run combination row of @p wl_name.
-     * The single definition Exhaustive, the shard-claim protocol, and
-     * tests all share, so a key drift can never split the store.
+     * The single definition Exhaustive, the lease fabric, and tests
+     * all share, so a key drift can never split the store.
      */
     std::string comboKey(const std::string &wl_name,
                          const TlpCombo &combo) const;

@@ -5,6 +5,7 @@
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "harness/gpu_pool.hpp"
 
 namespace ebm {
 
@@ -21,12 +22,7 @@ enabledFlag()
 
 } // namespace
 
-WarmStateCache::WarmStateCache()
-    : budgetBytes_(static_cast<std::size_t>(envUint(
-                       "EBM_SNAPSHOT_BUDGET_MB", 256, 1, 1u << 20)) *
-                   1024 * 1024)
-{
-}
+WarmStateCache::WarmStateCache() : budgetBytes_(kSnapshotBudgetBytes) {}
 
 void
 WarmStateCache::computeWarm(Gpu &gpu, const Checkpoint *seed,

@@ -21,8 +21,8 @@
  * The cache is an accelerator, never a semantic: EBM_SNAPSHOT=0 (or
  * setEnabled(false)) disables capture and reuse entirely, and the
  * byte-compare tests pin that both modes produce identical results.
- * Retained bytes are bounded by an LRU budget (EBM_SNAPSHOT_BUDGET_MB,
- * default 256). Fault-injecting runs never reach this cache (the
+ * Retained bytes are bounded by an LRU budget (kSnapshotBudgetBytes,
+ * 256 MiB). Fault-injecting runs never reach this cache (the
  * Runner disables forking whenever an injector is present).
  */
 #pragma once
@@ -112,7 +112,7 @@ class WarmStateCache
 
     /**
      * Override the LRU byte budget (tests shrink it to force the
-     * eviction path; the default comes from EBM_SNAPSHOT_BUDGET_MB).
+     * eviction path; the default is kSnapshotBudgetBytes).
      */
     void setBudgetBytes(std::size_t bytes);
 

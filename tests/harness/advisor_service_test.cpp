@@ -18,6 +18,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -409,6 +411,48 @@ TEST_F(AdvisorSocketTest, GarbledBytesGetErrorReplyAndDisconnect)
     EXPECT_FALSE(servefmt::recvFrame(fd, reader, reply, 10000));
 }
 
+/** This process's virtual size in KiB (VmSize in /proc/self/status). */
+std::uint64_t
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+TEST_F(AdvisorSocketTest, ServedConnectionsDoNotAccumulateThreads)
+{
+    const auto ping_cycles = [this](int n) {
+        for (int i = 0; i < n; ++i) {
+            auto conn = netConnectUnix(socket_path_);
+            ASSERT_TRUE(conn.ok()) << conn.error().message;
+            servefmt::FrameReader reader;
+            std::string reply;
+            ASSERT_TRUE(servefmt::sendFrame(conn.value().get(), "PING"));
+            ASSERT_TRUE(servefmt::recvFrame(conn.value().get(), reader,
+                                            reply, 10000));
+            ASSERT_EQ(reply, "OK PONG");
+        }
+    };
+    // Warm up first: glibc reserves a 64 MiB malloc arena for each
+    // thread that allocates while all existing arenas are attached,
+    // so the first overlapping connection threads grow VmSize by a
+    // bounded amount that is not a leak.
+    ping_cycles(50);
+    // Each unjoined connection thread keeps its stack mapped (8 MiB by
+    // default), so 200 leaked threads would add well over 1 GiB.
+    const std::uint64_t before = vmSizeKib();
+    ASSERT_GT(before, 0u);
+    ping_cycles(200);
+    const std::uint64_t after = vmSizeKib();
+    EXPECT_LT(after, before + 256 * 1024)
+        << "VmSize grew from " << before << " KiB to " << after << " KiB";
+}
+
 TEST_F(AdvisorSocketTest, ShutdownVerbStopsTheServer)
 {
     auto conn = netConnectUnix(socket_path_);
@@ -419,7 +463,7 @@ TEST_F(AdvisorSocketTest, ShutdownVerbStopsTheServer)
     ASSERT_TRUE(servefmt::sendFrame(fd, "SHUTDOWN"));
     ASSERT_TRUE(servefmt::recvFrame(fd, reader, reply, 10000));
     EXPECT_EQ(reply, "OK BYE");
-    live_->waitShutdownRequested();
+    live_->waitForShutdown();
     EXPECT_TRUE(live_->shutdownRequested());
     live_->stop();
     // The socket file is gone; a reconnect must fail.

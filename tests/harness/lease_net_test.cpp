@@ -339,6 +339,21 @@ TEST_F(LeaseNetTest, HandshakeRefusesIncompatibleWorkers)
         << "catalog-version mismatch must be refused";
 }
 
+TEST_F(LeaseNetTest, GarbledBytesGetErrorReplyAndDisconnect)
+{
+    startCoordinator();
+    auto fd = netConnectTcp("127.0.0.1", coord_->port());
+    ASSERT_TRUE(fd.ok());
+    const char junk[] = "GET / HTTP/1.1\r\n\r\n";
+    ASSERT_TRUE(netWriteFull(fd.value().get(), junk, sizeof junk - 1));
+    wire::FrameReader reader;
+    std::string reply;
+    ASSERT_TRUE(wire::recvFrame(fd.value().get(), reader, reply, 5000));
+    EXPECT_EQ(reply.rfind("ERROR bad-frame", 0), 0u) << reply;
+    // The coordinator closes after the diagnostic; the next read is EOF.
+    EXPECT_FALSE(wire::recvFrame(fd.value().get(), reader, reply, 5000));
+}
+
 TEST_F(LeaseNetTest, HandshakeReportsStalenessWindow)
 {
     startCoordinator(std::chrono::milliseconds(1234));
@@ -372,6 +387,24 @@ TEST_F(LeaseNetTest, UnreachableCoordinatorDegradesToNull)
     ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
     ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");
     EXPECT_EQ(lease, nullptr);
+}
+
+TEST_F(LeaseNetTest, MalformedConnectKnobsKeepTheDefaultBudget)
+{
+    // "-1" must not wrap to ~4.29 billion attempts: the strict parser
+    // rejects it and keeps the default 40, which with no backoff
+    // between them fail at once against a refusing port.
+    ::setenv("EBM_COORDINATOR", "127.0.0.1:1", 1);
+    ::setenv("EBM_NET_CONNECT_ATTEMPTS", "-1", 1);
+    ::setenv("EBM_NET_CONNECT_BACKOFF_MS", "0", 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto lease = makeLeaseProvider(*cache_);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    ::unsetenv("EBM_COORDINATOR");
+    ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
+    ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");
+    EXPECT_EQ(lease, nullptr);
+    EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 TEST_F(LeaseNetTest, RpcLatencyIsRecorded)
