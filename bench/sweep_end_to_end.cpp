@@ -217,7 +217,7 @@ BENCHMARK(BM_SweepWarmProfileDb)->Unit(benchmark::kMillisecond);
 
 /**
  * Opening an existing store: one DiskCache construction over a
- * 64-entry file per iteration — the mmap + single-pass frame scan
+ * 64-entry file per iteration — the pread + single-pass frame scan
  * every bench binary pays on startup before its warm probes.
  */
 void

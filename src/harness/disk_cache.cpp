@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -38,20 +37,6 @@ using storefmt::kHeaderSize;
 using storefmt::kMagicV3;
 using storefmt::kMaxKeyBytes;
 using storefmt::kMaxValueCount;
-
-constexpr std::uint32_t kDefaultShards = 16;
-
-/** FNV-1a over the key bytes (shard selection). */
-std::uint64_t
-keyHash(const std::string &key)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** Clean-store header (fencing epoch 0) for this build. */
 std::string
@@ -112,10 +97,8 @@ DiskCache::defaultPath(const std::string &file)
     return path + file;
 }
 
-DiskCache::DiskCache(std::string path, FaultInjector *injector,
-                     std::uint32_t shards)
-    : path_(std::move(path)), injector_(injector), io_(injector),
-      shards_(shards != 0 ? shards : kDefaultShards)
+DiskCache::DiskCache(std::string path, FaultInjector *injector)
+    : path_(std::move(path)), injector_(injector), io_(injector)
 {
     load();
 }
@@ -145,41 +128,11 @@ DiskCache::leaseServer() const
     return leaseServer_.get();
 }
 
-DiskCache::Shard &
-DiskCache::shardOf(const std::string &key)
-{
-    return shards_[keyHash(key) % shards_.size()];
-}
-
-const DiskCache::Shard &
-DiskCache::shardOf(const std::string &key) const
-{
-    return shards_[keyHash(key) % shards_.size()];
-}
-
-DiskCache::EntryMap
-DiskCache::gatherAll() const
-{
-    // Shards are locked one at a time, in order: the snapshot is a
-    // consistent superset of every entry inserted before the caller
-    // started gathering, which is all the rewrite paths need.
-    EntryMap merged;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        merged.insert(shard.entries.begin(), shard.entries.end());
-    }
-    return merged;
-}
-
 std::size_t
 DiskCache::size() const
 {
-    std::size_t total = 0;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        total += shard.entries.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lk(mapMu_);
+    return entries_.size();
 }
 
 void
@@ -226,32 +179,22 @@ DiskCache::load()
         return;
     }
 
-    // Map the file (read() fallback when mmap is unavailable) and
-    // check the magic.
-    void *map =
-        ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-    std::vector<char> buffer;
-    const char *data;
-    if (map != MAP_FAILED) {
-        data = static_cast<const char *>(map);
-    } else {
-        buffer.resize(file_size);
-        if (!preadAll(fd, 0, buffer.data(), file_size)) {
-            warn("DiskCache: cannot read " + path_ +
-                 "; starting with an empty cache");
-            ::close(fd);
-            return;
-        }
-        data = buffer.data();
+    // Read the whole file, as scanRegionLocked reads appended frames,
+    // and check the magic.
+    std::vector<char> buffer(file_size);
+    if (!preadAll(fd, 0, buffer.data(), file_size)) {
+        warn("DiskCache: cannot read " + path_ +
+             "; starting with an empty cache");
+        ::close(fd);
+        return;
     }
+    const char *data = buffer.data();
 
     if (file_size < sizeof kMagicV3 ||
         std::memcmp(data, kMagicV3, sizeof kMagicV3) != 0) {
         // Not a v3 store: a pre-v3 text cache (v1/v2 are no longer
         // read) or garbage. Nothing in it can be trusted, but it may
         // be valuable elsewhere — quarantine it and start fresh.
-        if (map != MAP_FAILED)
-            ::munmap(map, file_size);
         ::close(fd);
         warn("DiskCache: " + path_ + " is not a v3 store (no " +
              std::string(kMagicV3, sizeof kMagicV3) +
@@ -263,8 +206,6 @@ DiskCache::load()
     if (file_size < kHeaderSize) {
         // A writer died inside the very first header write. There was
         // nothing durable yet, so truncate rather than quarantine.
-        if (map != MAP_FAILED)
-            ::munmap(map, file_size);
         loadReport_.tornTailTruncated = true;
         if (writable)
             (void)::ftruncate(fd, 0);
@@ -288,8 +229,6 @@ DiskCache::load()
         // Wrong version, stale app catalog, or foreign machine:
         // nothing in this file can be trusted, but it may be valuable
         // elsewhere — quarantine it and start fresh.
-        if (map != MAP_FAILED)
-            ::munmap(map, file_size);
         ::close(fd);
         warn("DiskCache: " + path_ + " header (format " +
              std::to_string(fmt) + ", catalog " + std::to_string(cat) +
@@ -300,8 +239,6 @@ DiskCache::load()
                  kAppCatalogVersion)) +
              ", '" + machineFingerprint() +
              "'); quarantining and recomputing");
-        for (Shard &shard : shards_)
-            shard.entries.clear();
         quarantineAndRewrite();
         return;
     }
@@ -321,9 +258,6 @@ DiskCache::load()
         frames.pop_back();
         torn = true;
     }
-
-    if (map != MAP_FAILED)
-        ::munmap(map, file_size);
 
     mergeEntries(frames, &loadReport_.duplicateKeys);
     loadReport_.entriesLoaded = size();
@@ -370,12 +304,15 @@ DiskCache::scanFrames(const char *data, std::size_t begin,
         storefmt::Frame frame;
         const storefmt::FrameParse parse =
             storefmt::parseFrameAt(data, off, end, frame);
-        if (parse == storefmt::FrameParse::Torn) {
-            torn = true;
-            break;
-        }
-        if (parse == storefmt::FrameParse::Bad) {
-            corrupt = true;
+        if (parse != storefmt::FrameParse::Ok) {
+            // A frame cut off by the end is a torn append only when
+            // nothing valid follows it; otherwise its length field is
+            // damaged, and truncating there would destroy good frames.
+            if (parse == storefmt::FrameParse::Torn &&
+                storefmt::nextValidFrame(data, off + 1, end) == end)
+                torn = true;
+            else
+                corrupt = true;
             break;
         }
         Entry e;
@@ -392,13 +329,11 @@ std::size_t
 DiskCache::mergeEntries(std::vector<Entry> &entries,
                         std::size_t *duplicates)
 {
+    std::lock_guard<std::mutex> lk(mapMu_);
     for (Entry &e : entries) {
-        Shard &shard = shardOf(e.key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        const auto it = shard.entries.find(e.key);
-        if (it == shard.entries.end()) {
-            shard.entries.emplace(std::move(e.key),
-                                  std::move(e.values));
+        const auto it = entries_.find(e.key);
+        if (it == entries_.end()) {
+            entries_.emplace(std::move(e.key), std::move(e.values));
         } else {
             if (duplicates != nullptr)
                 ++*duplicates;
@@ -518,7 +453,12 @@ DiskCache::compact()
         ++persistFailures_;
         return false;
     }
-    const bool ok = writeCompacted(gatherAll());
+    EntryMap snapshot;
+    {
+        std::lock_guard<std::mutex> lk(mapMu_);
+        snapshot = entries_;
+    }
+    const bool ok = writeCompacted(snapshot);
     if (!ok) {
         std::lock_guard<std::mutex> lk(persistMu_);
         ++persistFailures_;
@@ -711,10 +651,9 @@ DiskCache::appendBatch(const std::vector<Entry> &batch)
 std::optional<std::vector<double>>
 DiskCache::get(const std::string &key) const
 {
-    const Shard &shard = shardOf(key);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
+    std::lock_guard<std::mutex> lk(mapMu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
@@ -728,10 +667,9 @@ DiskCache::getValidated(const std::string &key,
 {
     std::vector<double> values;
     {
-        const Shard &shard = shardOf(key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        const auto it = shard.entries.find(key);
-        if (it == shard.entries.end()) {
+        std::lock_guard<std::mutex> lk(mapMu_);
+        const auto it = entries_.find(key);
+        if (it == entries_.end()) {
             misses_.fetch_add(1, std::memory_order_relaxed);
             return std::nullopt;
         }
@@ -795,9 +733,8 @@ DiskCache::tryPut(const std::string &key,
     }
 
     {
-        Shard &shard = shardOf(key);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        shard.entries[key] = values;
+        std::lock_guard<std::mutex> lk(mapMu_);
+        entries_[key] = values;
     }
 
     if (readOnly_) {

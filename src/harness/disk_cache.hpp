@@ -20,9 +20,9 @@
  * and a put() returns once a batched append covering its entry is
  * durable or claimed by the active writer. Appending replaces the v2
  * full-file coalescing rewrite, so persist I/O is O(new entries), not
- * O(total entries) per burst. Loading memory-maps the file and scans
- * frames once with O(1) per-record work (raw doubles are memcpy'd,
- * never re-parsed from text). Duplicate keys are legal — later frames
+ * O(total entries) per burst. Loading reads the file with pread and
+ * scans frames once with O(1) per-record work (raw doubles are
+ * memcpy'd, never re-parsed from text). Duplicate keys are legal — later frames
  * win — and `compact()` rewrites the store sorted by key (atomic
  * tmp + rename), so a compacted store is byte-identical for a given
  * entry set no matter what order, how many threads, or how many
@@ -32,7 +32,11 @@
  * mid-append) truncates the file back to the last valid frame instead
  * of quarantining the world; anything else — bad header, foreign
  * machine, mid-file frame corruption — preserves the v2 contract of
- * quarantining the file to `<path>.quarantined` and recomputing.
+ * quarantining the file to `<path>.quarantined` and recomputing. A
+ * frame that runs past the end of the file is a torn tail only when
+ * no valid frame starts after it: a damaged length field mid-file is
+ * corruption, and truncating there would destroy the valid frames
+ * behind it.
  * A file without the v3 magic — including the pre-v3 v1 (plain text)
  * and v2 (checksummed text) formats, which are no longer read — is
  * quarantined like any other untrusted file.
@@ -46,8 +50,8 @@
  * store it was elected for.
  *
  * Thread safety: all public operations may be called concurrently.
- * The in-memory map is sharded by key hash (one mutex per shard); the
- * append protocol is single-writer and coalescing, exactly like the
+ * The in-memory map is one hash map under one mutex; the append
+ * protocol is single-writer and coalescing, exactly like the
  * v2 persist role, just appending deltas instead of rewriting.
  */
 #pragma once
@@ -99,14 +103,9 @@ class DiskCache
      * Open (and load) the store at @p path; missing file is fine.
      *
      * @param injector optional fault injection (robustness tests)
-     * @param shards   in-memory shard count; 0 = the built-in default
-     *                 (16). Shard count is an in-memory concurrency
-     *                 knob only — the on-disk format and the persisted
-     *                 bytes are identical at every setting.
      */
     explicit DiskCache(std::string path,
-                       FaultInjector *injector = nullptr,
-                       std::uint32_t shards = 0);
+                       FaultInjector *injector = nullptr);
 
     /** Retires an adopted lease server (Coordinator::retire) before
      * the store it serves goes away. */
@@ -196,12 +195,6 @@ class DiskCache
 
     const std::string &path() const { return path_; }
 
-    /** In-memory shard count (diagnostics/tests). */
-    std::uint32_t shardCount() const
-    {
-        return static_cast<std::uint32_t>(shards_.size());
-    }
-
     /** Lookups (get/getValidated) that returned a value. */
     std::uint64_t hits() const
     {
@@ -265,28 +258,20 @@ class DiskCache
         std::size_t offset = 0;  ///< Frame start (scan paths only).
     };
 
-    /** One lock domain of the in-memory map. */
-    struct Shard
-    {
-        mutable std::mutex mu;
-        EntryMap entries;
-    };
-
-    Shard &shardOf(const std::string &key);
-    const Shard &shardOf(const std::string &key) const;
-
     void load();
     /**
      * Scan v3 frames in [@p begin, @p end) of @p data, appending
      * parsed records to @p out. @return the offset just past the last
      * valid frame; sets @p torn when the scan stopped on a frame cut
-     * off by @p end (torn tail) rather than on bad bytes (@p corrupt).
+     * off by @p end with no valid frame after it (torn tail), and
+     * @p corrupt when it stopped on damage (bad bytes, or a frame cut
+     * short with a valid frame after it).
      */
     static std::size_t scanFrames(const char *data, std::size_t begin,
                                   std::size_t end,
                                   std::vector<Entry> &out, bool &torn,
                                   bool &corrupt);
-    /** Merge parsed records into the shards, later records winning. */
+    /** Merge parsed records into the map, later records winning. */
     std::size_t mergeEntries(std::vector<Entry> &entries,
                              std::size_t *duplicates);
     /**
@@ -300,8 +285,6 @@ class DiskCache
                           std::uint64_t &valid_end,
                           std::size_t &merged);
     void quarantineAndRewrite();
-    /** All shards merged (for compaction snapshots and rewrites). */
-    EntryMap gatherAll() const;
     bool writeCompacted(const EntryMap &snapshot);
     /** Append one group-commit batch under flock; updates counters. */
     bool appendBatch(const std::vector<Entry> &batch);
@@ -310,7 +293,9 @@ class DiskCache
     FaultInjector *injector_;
     IoShim io_; ///< Injectable write/fsync seam (common/io_fault.hpp).
     bool readOnly_ = false;
-    std::vector<Shard> shards_;
+    /** Guards entries_. */
+    mutable std::mutex mapMu_;
+    EntryMap entries_;
     LoadReport loadReport_;
     /** Max fencing epoch noted so far (echoed by appendBatch). */
     std::atomic<std::uint64_t> fencingEpoch_{0};
@@ -318,7 +303,7 @@ class DiskCache
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
 
-    /** Guards the group-commit protocol state below (never a shard). */
+    /** Guards the group-commit protocol state below (never entries_). */
     mutable std::mutex persistMu_;
     /** Signals the writer role going idle (pending queue drained). */
     std::condition_variable persistCv_;

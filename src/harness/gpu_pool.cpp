@@ -27,8 +27,7 @@ GpuPool::Lease::Lease(GpuPool *pool, Key key, std::unique_ptr<Gpu> gpu)
 
 GpuPool::Lease::Lease(Lease &&other) noexcept
     : pool_(other.pool_), key_(std::move(other.key_)),
-      gpu_(std::move(other.gpu_)), retained_(std::move(other.retained_)),
-      poisoned_(other.poisoned_),
+      gpu_(std::move(other.gpu_)), poisoned_(other.poisoned_),
       uncaughtAtAcquire_(other.uncaughtAtAcquire_)
 {
     other.pool_ = nullptr;
@@ -45,25 +44,10 @@ GpuPool::Lease::~Lease()
         std::uncaught_exceptions() > uncaughtAtAcquire_;
     if (pool_ != nullptr) {
         pool_->release(std::move(key_), std::move(gpu_),
-                       std::move(retained_), poisoned_ || unwinding);
+                       poisoned_ || unwinding);
     }
     // pool_ == nullptr: pooling was disabled at acquire; the instance
     // is simply destroyed, exactly like the pre-pool code path.
-}
-
-void
-GpuPool::Lease::retainSnapshot(std::uint64_t key,
-                               std::shared_ptr<const void> snapshot,
-                               std::size_t bytes)
-{
-    for (Retained &r : retained_) {
-        if (r.key == key) {
-            r.snapshot = std::move(snapshot);
-            r.bytes = bytes;
-            return;
-        }
-    }
-    retained_.push_back(Retained{key, std::move(snapshot), bytes});
 }
 
 GpuPool::Lease
@@ -80,8 +64,6 @@ GpuPool::acquire(const GpuConfig &cfg,
     for (std::size_t i = 0; i < idle_.size(); ++i) {
         if (idle_[i].key == key) {
             std::unique_ptr<Gpu> gpu = std::move(idle_[i].gpu);
-            std::vector<Retained> retained =
-                std::move(idle_[i].retained);
             idle_.erase(idle_.begin() +
                         static_cast<std::ptrdiff_t>(i));
             // Construction-fresh state: wipe cycle/warp/queue/DRAM
@@ -91,9 +73,7 @@ GpuPool::acquire(const GpuConfig &cfg,
             gpu->restoreKnobDefaults();
             gpu->setFastForward(true);
             ++stats_.hits;
-            Lease lease(this, std::move(key), std::move(gpu));
-            lease.retained_ = std::move(retained);
-            return lease;
+            return Lease(this, std::move(key), std::move(gpu));
         }
     }
     auto gpu = std::make_unique<Gpu>(key.cfg, key.apps, key.coreShare);
@@ -102,37 +82,17 @@ GpuPool::acquire(const GpuConfig &cfg,
 }
 
 void
-GpuPool::release(Lease::Key key, std::unique_ptr<Gpu> gpu,
-                 std::vector<Retained> retained, bool poisoned)
+GpuPool::release(Lease::Key key, std::unique_ptr<Gpu> gpu, bool poisoned)
 {
     if (poisoned || !enabled()) {
         ++stats_.discards;
         return;
     }
-    idle_.push_back(
-        Entry{std::move(key), std::move(gpu), std::move(retained)});
-    // Evict oldest-first while over the idle-count cap OR the
-    // retained-snapshot byte budget: an entry pinning hundreds of
-    // megabytes of warm checkpoints must not hide behind a small idle
-    // count (the snapshots themselves are shared with the process-wide
-    // WarmStateCache, so eviction here drops a reference, not the
-    // cache's copy).
-    while (idle_.size() > kMaxIdle ||
-           (retainedBytes() > retainedBudget_ && !idle_.empty())) {
+    idle_.push_back(Entry{std::move(key), std::move(gpu)});
+    if (idle_.size() > kMaxIdle) {
         idle_.erase(idle_.begin()); // Oldest shape goes first.
         ++stats_.evictions;
     }
-}
-
-std::size_t
-GpuPool::retainedBytes() const
-{
-    std::size_t total = 0;
-    for (const Entry &e : idle_) {
-        for (const Retained &r : e.retained)
-            total += r.bytes;
-    }
-    return total;
 }
 
 void

@@ -22,7 +22,9 @@
  * Pools are thread-local (one per worker), so leases never contend
  * and a poisoned worker cannot hand bad state to a sibling. The
  * shared immutable state (TraceArtifact) is process-wide; only the
- * mutable machine is per-worker.
+ * mutable machine is per-worker. The pool holds machines only: warm
+ * checkpoints live in the process-wide WarmStateCache, and at most
+ * kMaxIdle idle machines are kept.
  *
  * The pool is an accelerator, never a semantic: setEnabled(false)
  * makes every lease construct-and-discard, and the golden-digest and
@@ -40,11 +42,6 @@
 
 namespace ebm {
 
-/** Byte budget for retained warm-state snapshots: GpuPool's
- * lease-retained snapshots and the WarmStateCache LRU each keep at
- * most this much. */
-inline constexpr std::size_t kSnapshotBudgetBytes = std::size_t{256} << 20;
-
 class Gpu;
 
 /** Thread-local cache of reusable Gpu instances. */
@@ -58,14 +55,6 @@ class GpuPool
         std::uint64_t misses = 0;    ///< Leases that constructed.
         std::uint64_t discards = 0;  ///< Poisoned/disabled releases.
         std::uint64_t evictions = 0; ///< Idle instances displaced.
-    };
-
-    /** One type-erased snapshot retained alongside a pooled machine. */
-    struct Retained
-    {
-        std::uint64_t key = 0;
-        std::shared_ptr<const void> snapshot;
-        std::size_t bytes = 0;
     };
 
     /** RAII lease of one Gpu; returns or discards on destruction. */
@@ -83,30 +72,6 @@ class GpuPool
         /** Force discard on release (half-mutated state). */
         void poison() { poisoned_ = true; }
 
-        /**
-         * Retain @p snapshot with this lease's machine: when the
-         * machine is returned to the pool, the snapshot rides along
-         * and is served lock-free to the next lease of the same shape
-         * via retainedSnapshot(). @p bytes must be the snapshot's
-         * retained heap footprint — the pool charges it against its
-         * eviction budget. Re-retaining an existing @p key replaces
-         * the previous snapshot.
-         */
-        void retainSnapshot(std::uint64_t key,
-                            std::shared_ptr<const void> snapshot,
-                            std::size_t bytes);
-
-        /** Snapshot previously retained under @p key, or null. */
-        std::shared_ptr<const void>
-        retainedSnapshot(std::uint64_t key) const
-        {
-            for (const Retained &r : retained_) {
-                if (r.key == key)
-                    return r.snapshot;
-            }
-            return nullptr;
-        }
-
       private:
         friend class GpuPool;
         struct Key
@@ -123,8 +88,6 @@ class GpuPool
         GpuPool *pool_; ///< Null = pooling disabled; just discard.
         Key key_;
         std::unique_ptr<Gpu> gpu_;
-        /** Snapshots riding along with the machine; small. */
-        std::vector<Retained> retained_;
         bool poisoned_ = false;
         int uncaughtAtAcquire_ = 0;
     };
@@ -150,19 +113,6 @@ class GpuPool
     /** Idle instances currently held. */
     std::size_t idleCount() const { return idle_.size(); }
 
-    /** Snapshot bytes retained across all idle instances. */
-    std::size_t retainedBytes() const;
-
-    /**
-     * Byte budget for lease-retained snapshots across idle entries;
-     * exceeding it evicts oldest-first even when the idle count is
-     * within kMaxIdle (tests shrink it to force the path).
-     */
-    void setRetainedBudget(std::size_t bytes)
-    {
-        retainedBudget_ = bytes;
-    }
-
     const Stats &stats() const { return stats_; }
 
     /** This thread's pool. */
@@ -177,17 +127,13 @@ class GpuPool
     {
         Lease::Key key;
         std::unique_ptr<Gpu> gpu;
-        /** Snapshots retained with the machine (see Lease). */
-        std::vector<Retained> retained;
     };
 
-    void release(Lease::Key key, std::unique_ptr<Gpu> gpu,
-                 std::vector<Retained> retained, bool poisoned);
+    void release(Lease::Key key, std::unique_ptr<Gpu> gpu, bool poisoned);
 
     /** Idle instances, oldest first; small, scanned linearly. */
     std::vector<Entry> idle_;
     Stats stats_;
-    std::size_t retainedBudget_ = kSnapshotBudgetBytes;
 
     static constexpr std::size_t kMaxIdle = 4;
 };

@@ -109,15 +109,22 @@ NetLeaseProvider::handshake(UniqueFd fd, const Options &options,
     const auto reply = provider->rpc(
         "HELLO " + DiskCache::machineFingerprint() + " " +
         std::to_string(kAppCatalogVersion));
-    if (!reply || reply->rfind("OK", 0) != 0) {
+    // The reply is "OK" or "OK <staleness ms>"; anything else — an
+    // error, a sign, an overflow — refuses the handshake.
+    const auto tokens =
+        reply ? wire::splitTokens(*reply) : std::vector<std::string>{};
+    std::uint64_t stale_ms = 0;
+    const bool ok =
+        !tokens.empty() && tokens[0] == "OK" &&
+        (tokens.size() == 1 ||
+         (tokens.size() == 2 && parseUint(tokens[1].c_str(), stale_ms) &&
+          stale_ms <= kMaxStaleMs));
+    if (!ok) {
         warn("NetLeaseProvider: " + peer + " refused the handshake" +
              (reply ? ": " + *reply : std::string()));
         return nullptr;
     }
-    const auto tokens = wire::splitTokens(*reply);
-    if (tokens.size() == 2)
-        provider->staleMs_ =
-            std::chrono::milliseconds(std::stoll(tokens[1]));
+    provider->staleMs_ = std::chrono::milliseconds(stale_ms);
     return provider;
 }
 
@@ -169,6 +176,13 @@ NetLeaseProvider::rpc(const std::string &request)
     if (wire::sendFrame(fd_.get(), request) &&
         wire::recvFrame(fd_.get(), reader_, reply, timeoutMs()))
         return reply;
+    latchDegraded();
+    return std::nullopt;
+}
+
+void
+NetLeaseProvider::latchDegraded()
+{
     degraded_ = true;
     fd_.reset();
     if (!degradeWarned_) {
@@ -177,25 +191,33 @@ NetLeaseProvider::rpc(const std::string &request)
              "this sweep degrades to standalone (results stay "
              "local, peers take over our leased rows)");
     }
-    return std::nullopt;
+}
+
+bool
+NetLeaseProvider::grantFromReply(const std::string &key,
+                                 const std::optional<std::string> &reply)
+{
+    if (reply && reply->rfind("OK", 0) != 0)
+        return false; // HELD or SKIP.
+    std::uint64_t epoch = 0;
+    if (reply && (reply->rfind("OK ", 0) != 0 ||
+                  !parseUint(reply->c_str() + 3, epoch) || epoch == 0)) {
+        // A grant without a usable epoch is a garbled reply: holding
+        // the row under epoch 0 would never renew or release it.
+        latchDegraded();
+        epoch = 0;
+    }
+    // Degraded (now or before): compute locally. Epoch 0 keeps
+    // noteEpoch quiet and release/heartbeat local-only.
+    owned_[key] = epoch;
+    return true;
 }
 
 bool
 NetLeaseProvider::tryAcquire(const std::string &key)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto reply = rpc("ACQ " + key);
-    if (!reply) {
-        // Degraded: compute locally. Epoch 0 keeps noteEpoch quiet
-        // and release/heartbeat local-only.
-        owned_[key] = 0;
-        return true;
-    }
-    if (reply->rfind("OK ", 0) == 0) {
-        owned_[key] = std::strtoull(reply->c_str() + 3, nullptr, 10);
-        return true;
-    }
-    return false; // HELD or SKIP.
+    return grantFromReply(key, rpc("ACQ " + key));
 }
 
 bool
@@ -275,16 +297,7 @@ bool
 NetLeaseProvider::breakStale(const std::string &key)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto reply = rpc("BREAK " + key);
-    if (!reply) {
-        owned_[key] = 0;
-        return true; // Degraded: compute locally.
-    }
-    if (reply->rfind("OK ", 0) == 0) {
-        owned_[key] = std::strtoull(reply->c_str() + 3, nullptr, 10);
-        return true;
-    }
-    return false;
+    return grantFromReply(key, rpc("BREAK " + key));
 }
 
 std::uint64_t

@@ -114,6 +114,10 @@ class NetLeaseProvider final : public LeaseProvider
     }
 
   private:
+    /** Largest staleness window a HELLO reply may report: the
+     * EBM_CLAIM_STALE_MS bound. */
+    static constexpr std::uint64_t kMaxStaleMs = 3600000;
+
     NetLeaseProvider(UniqueFd fd, Options options, DiskCache *store);
 
     /** HELLO over a fresh connection; nullptr when refused. */
@@ -124,6 +128,14 @@ class NetLeaseProvider final : public LeaseProvider
     /** One serialized request/response exchange. Returns std::nullopt
      * (and latches degraded mode) on any transport failure. */
     std::optional<std::string> rpc(const std::string &request);
+    /** Drop the connection and serve standalone from now on. */
+    void latchDegraded();
+    /** Record an ACQ/BREAK reply: "OK <epoch>" grants the row under
+     * that epoch; no reply, or an OK without an epoch >= 1 (which
+     * latches degraded mode), grants it locally; anything else is a
+     * refusal. Expects mu_ held. */
+    bool grantFromReply(const std::string &key,
+                        const std::optional<std::string> &reply);
 
     int timeoutMs() const;
 

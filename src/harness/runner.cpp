@@ -223,24 +223,11 @@ Runner::run(const std::vector<AppProfile> &apps, TlpPolicy &policy,
     bool pending = false;
 
     if (fork_target != 0) {
-        using Checkpoint = WarmStateCache::Checkpoint;
-        WarmStateCache &cache = WarmStateCache::instance();
-        // First level: a checkpoint retained with the leased machine
-        // (lock-free). Second level: the process-wide cache, which
-        // single-flights the warm simulation on a miss.
-        const std::uint64_t retain_key = hashIds(base_key, fork_target);
-        std::shared_ptr<const Checkpoint> cp =
-            std::static_pointer_cast<const Checkpoint>(
-                lease.retainedSnapshot(retain_key));
-        if (cp != nullptr) {
-            cache.noteHit();
-        } else {
-            cp = cache.warmTo(base_key, gpu, fork_target, win,
-                              kRelayLatency);
-            if (cp != nullptr) {
-                lease.retainSnapshot(retain_key, cp, cp->heapBytes());
-            }
-        }
+        // The process-wide cache single-flights the warm simulation
+        // on a miss.
+        const std::shared_ptr<const WarmStateCache::Checkpoint> cp =
+            WarmStateCache::instance().warmTo(base_key, gpu, fork_target,
+                                              win, kRelayLatency);
         if (cp != nullptr) {
             gpu.restore(cp->gpu);
             monitor.restore(cp->monitor);

@@ -177,6 +177,25 @@ parseFrameAt(const char *data, std::size_t off, std::size_t end,
     return FrameParse::Ok;
 }
 
+/**
+ * The resync point after damage: the offset of the first valid frame
+ * starting in [@p from, @p end), or @p end when none does.
+ */
+inline std::size_t
+nextValidFrame(const char *data, std::size_t from, std::size_t end)
+{
+    for (std::size_t off = from; off + kFrameHeadBytes <= end; ++off) {
+        std::uint32_t magic = 0;
+        std::memcpy(&magic, data + off, sizeof magic);
+        if (magic != kFrameMagic)
+            continue;
+        Frame probe;
+        if (parseFrameAt(data, off, end, probe) == FrameParse::Ok)
+            return off;
+    }
+    return end;
+}
+
 /** Parsed header fields (validation is the caller's policy). */
 struct Header
 {

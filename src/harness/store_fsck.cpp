@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -142,8 +141,10 @@ fsckStore(const std::string &path, const FsckOptions &options)
     report.headerOk = true;
 
     // Frame walk with resync: a bad frame starts a corrupt region
-    // that ends at the next offset parsing as a valid frame. The
-    // skipped bytes are preserved (quarantine), not destroyed.
+    // that ends at the next offset parsing as a valid frame. A frame
+    // cut off by the end is a torn tail only when no valid frame
+    // follows it. The skipped bytes are preserved (quarantine), not
+    // destroyed.
     std::vector<fmt::Frame> frames;
     std::string quarantined;
     std::size_t off = fmt::kHeaderSize;
@@ -157,30 +158,12 @@ fsckStore(const std::string &path, const FsckOptions &options)
             frames.push_back(std::move(frame));
             continue;
         }
-        if (parse == fmt::FrameParse::Torn) {
+        const std::size_t next =
+            fmt::nextValidFrame(data.data(), off + 1, end);
+        if (parse == fmt::FrameParse::Torn && next == end)
             report.tornTail = true;
-            quarantined.append(data.data() + off, end - off);
-            break;
-        }
-        // Corrupt: resync forward to the next parsable frame.
-        ++report.badRegions;
-        std::size_t next = off + 1;
-        for (; next < end; ++next) {
-            if (end - next >= sizeof(fmt::kFrameMagic)) {
-                std::uint32_t magic = 0;
-                std::memcpy(&magic, data.data() + next, sizeof magic);
-                if (magic != fmt::kFrameMagic)
-                    continue;
-            } else {
-                continue;
-            }
-            fmt::Frame probe;
-            if (fmt::parseFrameAt(data.data(), next, end, probe) ==
-                fmt::FrameParse::Ok)
-                break;
-        }
-        if (next >= end)
-            next = end;
+        else
+            ++report.badRegions;
         quarantined.append(data.data() + off, next - off);
         off = next;
     }

@@ -5,7 +5,6 @@
 
 #include "common/config.hpp"
 #include "common/log.hpp"
-#include "harness/gpu_pool.hpp"
 
 namespace ebm {
 
@@ -133,13 +132,6 @@ WarmStateCache::insertLocked(std::uint64_t base_key,
         entries_.pop_back();
         ++stats_.evictions;
     }
-}
-
-void
-WarmStateCache::noteHit()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
 }
 
 WarmStateCache::Stats

@@ -22,8 +22,10 @@
  * setEnabled(false)) disables capture and reuse entirely, and the
  * byte-compare tests pin that both modes produce identical results.
  * Retained bytes are bounded by an LRU budget (kSnapshotBudgetBytes,
- * 256 MiB). Fault-injecting runs never reach this cache (the
- * Runner disables forking whenever an injector is present).
+ * 256 MiB). This is the only checkpoint cache: every fork in
+ * Runner::run comes from warmTo, and pooled machines (GpuPool) carry
+ * no snapshots of their own. Fault-injecting runs never reach this
+ * cache (the Runner disables forking whenever an injector is present).
  */
 #pragma once
 
@@ -40,6 +42,10 @@
 #include "sim/gpu.hpp"
 
 namespace ebm {
+
+/** Byte budget of the WarmStateCache LRU: the one cache of warm-state
+ * snapshots in the process. */
+inline constexpr std::size_t kSnapshotBudgetBytes = std::size_t{256} << 20;
 
 /** Process-wide LRU of policy-neutral warm-state checkpoints. */
 class WarmStateCache
@@ -97,13 +103,6 @@ class WarmStateCache
                                              Gpu &gpu, Cycle target,
                                              Cycle window_cycles,
                                              Cycle relay_latency);
-
-    /**
-     * Account a hit served from a lease-retained copy (the pool-local
-     * fast path bypasses warmTo entirely; this keeps hit/miss counts
-     * meaningful for the advisor's STATS surface).
-     */
-    void noteHit();
 
     Stats stats() const;
 

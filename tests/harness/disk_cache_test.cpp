@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -10,6 +11,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -18,6 +21,8 @@
 #include "../test_util.hpp"
 #include "common/rng.hpp"
 #include "harness/lease_provider.hpp"
+#include "harness/store_format.hpp"
+#include "harness/store_fsck.hpp"
 
 namespace ebm {
 namespace {
@@ -30,6 +35,14 @@ slurpFile(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** Replace the file at @p path with @p bytes. */
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << bytes;
 }
 
 /** The retired v2 text format's per-line checksum (for fixtures). */
@@ -388,13 +401,13 @@ TEST_F(DiskCacheTest, CompactionIsByteIdenticalForAnEntrySet)
 {
     const std::string other = path_ + ".b";
     {
-        // Same entries, opposite insertion order, different shard
-        // counts: the appended files differ...
-        DiskCache one(path_, nullptr, 4);
+        // Same entries, opposite insertion order: the appended files
+        // differ...
+        DiskCache one(path_);
         one.put("alpha", {1.0, 2.0});
         one.put("beta", {3.0});
         one.put("gamma", {});
-        DiskCache two(other, nullptr, 32);
+        DiskCache two(other);
         two.put("gamma", {});
         two.put("beta", {3.0});
         two.put("alpha", {1.0, 2.0});
@@ -830,6 +843,171 @@ TEST_F(DiskCacheTest, CompactKeepsEpochSidecarsUnderLiveClaims)
     EXPECT_TRUE(lease->heartbeat("row/held"))
         << "compaction must not fence the live owner";
     EXPECT_TRUE(lease->release("row/held"));
+}
+
+/**
+ * A damaged length field mid-file makes a frame run past the end of
+ * the file, as a torn append would, but a valid frame still starts
+ * after it: that is corruption. The store is quarantined byte for
+ * byte, never truncated, and the frames before the damage are kept.
+ */
+TEST_F(DiskCacheTest, CorruptLengthMidFileIsQuarantinedNotTruncated)
+{
+    const std::vector<double> k0 = {0.5, 1.5, 2.5};
+    {
+        DiskCache cache(path_);
+        cache.put("k0", k0);
+        cache.put("k1", {3.5, 4.5, 5.5});
+        cache.put("k2", {6.5, 7.5, 8.5});
+        ASSERT_TRUE(cache.compact());
+    }
+    std::string bytes = slurpFile(path_);
+    ASSERT_EQ(bytes.size(), 202u);
+    // Flip bit 16 of frame 1's value count (frame head: magic, key
+    // length, value count): the frame now claims 65,539 values.
+    const std::size_t frame_bytes = (bytes.size() - storefmt::kHeaderSize) / 3;
+    bytes[storefmt::kHeaderSize + frame_bytes + 8 + 2] ^= 0x01;
+    writeFile(path_, bytes);
+
+    {
+        DiskCache reopened(path_);
+        EXPECT_TRUE(reopened.loadReport().quarantined);
+        EXPECT_FALSE(reopened.loadReport().tornTailTruncated);
+        EXPECT_EQ(slurpFile(path_ + ".quarantined"), bytes)
+            << "the damaged file is set aside untouched";
+        const auto got = reopened.get("k0");
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, k0);
+    }
+
+    const FsckReport report = fsckStore(path_ + ".quarantined");
+    EXPECT_EQ(report.badRegions, 1u);
+    EXPECT_EQ(report.framesOk, 2u);
+    EXPECT_FALSE(report.tornTail);
+}
+
+/**
+ * Seeded mutations of a valid store — byte flips, truncations, copied
+ * ranges, header bytes — never crash the loader, never serve a wrong
+ * value, and never truncate away a frame that is still intact.
+ */
+TEST_F(DiskCacheTest, SeededMutationsKeepTheLoaderSafe)
+{
+    std::map<std::string, std::vector<double>> original;
+    for (int i = 0; i < 20; ++i) {
+        std::vector<double> values;
+        for (int v = 0; v < i % 5; ++v) // i % 5 == 0: zero values.
+            values.push_back(i * 10.0 + v + 0.25);
+        original["mut/key" + std::to_string(i)] = values;
+    }
+    {
+        DiskCache cache(path_);
+        for (const auto &[key, values] : original)
+            cache.put(key, values);
+        ASSERT_TRUE(cache.compact());
+    }
+    const std::string clean = slurpFile(path_);
+
+    // Where each original frame sits in the clean store.
+    struct Span
+    {
+        std::size_t off = 0;
+        std::size_t len = 0;
+        std::string key;
+    };
+    std::vector<Span> spans;
+    for (std::size_t off = storefmt::kHeaderSize; off < clean.size();) {
+        storefmt::Frame frame;
+        ASSERT_EQ(storefmt::parseFrameAt(clean.data(), off, clean.size(),
+                                         frame),
+                  storefmt::FrameParse::Ok);
+        spans.push_back(Span{off, frame.bytes, frame.key});
+        off += frame.bytes;
+    }
+    ASSERT_EQ(spans.size(), original.size());
+
+    for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        std::string bytes = clean;
+        const std::uint64_t mutations = 1 + rng.nextBounded(4);
+        for (std::uint64_t m = 0; m < mutations && !bytes.empty(); ++m) {
+            switch (rng.nextBounded(4)) {
+              case 0: // Flip one bit anywhere.
+                bytes[rng.nextBounded(bytes.size())] ^=
+                    static_cast<char>(1u << rng.nextBounded(8));
+                break;
+              case 1: // Truncate.
+                bytes.resize(rng.nextBounded(bytes.size()));
+                break;
+              case 2: { // Copy a range over another place.
+                const std::size_t len =
+                    1 + rng.nextBounded(std::min<std::size_t>(
+                            bytes.size(), 2 * spans[0].len));
+                const std::size_t from =
+                    rng.nextBounded(bytes.size() - len + 1);
+                const std::size_t to =
+                    rng.nextBounded(bytes.size() - len + 1);
+                bytes.replace(to, len, bytes.substr(from, len));
+                break;
+              }
+              default: // Change a header byte.
+                if (bytes.size() >= storefmt::kHeaderSize) {
+                    bytes[rng.nextBounded(storefmt::kHeaderSize)] ^=
+                        static_cast<char>(1 + rng.nextBounded(255));
+                }
+                break;
+            }
+        }
+        writeFile(path_, bytes);
+        std::remove((path_ + ".quarantined").c_str());
+
+        std::vector<const Span *> intact;
+        for (const Span &span : spans) {
+            if (span.off + span.len <= bytes.size() &&
+                bytes.compare(span.off, span.len, clean, span.off,
+                              span.len) == 0)
+                intact.push_back(&span);
+        }
+
+        std::size_t served = 0;
+        {
+            // (a) No crash, no exception.
+            std::optional<DiskCache> cache;
+            EXPECT_NO_THROW(cache.emplace(path_));
+            ASSERT_TRUE(cache.has_value());
+            const DiskCache::LoadReport &report = cache->loadReport();
+
+            // (b) Every key served carries exactly its values.
+            for (const auto &[key, values] : original) {
+                const auto got = cache->get(key);
+                if (got.has_value()) {
+                    EXPECT_EQ(*got, values) << key;
+                    ++served;
+                }
+            }
+            EXPECT_EQ(cache->size(), served) << "no foreign keys";
+
+            // (c) A clean open serves every intact frame.
+            if (!report.quarantined && !report.tornTailTruncated) {
+                for (const Span *span : intact)
+                    EXPECT_TRUE(cache->get(span->key).has_value())
+                        << span->key;
+            }
+            // (d) A truncation never cuts away an intact frame.
+            if (report.tornTailTruncated) {
+                const std::size_t cut = slurpFile(path_).size();
+                for (const Span *span : intact)
+                    EXPECT_LT(span->off, cut) << span->key;
+            }
+        }
+
+        // (e) Whatever the first open repaired stays repaired.
+        DiskCache again(path_);
+        EXPECT_FALSE(again.loadReport().tornTailTruncated);
+        EXPECT_FALSE(again.loadReport().quarantined);
+        EXPECT_EQ(again.size(), served);
+    }
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * digest, from a freshly constructed one, across the whole TLP ladder
  * and both fast-forward modes. Plus the poisoning semantics: any run
  * that throws while holding a lease (including an injected RunFail)
- * discards the instance instead of returning it.
+ * discards the instance instead of returning it. The pool holds
+ * machines only; warm checkpoints come from the WarmStateCache.
  */
 #include <cstring>
 #include <fstream>
@@ -20,6 +21,8 @@
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/gpu_pool.hpp"
+#include "harness/runner.hpp"
+#include "harness/warm_state.hpp"
 #include "sim/golden_digest.hpp"
 #include "sim/gpu.hpp"
 #include "workload/app_catalog.hpp"
@@ -37,8 +40,11 @@ class GpuPoolTest : public ::testing::Test
     SetUp() override
     {
         enabledBefore_ = GpuPool::enabled();
+        warmBefore_ = WarmStateCache::enabled();
         GpuPool::setEnabled(true);
         GpuPool::threadLocal().clear();
+        WarmStateCache::setEnabled(true);
+        WarmStateCache::instance().clear();
     }
 
     void
@@ -46,9 +52,13 @@ class GpuPoolTest : public ::testing::Test
     {
         GpuPool::threadLocal().clear();
         GpuPool::setEnabled(enabledBefore_);
+        WarmStateCache::instance().setBudgetBytes(kSnapshotBudgetBytes);
+        WarmStateCache::instance().clear();
+        WarmStateCache::setEnabled(warmBefore_);
     }
 
     bool enabledBefore_ = true;
+    bool warmBefore_ = true;
 };
 
 /** A measurement-shaped scenario: knobs, windows, a digest. */
@@ -212,70 +222,61 @@ TEST_F(GpuPoolTest, IdleInstancesAreCappedOldestEvictedFirst)
     EXPECT_EQ(pool.stats().hits, 1u);
 }
 
+/**
+ * The pool carries machines only: a repeated fork of one shape on one
+ * thread reuses the pooled machine and takes its checkpoint from the
+ * WarmStateCache, which counts it as a hit.
+ */
 TEST_F(GpuPoolTest, RetainedSnapshotRidesAcrossReleaseAndAcquire)
 {
-    const GpuConfig cfg = test::tinyConfig(2);
+    const Runner runner(test::tinyConfig(2), test::tinyOptions());
     const std::vector<AppProfile> apps = {test::streamingApp(),
                                           test::cacheApp()};
-    const auto payload = std::make_shared<int>(42);
+    const WarmStateCache::Stats before = WarmStateCache::instance().stats();
+    const GpuPool::Stats pool_before = GpuPool::threadLocal().stats();
 
-    GpuPool pool;
-    {
-        GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-        EXPECT_EQ(lease.retainedSnapshot(0x11u), nullptr);
-        lease.retainSnapshot(0x11u, payload, 1024);
-        EXPECT_EQ(lease.retainedSnapshot(0x11u), payload);
-    }
-    EXPECT_EQ(pool.retainedBytes(), 1024u);
-    {
-        GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-        EXPECT_EQ(lease.retainedSnapshot(0x11u), payload)
-            << "the snapshot follows the machine back out of the pool";
-        // Re-retaining the same key replaces, not accumulates.
-        lease.retainSnapshot(0x11u, payload, 2048);
-    }
-    EXPECT_EQ(pool.retainedBytes(), 2048u);
+    runner.runStatic(apps, {2, 4});
+    runner.runStatic(apps, {4, 2});
+
+    const WarmStateCache::Stats after = WarmStateCache::instance().stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, 1u)
+        << "the second fork is served by the WarmStateCache";
+    EXPECT_EQ(GpuPool::threadLocal().stats().hits - pool_before.hits, 1u)
+        << "the second run reuses the pooled machine";
 }
 
 /**
- * Satellite (f): eviction must account retained snapshot bytes, not
- * just idle age — one entry pinning a huge checkpoint is evicted even
- * though the idle count is far below the cap.
+ * With the WarmStateCache budget shrunk so every insert evicts the
+ * older checkpoints, re-running an evicted shape recomputes its
+ * prefix even though the pool still holds that shape's machine: no
+ * checkpoint outlives its eviction by riding with a pooled machine.
  */
 TEST_F(GpuPoolTest, RetainedBytesOverBudgetEvictEvenWhenIdleCountIsLow)
 {
-    const GpuConfig cfg = test::tinyConfig(2);
+    const Runner runner(test::tinyConfig(2), test::tinyOptions());
     const std::vector<AppProfile> heavy_apps = {
         test::cacheApp("HEAVY", 2), test::streamingApp()};
     const std::vector<AppProfile> light_apps = {
         test::cacheApp("LIGHT", 3), test::streamingApp()};
+    WarmStateCache &cache = WarmStateCache::instance();
+    cache.setBudgetBytes(1);
+    const WarmStateCache::Stats before = cache.stats();
+    const GpuPool::Stats pool_before = GpuPool::threadLocal().stats();
 
-    GpuPool pool;
-    pool.setRetainedBudget(4096);
-    {
-        GpuPool::Lease lease = pool.acquire(cfg, heavy_apps, {});
-        lease.retainSnapshot(0x1u, std::make_shared<int>(1), 8192);
-    }
-    // Over budget with a single idle entry: evicted immediately.
-    EXPECT_EQ(pool.idleCount(), 0u);
-    EXPECT_EQ(pool.stats().evictions, 1u);
-    EXPECT_EQ(pool.retainedBytes(), 0u);
+    runner.runStatic(heavy_apps, {2, 4});
+    runner.runStatic(light_apps, {2, 4}); // Evicts the heavy prefix.
+    runner.runStatic(heavy_apps, {2, 4});
 
-    // Under budget, entries stay; a later over-budget release evicts
-    // oldest-first until back under.
-    {
-        GpuPool::Lease lease = pool.acquire(cfg, light_apps, {});
-        lease.retainSnapshot(0x2u, std::make_shared<int>(2), 1024);
-    }
-    EXPECT_EQ(pool.idleCount(), 1u);
-    {
-        GpuPool::Lease lease = pool.acquire(cfg, heavy_apps, {});
-        lease.retainSnapshot(0x3u, std::make_shared<int>(3), 3584);
-    }
-    EXPECT_EQ(pool.idleCount(), 1u)
-        << "the older light entry is displaced to fit the budget";
-    EXPECT_EQ(pool.stats().evictions, 2u);
-    EXPECT_EQ(pool.retainedBytes(), 3584u);
+    const WarmStateCache::Stats after = cache.stats();
+    EXPECT_EQ(GpuPool::threadLocal().idleCount(), 2u);
+    EXPECT_EQ(GpuPool::threadLocal().stats().hits - pool_before.hits, 1u)
+        << "the heavy machine itself is reused from the pool";
+    EXPECT_EQ(after.evictions - before.evictions, 2u);
+    EXPECT_EQ(after.misses - before.misses, 3u)
+        << "the evicted heavy prefix is recomputed";
+    EXPECT_EQ(after.hits - before.hits, 0u)
+        << "no pool-held copy serves the evicted checkpoint";
 }
 
 TEST_F(GpuPoolTest, DisabledPoolConstructsAndDiscardsEveryLease)

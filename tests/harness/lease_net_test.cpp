@@ -13,13 +13,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/frame_server.hpp"
 #include "common/net.hpp"
+#include "common/stats.hpp"
 #include "common/wire.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
@@ -42,6 +45,71 @@ quickConnect()
     o.rpcTimeout = std::chrono::milliseconds(5000);
     return o;
 }
+
+/** A coordinator stand-in on 127.0.0.1 that answers HELLO and the
+ * ACQ/BREAK grants with scripted replies and records every request. */
+class FakeCoordinator
+{
+  public:
+    FakeCoordinator()
+    {
+        auto listener = netListenTcp("127.0.0.1", 0);
+        EXPECT_TRUE(listener.ok());
+        port_ = netLocalPort(listener.value().get());
+        const Status st = server_.start(std::move(listener.value()),
+                                        /*same_user_only=*/false);
+        EXPECT_TRUE(st.ok());
+    }
+
+    std::string
+    address() const
+    {
+        return "127.0.0.1:" + std::to_string(port_);
+    }
+
+    void
+    script(std::string hello, std::string grant)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        hello_ = std::move(hello);
+        grant_ = std::move(grant);
+    }
+
+    /** Requests seen so far whose verb is @p verb. */
+    std::size_t
+    seen(const std::string &verb) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        std::size_t n = 0;
+        for (const std::string &r : requests_)
+            n += r.rfind(verb + " ", 0) == 0 ? 1 : 0;
+        return n;
+    }
+
+  private:
+    std::string
+    answer(const std::string &request)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        requests_.push_back(request);
+        if (request.rfind("HELLO ", 0) == 0)
+            return hello_;
+        if (request.rfind("ACQ ", 0) == 0 ||
+            request.rfind("BREAK ", 0) == 0)
+            return grant_;
+        return "OK";
+    }
+
+    mutable std::mutex mu_;
+    std::string hello_ = "OK 1000";
+    std::string grant_ = "OK 1";
+    std::vector<std::string> requests_;
+    std::uint16_t port_ = 0;
+    LatencyHistogram latency_;
+    FrameServer server_{[this](const std::string &request,
+                               std::uint64_t) { return answer(request); },
+                        latency_};
+};
 
 class LeaseNetTest : public ::testing::Test
 {
@@ -405,6 +473,55 @@ TEST_F(LeaseNetTest, MalformedConnectKnobsKeepTheDefaultBudget)
     ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");
     EXPECT_EQ(lease, nullptr);
     EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
+{
+    FakeCoordinator fake;
+    // A staleness window that is not a plain number refuses the
+    // handshake: no exception, and no negative window.
+    for (const char *hello : {"OK x", "OK 99999999999999999999", "OK -5"}) {
+        fake.script(hello, "OK 1");
+        std::unique_ptr<NetLeaseProvider> p;
+        EXPECT_NO_THROW(
+            p = NetLeaseProvider::connect(fake.address(), quickConnect()));
+        EXPECT_EQ(p, nullptr) << hello;
+    }
+    // The same through the env-driven entry point a sweep uses.
+    fake.script("OK x", "OK 1");
+    ::setenv("EBM_COORDINATOR", fake.address().c_str(), 1);
+    ::setenv("EBM_NET_CONNECT_ATTEMPTS", "1", 1);
+    std::unique_ptr<LeaseProvider> lease;
+    EXPECT_NO_THROW(lease = makeLeaseProvider(*cache_));
+    ::unsetenv("EBM_COORDINATOR");
+    ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
+    EXPECT_EQ(lease, nullptr);
+
+    // A grant without an epoch >= 1 latches degraded mode: the row is
+    // computed locally and never renewed or released on the wire.
+    for (const char *grant : {"OK x", "OK 0", "OK", "OK -1"}) {
+        fake.script("OK 1000", grant);
+        auto acq = NetLeaseProvider::connect(fake.address(),
+                                             quickConnect());
+        ASSERT_NE(acq, nullptr);
+        EXPECT_EQ(acq->coordinatorStaleMs(),
+                  std::chrono::milliseconds(1000));
+        EXPECT_TRUE(acq->tryAcquire("row")) << grant;
+        EXPECT_TRUE(acq->degraded()) << grant;
+        EXPECT_EQ(acq->ownedEpoch("row"), 0u);
+        EXPECT_TRUE(acq->heartbeat("row"));
+        EXPECT_TRUE(acq->release("row"));
+
+        auto brk = NetLeaseProvider::connect(fake.address(),
+                                             quickConnect());
+        ASSERT_NE(brk, nullptr);
+        EXPECT_TRUE(brk->breakStale("row")) << grant;
+        EXPECT_TRUE(brk->degraded()) << grant;
+        EXPECT_EQ(brk->ownedEpoch("row"), 0u);
+        EXPECT_TRUE(brk->release("row"));
+    }
+    EXPECT_EQ(fake.seen("HB"), 0u);
+    EXPECT_EQ(fake.seen("REL"), 0u);
 }
 
 TEST_F(LeaseNetTest, RpcLatencyIsRecorded)

@@ -348,16 +348,14 @@ TEST_F(ParallelSweepTest, DiskCacheConcurrentPutGetHammer)
 }
 
 /**
- * Sharding is an in-memory concurrency knob only: the same hammer —
- * 8 threads over 160 keys, each thread probing cold (miss), inserting,
- * and reading back (hit) — must leave a byte-identical compacted file
- * and identical hit/miss accounting at every shard count, including
- * the degenerate single-shard configuration.
+ * The store keeps one map under one mutex: the hammer — 8 threads over
+ * 160 keys, each thread probing cold (miss), inserting, and reading
+ * back (hit) — must leave the compacted file a serial run leaves, with
+ * exact hit/miss accounting.
  */
 TEST_F(ParallelSweepTest, ShardCountNeverChangesBytesOrAccounting)
 {
     constexpr std::size_t kKeys = 160;
-    constexpr unsigned kThreads = 8;
     auto keyOf = [](std::size_t i) {
         return "shard/key" + std::to_string(i);
     };
@@ -370,15 +368,14 @@ TEST_F(ParallelSweepTest, ShardCountNeverChangesBytesOrAccounting)
         std::size_t size = 0;
     };
 
-    auto hammer = [&](std::uint32_t shards) {
+    auto hammer = [&](unsigned threads) {
         const std::string path =
-            serial_path_ + "." + std::to_string(shards);
+            serial_path_ + "." + std::to_string(threads);
         std::remove(path.c_str());
         Outcome out;
         {
-            DiskCache cache(path, nullptr, shards);
-            EXPECT_EQ(cache.shardCount(), shards);
-            JobPool pool(kThreads);
+            DiskCache cache(path);
+            JobPool pool(threads);
             for (std::size_t i = 0; i < kKeys; ++i) {
                 // Each worker touches only its own key, so the
                 // hit/miss tally is exact at any interleaving: one
@@ -394,7 +391,7 @@ TEST_F(ParallelSweepTest, ShardCountNeverChangesBytesOrAccounting)
                 });
             }
             pool.wait();
-            // Validation rejects count as misses, in every shard.
+            // Validation rejects count as misses.
             EXPECT_FALSE(
                 cache.getValidated(keyOf(0), 99).has_value());
             out.hits = cache.hits();
@@ -408,40 +405,41 @@ TEST_F(ParallelSweepTest, ShardCountNeverChangesBytesOrAccounting)
         return out;
     };
 
-    const Outcome single = hammer(1);
-    EXPECT_EQ(single.size, kKeys);
-    EXPECT_EQ(single.hits, kKeys);
-    EXPECT_EQ(single.misses, kKeys + 1);
-    ASSERT_FALSE(single.bytes.empty());
+    const Outcome serial = hammer(1);
+    EXPECT_EQ(serial.size, kKeys);
+    EXPECT_EQ(serial.hits, kKeys);
+    EXPECT_EQ(serial.misses, kKeys + 1);
+    ASSERT_FALSE(serial.bytes.empty());
 
-    for (const std::uint32_t shards : {4u, 16u, 64u}) {
-        const Outcome sharded = hammer(shards);
-        EXPECT_EQ(sharded.bytes, single.bytes)
-            << shards << " shards must persist the single-shard bytes";
-        EXPECT_EQ(sharded.hits, single.hits) << shards;
-        EXPECT_EQ(sharded.misses, single.misses) << shards;
-        EXPECT_EQ(sharded.size, single.size) << shards;
-    }
+    const Outcome parallel = hammer(8);
+    EXPECT_EQ(parallel.bytes, serial.bytes)
+        << "8 threads must persist the serial bytes";
+    EXPECT_EQ(parallel.hits, serial.hits);
+    EXPECT_EQ(parallel.misses, serial.misses);
+    EXPECT_EQ(parallel.size, serial.size);
 }
 
-/** A sharded cache reloads a file persisted by a single-shard one
- * (and vice versa): shard count is invisible on disk. */
+/** A store reloads to the same entries and, compacted, to the same
+ * bytes, however often it is reopened. */
 TEST_F(ParallelSweepTest, ShardCountIsInvisibleAcrossReloads)
 {
     {
-        DiskCache cache(serial_path_, nullptr, 1);
+        DiskCache cache(serial_path_);
         cache.put("a/b", {1.0, 2.0});
         cache.put("c/d", {3.0});
+        EXPECT_TRUE(cache.compact());
     }
-    DiskCache wide(serial_path_, nullptr, 32);
-    EXPECT_EQ(wide.loadReport().entriesLoaded, 2u);
-    const auto v = wide.getValidated("a/b", 2);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ((*v)[1], 2.0);
-
-    DiskCache narrow(serial_path_, nullptr, 1);
-    EXPECT_EQ(narrow.loadReport().entriesLoaded, 2u);
-    EXPECT_TRUE(narrow.get("c/d").has_value());
+    const std::string bytes = slurp(serial_path_);
+    for (int reopen = 0; reopen < 2; ++reopen) {
+        DiskCache reloaded(serial_path_);
+        EXPECT_EQ(reloaded.loadReport().entriesLoaded, 2u);
+        const auto v = reloaded.getValidated("a/b", 2);
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ((*v)[1], 2.0);
+        EXPECT_TRUE(reloaded.get("c/d").has_value());
+        EXPECT_TRUE(reloaded.compact());
+        EXPECT_EQ(slurp(serial_path_), bytes) << "reopen " << reopen;
+    }
 }
 
 } // namespace
