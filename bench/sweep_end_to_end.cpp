@@ -14,7 +14,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,7 +31,6 @@
 #include "harness/gpu_pool.hpp"
 #include "harness/profile_db.hpp"
 #include "harness/runner.hpp"
-#include "harness/sweep_supervisor.hpp"
 #include "harness/warm_state.hpp"
 #include "workload/app_catalog.hpp"
 #include "workload/workload_suite.hpp"
@@ -243,25 +241,10 @@ BM_CacheOpen(benchmark::State &state)
 }
 BENCHMARK(BM_CacheOpen)->Unit(benchmark::kMicrosecond);
 
-/** Remove the supervisor's heartbeat directory (flat, no subdirs). */
-void
-removeHeartbeatDir(const std::string &dir)
-{
-    if (DIR *d = ::opendir(dir.c_str())) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-        ::rmdir(dir.c_str());
-    }
-}
-
 /**
  * Cross-process cold sweep: range(0) cooperating processes share one
- * store under EBM_SWEEP_SHARD=1, splitting the 64 simulations through
- * the elected local coordinator instead of each running all of them.
+ * store, splitting the 64 simulations through the store's elected
+ * local coordinator instead of each running all of them.
  * The server's lease RPC service time over the local socket is
  * reported as rpc_p50_us / rpc_p99_us. Wall clock is
  * the parent's fork-to-last-exit span; at N processes the aggregate
@@ -279,7 +262,6 @@ BM_SweepMultiProcess(benchmark::State &state)
     const int procs = static_cast<int>(state.range(0));
     const std::string path = "bench_sweep_mp.cache";
     const std::string rpc_path = path + ".rpc";
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
 
     double p50_us = 0.0;
     double p99_us = 0.0;
@@ -343,66 +325,11 @@ BM_SweepMultiProcess(benchmark::State &state)
     state.counters["rpc_p50_us"] = p50_us;
     state.counters["rpc_p99_us"] = p99_us;
 
-    ::unsetenv("EBM_SWEEP_SHARD");
     std::remove(path.c_str());
     std::remove(rpc_path.c_str());
 }
 BENCHMARK(BM_SweepMultiProcess)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
-/**
- * The supervised variant of the cross-process cold fill: the same N
- * cooperating workers, but forked and reaped by SweepSupervisor with
- * heartbeat files armed. No faults are injected, so the delta against
- * BM_SweepMultiProcess/N is the pure supervision overhead — fork
- * bookkeeping, the poll/reap loop, and per-slot heartbeat touches —
- * that a crash-consistent sweep pays on the happy path.
- */
-void
-BM_SweepSupervised(benchmark::State &state)
-{
-    const std::uint32_t procs =
-        static_cast<std::uint32_t>(state.range(0));
-    const std::string path = "bench_sweep_sup.cache";
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
-
-    std::uint64_t restarts = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::remove(path.c_str());
-        removeHeartbeatDir(path + ".hb");
-        state.ResumeTiming();
-
-        SweepSupervisor::Options o;
-        o.workers = procs;
-        o.heartbeatDir = path + ".hb";
-        SweepSupervisor sup(o);
-        const SweepSupervisor::Report report =
-            sup.run([&path](std::uint32_t, std::uint32_t) {
-                Runner runner(benchConfig(), benchOptions());
-                DiskCache cache(path);
-                Exhaustive ex(runner, cache);
-                ex.setJobs(1);
-                ex.sweep(makePair("BFS", "FFT"));
-                return 0;
-            });
-        if (!report.allSucceeded)
-            state.SkipWithError("supervised worker failed");
-        restarts += report.totalRestarts;
-    }
-    state.SetLabel("workers=" + std::to_string(procs));
-    state.counters["restarts"] = static_cast<double>(restarts);
-
-    ::unsetenv("EBM_SWEEP_SHARD");
-    std::remove(path.c_str());
-    removeHeartbeatDir(path + ".hb");
-}
-BENCHMARK(BM_SweepSupervised)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)

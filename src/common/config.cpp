@@ -4,6 +4,8 @@
 #include <bit>
 #include <cctype>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <string>
 
 #include "common/log.hpp"
@@ -40,8 +42,15 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min,
         return fallback;
     std::uint64_t v = 0;
     if (!parseUint(env, v)) {
-        warn(std::string(name) + ": ignoring invalid value '" + env +
-             "' (expected an unsigned integer)");
+        // Knobs are re-read on every call (some per RPC), so warn
+        // once per name and bad value, not once per read.
+        static std::mutex mu;
+        static std::set<std::string> warned;
+        std::lock_guard<std::mutex> lk(mu);
+        if (warned.insert(std::string(name) + '=' + env).second) {
+            warn(std::string(name) + ": ignoring invalid value '" +
+                 env + "' (expected an unsigned integer)");
+        }
         return fallback;
     }
     return std::clamp<std::uint64_t>(v, min, max);

@@ -153,8 +153,9 @@ bool parseUint(const char *text, std::uint64_t &out);
 /**
  * Parse environment variable @p name as an unsigned integer clamped
  * to [@p min, @p max]; @p fallback when unset, empty, or garbage
- * (garbage is warned about — a knob the user set but mistyped should
- * not be silently ignored). The shared parser behind every EBM_*
+ * (garbage is warned about once per name and value — a knob the user
+ * set but mistyped should not be silently ignored, nor flood the log
+ * when it is re-read per RPC). The shared parser behind every EBM_*
  * numeric knob (EBM_JOBS, EBM_CLAIM_STALE_MS, ...), so they all
  * reject nonsense the same way.
  */

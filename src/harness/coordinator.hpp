@@ -5,11 +5,12 @@
  * row leases over one result store, on either of two listeners:
  *
  *   - a same-host abstract AF_UNIX socket named after the store
- *     (EBM_SWEEP_SHARD=1): the process that wins bind() runs the
- *     Coordinator inside its DiskCache and every process filling the
- *     store, its own included, leases through it. Only peers with
- *     this process's uid are accepted (SO_PEERCRED). Results travel
- *     through the shared store file, so PUT/GET go unused;
+ *     (joined by every cold fill of a writable store): the process
+ *     that wins bind() runs the Coordinator inside its DiskCache and
+ *     every process filling the store, its own included, leases
+ *     through it. Only peers with this process's uid are accepted
+ *     (SO_PEERCRED). Results travel through the shared store file,
+ *     so PUT/GET go unused;
  *   - TCP (the ebm_coordinator daemon, EBM_COORDINATOR=host:port):
  *     ebm_sweep_worker processes share no file and stream CRC-framed
  *     v3 records back, which the coordinator group-commits through

@@ -168,15 +168,6 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     table.results.resize(total);
     table.skipped.assign(total, 0);
 
-    // Cross-process sharding: rows are leased at dispatch through a
-    // LeaseProvider, so N cooperating workers split a cold sweep
-    // instead of each simulating all of it. EBM_SWEEP_SHARD leases
-    // from the elected same-host coordinator of the shared store;
-    // EBM_COORDINATOR=host:port leases rows from an ebm_coordinator
-    // over TCP and streams results back as CRC-framed records.
-    const std::unique_ptr<LeaseProvider> lease =
-        makeLeaseProvider(cache_);
-
     // Serial pass in row order: cache probes and the injected
     // run-failure pre-draw both consume ordered global state (the
     // cache's warnings, the injector's query counter), so they happen
@@ -283,6 +274,14 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         return std::nullopt;
     };
 
+    // Cross-process sharding: misses are leased at dispatch, so N
+    // cooperating workers split a cold sweep instead of each
+    // simulating all of it. Leases come from the elected same-host
+    // coordinator of the shared store, or over TCP from the
+    // ebm_coordinator at EBM_COORDINATOR=host:port. A warm sweep
+    // never joins.
+    const std::unique_ptr<LeaseProvider> lease =
+        fill.empty() ? nullptr : makeLeaseProvider(cache_);
     const std::vector<FilledRow> filled = fillRows(
         cache_, {lease.get(), jobs(), 4u * std::size_t{n} + 1}, fill,
         simulate);

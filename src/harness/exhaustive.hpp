@@ -152,8 +152,9 @@ class Exhaustive
      * dispatch, so retry/skip accounting is also identical at any job
      * count.
      *
-     * With EBM_SWEEP_SHARD=1 (same-host leases) or
-     * EBM_COORDINATOR=host:port (TCP leases), N workers sharing
+     * A sweep with a miss on a writable store leases its rows from
+     * the store's same-host coordinator (or, with
+     * EBM_COORDINATOR=host:port, over TCP), so N workers sharing
      * the store split a cold sweep through the engine's lease gate:
      * each worker leases a row before simulating it, rows leased
      * elsewhere are assembled from the shared store in odometer

@@ -7,12 +7,13 @@
  *
  *   - joinLocal(): the same-host coordinator of one store, on an
  *     abstract AF_UNIX socket named after the store's canonical path.
- *     The first process to find the name free binds it and serves
- *     in-process (the server lives inside that process's DiskCache);
- *     every process, the server's own included, then connects as a
- *     client. Results travel through the shared store file:
- *     publish() is the group-commit sync(), fetch() is refresh()
- *     then a validated get;
+ *     This is the default: makeLeaseProvider joins it for every fill
+ *     with a miss on a writable store, with no flag. The first
+ *     process to find the name free binds it and serves in-process
+ *     (the server lives inside that process's DiskCache); every
+ *     process, the server's own included, then connects as a client.
+ *     Results travel through the shared store file: publish() is the
+ *     group-commit sync(), fetch() is refresh() then a validated get;
  *   - connect(): an ebm_coordinator daemon over TCP. The worker shares
  *     no file with it, so results are streamed as CRC-framed v3
  *     records (PUT) and probed in the coordinator's store (GET); the

@@ -1,11 +1,6 @@
 #include "harness/lease_provider.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 
 #include "common/config.hpp"
@@ -28,7 +23,8 @@ makeLeaseProvider(DiskCache &cache)
              "; sweep degrades to standalone (results stay local)");
         return nullptr;
     }
-    if (!envFlag("EBM_SWEEP_SHARD", false))
+    // A read-only store appends nothing, so it has no rows to share.
+    if (cache.readOnly())
         return nullptr;
     auto local = NetLeaseProvider::joinLocal(cache);
     if (local == nullptr) {
@@ -43,20 +39,6 @@ leaseStaleThreshold()
 {
     return std::chrono::milliseconds(
         envUint("EBM_CLAIM_STALE_MS", 10000, 1, 3600000));
-}
-
-void
-touchWorkerHeartbeat()
-{
-    const char *path = std::getenv("EBM_WORKER_HEARTBEAT");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    if (::utimensat(AT_FDCWD, path, nullptr, 0) != 0 &&
-        errno == ENOENT) {
-        const int fd = ::open(path, O_CREAT | O_WRONLY, 0644);
-        if (fd >= 0)
-            ::close(fd);
-    }
 }
 
 LeaseHeartbeater::LeaseHeartbeater(LeaseProvider *lease, std::string key)
@@ -93,7 +75,6 @@ LeaseHeartbeater::run()
         if (cv_.wait_for(lk, interval, [this] { return stop_; }))
             return;
         lk.unlock();
-        touchWorkerHeartbeat();
         const bool ok = lease_->heartbeat(key_);
         lk.lock();
         if (!ok) {

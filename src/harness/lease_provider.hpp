@@ -10,14 +10,15 @@
  * (harness/coordinator.hpp), spoken to by a NetLeaseProvider
  * (harness/lease_net.hpp). It is reached one of two ways:
  *
- *   - same host (EBM_SWEEP_SHARD=1): every process filling one store
- *     connects to a coordinator on a local AF_UNIX socket named after
- *     the store's canonical path. When nothing answers, the process
- *     binds that name and serves in-process for as long as its
- *     DiskCache lives — winning bind() is the election. Results
- *     travel through the shared store file (publish = group-commit
- *     sync, fetch = refresh + validated get), so each row is appended
- *     once, by its owner;
+ *   - same host (the default): every process with a cold fill on a
+ *     writable store connects to a coordinator on a local AF_UNIX
+ *     socket named after the store's canonical path. When nothing
+ *     answers, the process binds that name and serves in-process for
+ *     as long as its DiskCache lives — winning bind() is the
+ *     election. Results travel through the shared store file
+ *     (publish = group-commit sync, fetch = refresh + validated get),
+ *     so each row is appended once, by its owner. Pointing processes
+ *     at one store is all it takes to share its fills;
  *   - across hosts (EBM_COORDINATOR=host:port): workers lease rows
  *     from an ebm_coordinator daemon over TCP and, sharing no file,
  *     stream each result to it as a CRC-framed v3 record (PUT/GET),
@@ -27,6 +28,11 @@
  * and the simulation is deterministic, so any mix of workers,
  * takeovers, and duplicate computes compacts to the same bytes a
  * serial fill would have produced.
+ *
+ * Liveness is part of the protocol: a worker that dies drops its
+ * connection, which orphans its leases at once, and a worker that
+ * hangs stops heartbeating, so its leases go stale after
+ * EBM_CLAIM_STALE_MS. Either way a surviving peer takes the rows over.
  *
  * A LeaseProvider is an *optimization, never a correctness
  * dependency*: every verb may fail (fenced, disconnected, degraded)
@@ -120,18 +126,19 @@ class LeaseProvider
 };
 
 /**
- * Pick the lease provider for one sweep against @p cache from the
- * environment, in priority order:
+ * Pick the lease provider for one fill against @p cache, in priority
+ * order:
  *
  *   1. EBM_COORDINATOR=host:port — TCP leases against that
  *      coordinator;
- *   2. EBM_SWEEP_SHARD=1 — the elected same-host coordinator for
- *      @p cache's store (joined, or started inside @p cache);
- *   3. neither — nullptr (the ordinary uncoordinated sweep).
+ *   2. a read-only @p cache — nullptr (it cannot append a row);
+ *   3. otherwise — the elected same-host coordinator for @p cache's
+ *      store (joined, or started inside @p cache).
  *
- * When no coordinator can be reached the result is nullptr with a
- * warning: the sweep computes everything locally, which is always
- * correct, merely not shared.
+ * Fills call this only once their probe pass found a miss, so a warm
+ * fill never connects or binds. When no coordinator can be reached
+ * the result is nullptr with a warning: the fill computes everything
+ * locally, which is always correct, merely not shared.
  */
 std::unique_ptr<LeaseProvider> makeLeaseProvider(DiskCache &cache);
 
@@ -140,17 +147,11 @@ std::unique_ptr<LeaseProvider> makeLeaseProvider(DiskCache &cache);
  * than it expires. Read on every call, so tests can shrink it. */
 std::chrono::milliseconds leaseStaleThreshold();
 
-/** Touch the EBM_WORKER_HEARTBEAT file (the sweep supervisor's
- * liveness signal), creating it if missing. No-op when unset. */
-void touchWorkerHeartbeat();
-
 /**
  * Periodic in-run heartbeat for one held lease (RAII), spanning a
  * row's whole attempt loop with a background thread that renews the
  * lease every leaseStaleThreshold()/4 (at least 10 ms) so a row
  * longer than the staleness window never looks abandoned to peers.
- * The same tick touches the EBM_WORKER_HEARTBEAT file, tying the
- * sweep supervisor's hang detector to the same liveness signal.
  *
  * If a tick discovers the lease was fenced (a peer took the row over
  * after a stall longer than the window), it stops renewing and

@@ -85,16 +85,11 @@ ProfileDb::profile(const AppProfile &app)
     prof.levels = GpuConfig::tlpLevels();
     prof.perLevel.resize(prof.levels.size());
 
-    // Cross-process sharding: levels are leased at dispatch like
-    // sweep rows (EBM_SWEEP_SHARD for same-host leases,
-    // EBM_COORDINATOR for TCP leases). An armed fault injector
-    // keeps the pass serial, unsharded and in level order — its query
-    // order is part of the documented fault schedule and must not
-    // depend on which process wins a lease or on row costs.
+    // An armed fault injector keeps the pass serial, unleased and in
+    // level order — its query order is part of the documented fault
+    // schedule and must not depend on which process wins a lease or
+    // on row costs.
     const bool pinned = runner_.options().faultInjector != nullptr;
-    std::unique_ptr<LeaseProvider> lease;
-    if (!pinned)
-        lease = makeLeaseProvider(cache_);
 
     // Serial pass in level order: cache probes (and their warnings)
     // happen in the same order at any job count; misses become rows
@@ -126,6 +121,12 @@ ProfileDb::profile(const AppProfile &app)
         return std::vector<double>{stats.ipc, stats.bw, stats.l1Mr,
                                    stats.l2Mr};
     };
+    // Cross-process sharding: misses are leased at dispatch like sweep
+    // rows, from the store's same-host coordinator or EBM_COORDINATOR.
+    // A warm profile never joins.
+    std::unique_ptr<LeaseProvider> lease;
+    if (!pinned && !fill.empty())
+        lease = makeLeaseProvider(cache_);
     const std::vector<FilledRow> filled =
         fillRows(cache_, {lease.get(), pinned ? 1u : jobs(), 4}, fill,
                  simulate);

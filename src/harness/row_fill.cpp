@@ -29,8 +29,8 @@ namespace {
 
 /**
  * Chaos kill: die the way the kernel kills a worker — SIGKILL, no
- * destructors, no lease cleanup. Peers and the sweep supervisor must
- * recover, and that recovery is what the chaos suites test.
+ * destructors, no lease cleanup. Peers must recover, and that
+ * recovery is what the chaos suites test.
  */
 [[noreturn]] void
 crashNow()
@@ -138,10 +138,6 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
     // rows by arrival instead of duplicating them; a row someone else
     // still holds is deferred to the wait phase below.
     auto runRow = [&](std::size_t i) {
-        // Liveness for the sweep supervisor (sweep_supervisor.hpp):
-        // every dispatched row proves this worker is making progress,
-        // leases or not.
-        touchWorkerHeartbeat();
         if (lease != nullptr) {
             if (probePeer(i))
                 return;

@@ -1,21 +1,22 @@
 /**
  * @file
- * The chaos acceptance suite: supervised sharded sweeps with workers
- * SIGKILLed at seeded crash points — lease held (nothing durable),
- * post-put pre-release (result durable, lease orphaned), and mid-way
- * through a store append (torn bytes on disk) — across {2, 4}
- * processes x jobs {1, 8}. The supervisor restarts every victim, the
- * staleness protocol re-homes their rows, torn tails are truncated by
- * the next writer, and the compacted shared store is byte-identical
- * to a crash-free single-process run. fsck agrees the survivor is
- * clean before compaction touches it.
+ * The chaos acceptance suite: forked peers sharing one store, SIGKILLed
+ * at seeded crash points — lease held (nothing durable), post-put
+ * pre-release (result durable, lease orphaned), and mid-way through a
+ * store append (torn bytes on disk) — across {2, 4} processes x jobs
+ * {1, 8}. A kill-loop re-forks every victim once, clean; the lease
+ * protocol re-homes the victims' rows (a dropped connection orphans
+ * its leases), torn tails are truncated by the next writer, and the
+ * compacted shared store is byte-identical to a crash-free
+ * single-process run. fsck agrees the survivor is clean before
+ * compaction touches it.
  */
+#include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-#include <dirent.h>
+#include <deque>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -29,7 +30,6 @@
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/store_fsck.hpp"
-#include "harness/sweep_supervisor.hpp"
 
 namespace ebm {
 namespace {
@@ -43,48 +43,6 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-/** Remove a flat directory (the supervisor's heartbeat files). */
-void
-removeDirTree(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-    }
-    ::rmdir(dir.c_str());
 }
 
 bool
@@ -144,7 +102,6 @@ class ChaosSweepTest : public ::testing::Test
                     ->name();
         ref_path_ = stem_ + "_ref.cache";
         shared_path_ = stem_ + "_shared.cache";
-        hb_dir_ = stem_ + ".hb";
         removeAll();
     }
 
@@ -159,69 +116,89 @@ class ChaosSweepTest : public ::testing::Test
             std::remove((p + ".tmp").c_str());
             std::remove((p + ".fsck-quarantine").c_str());
         }
-        removeDirTree(hb_dir_);
     }
 
     std::string stem_;
     std::string ref_path_;
     std::string shared_path_;
-    std::string hb_dir_;
 };
 
 /**
- * One grid cell: @p procs supervised workers (jobs threads each) fill
- * the shared sweep; every slot's first life dies at its seeded crash
- * point; the supervisor restarts it and the survivors converge on the
- * crash-free bytes.
+ * One cooperating peer: sweep the shared store and exit 0 only when
+ * its table is bit-identical to @p ref. A first life (@p life 0) has
+ * every crash-point draw firing, so it dies at @p slot's designated
+ * point on the first row it actually computes; a later life runs
+ * clean.
+ */
+int
+chaosPeer(std::uint32_t slot, std::uint32_t life, std::uint32_t jobs,
+          const std::string &shared_path, const ComboTable &ref,
+          const std::vector<std::uint32_t> &ladder)
+{
+    RunOptions opts = test::tinyOptions();
+    std::optional<FaultInjector> fi;
+    if (life == 0) {
+        fi.emplace(1000u + slot);
+        fi->armAfter(crashPointFor(slot), 0, 64);
+        opts.faultInjector = &*fi;
+    }
+    Runner runner(test::tinyConfig(2), opts);
+    DiskCache cache(shared_path, fi ? &*fi : nullptr);
+    Exhaustive ex(runner, cache);
+    ex.setJobs(jobs);
+    const ComboTable mine = ex.sweep(makePair("BLK", "TRD"), ladder);
+    return tablesBitIdentical(ref, mine) ? 0 : 2;
+}
+
+/**
+ * One grid cell: @p procs forked peers (jobs threads each) fill the
+ * shared sweep. The kill-loop reaps peers in turn and re-forks each
+ * one SIGKILLed at its crash point once, clean; the survivors and the
+ * second lives converge on the crash-free bytes.
  */
 void
 runChaosCell(int procs, std::uint32_t jobs,
-             const std::string &shared_path, const std::string &hb_dir,
-             const ComboTable &ref, const std::string &ref_bytes,
+             const std::string &shared_path, const ComboTable &ref,
+             const std::string &ref_bytes,
              const std::vector<std::uint32_t> &ladder)
 {
     SCOPED_TRACE(std::to_string(procs) + "p/" + std::to_string(jobs) +
                  "j");
 
-    SweepSupervisor::Options o;
-    o.workers = static_cast<std::uint32_t>(procs);
-    o.maxRestarts = 5;
-    o.backoffBase = std::chrono::milliseconds(10);
-    o.backoffCap = std::chrono::milliseconds(100);
-    o.heartbeatDir = hb_dir;
-    // Generous: hang detection is exercised by the supervisor suite;
-    // here it must never misfire while workers wait on peers' rows.
-    o.hangTimeout = std::chrono::seconds(30);
-    SweepSupervisor sup(o);
-
-    const SweepSupervisor::Report report = sup.run(
-        [&](std::uint32_t slot, std::uint32_t attempt) {
-            RunOptions opts = test::tinyOptions();
-            std::optional<FaultInjector> fi;
-            FaultInjector *fip = nullptr;
-            if (attempt == 0) {
-                // First life: every crash-point draw fires, so this
-                // worker dies at its designated point on the first
-                // row it actually computes. Replacement lives run
-                // clean and finish the sweep cooperatively.
-                fi.emplace(1000u + slot);
-                fi->armAfter(crashPointFor(slot), 0, 64);
-                fip = &*fi;
-                opts.faultInjector = fip;
-            }
-            Runner runner(test::tinyConfig(2), opts);
-            DiskCache cache(shared_path, fip);
-            Exhaustive ex(runner, cache);
-            ex.setJobs(jobs);
-            const ComboTable mine =
-                ex.sweep(makePair("BLK", "TRD"), ladder);
-            return tablesBitIdentical(ref, mine) ? 0 : 2;
+    struct Peer
+    {
+        std::uint32_t slot;
+        std::uint32_t life;
+        pid_t pid;
+    };
+    auto spawn = [&](std::uint32_t slot, std::uint32_t life) {
+        const pid_t pid = test::forkPeer([&] {
+            return chaosPeer(slot, life, jobs, shared_path, ref, ladder);
         });
+        EXPECT_GE(pid, 0);
+        return Peer{slot, life, pid};
+    };
 
-    EXPECT_TRUE(report.allSucceeded) << report.summaryLine();
-    EXPECT_GE(report.totalRestarts, 1u)
-        << "at least one seeded crash must have fired: "
-        << report.summaryLine();
+    std::deque<Peer> live;
+    for (std::uint32_t slot = 0; slot < static_cast<std::uint32_t>(procs);
+         ++slot)
+        live.push_back(spawn(slot, 0));
+    std::uint32_t restarts = 0;
+    while (!live.empty()) {
+        const Peer peer = live.front();
+        live.pop_front();
+        const int status = test::reapPeer(peer.pid);
+        if (peer.life == 0 && WIFSIGNALED(status) &&
+            WTERMSIG(status) == SIGKILL) {
+            ++restarts;
+            live.push_back(spawn(peer.slot, 1));
+            continue;
+        }
+        EXPECT_TRUE(test::exitedZero(status))
+            << "slot " << peer.slot << " life " << peer.life
+            << " status " << status;
+    }
+    EXPECT_GE(restarts, 1u) << "at least one seeded crash must have fired";
 
     // The surviving store is structurally sound before compaction
     // (all torn tails were truncated by later writers)...
@@ -257,8 +234,7 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
         ASSERT_FALSE(ref_bytes.empty());
     }
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
+    test::ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
 
     const struct
     {
@@ -267,9 +243,8 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
     } grid[] = {{2, 1}, {2, 8}, {4, 1}, {4, 8}};
     for (const auto &cfg : grid) {
         std::remove(shared_path_.c_str());
-        removeDirTree(hb_dir_);
-        runChaosCell(cfg.procs, cfg.jobs, shared_path_, hb_dir_, ref,
-                     ref_bytes, ladder);
+        runChaosCell(cfg.procs, cfg.jobs, shared_path_, ref, ref_bytes,
+                     ladder);
     }
 }
 
@@ -282,9 +257,7 @@ TEST_F(ChaosSweepTest, MidAppendKillLeavesARepairableStore)
 {
     // One worker, killed mid-append of its second row, never
     // restarted: the store ends in a torn frame.
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
+    const pid_t pid = test::forkPeer([&] {
         FaultInjector fi(7);
         // Shim write ordinals on a fresh store: 0 = header, 1 = first
         // batch, 2 = second batch — kill mid-way through the second.
@@ -294,10 +267,10 @@ TEST_F(ChaosSweepTest, MidAppendKillLeavesARepairableStore)
         cache.sync();
         cache.put("row/2", {3.0, 4.0});
         cache.sync();
-        ::_exit(0); // Unreachable.
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        return 0; // Unreachable.
+    });
+    ASSERT_GE(pid, 0);
+    const int status = test::reapPeer(pid);
     ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
     const FsckReport scrub = fsckStore(shared_path_);

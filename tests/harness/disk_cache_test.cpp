@@ -763,14 +763,12 @@ TEST_F(DiskCacheTest, NotedFencingEpochIsEchoedIntoTheHeader)
 // ---------------------------------------------------------------------
 
 /** One leased fill of @p keys into @p cache, through the elected
- * local coordinator (EBM_SWEEP_SHARD=1): acquire, put, publish,
- * release, as the row-fill engine does. */
+ * local coordinator: acquire, put, publish, release, as the row-fill
+ * engine does. */
 void
 leasedFill(DiskCache &cache, const std::vector<std::string> &keys)
 {
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
     auto lease = makeLeaseProvider(cache);
-    ::unsetenv("EBM_SWEEP_SHARD");
     ASSERT_NE(lease, nullptr);
     ASSERT_STREQ(lease->kind(), "local");
     for (const std::string &key : keys) {
@@ -826,9 +824,7 @@ TEST_F(DiskCacheTest, CompactKeepsEpochSidecarsUnderLiveClaims)
         unleasedCompactedBytes(path_ + ".ref", {"row/held"});
 
     DiskCache cache(path_);
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
     auto lease = makeLeaseProvider(cache);
-    ::unsetenv("EBM_SWEEP_SHARD");
     ASSERT_NE(lease, nullptr);
     ASSERT_TRUE(lease->tryAcquire("row/held"));
     cache.put("row/held", {1.0});

@@ -38,7 +38,6 @@
 #include "harness/exhaustive.hpp"
 #include "harness/lease_net.hpp"
 #include "harness/profile_db.hpp"
-#include "harness/sweep_supervisor.hpp"
 
 namespace ebm {
 namespace {
@@ -531,27 +530,38 @@ TEST_F(DistributedSweepTest, InjectedFailuresReplicateSkipsOverTheWire)
 }
 
 /**
- * The supervisor exports Options::coordinator into each worker child
- * as EBM_COORDINATOR — and only into the children, never the parent.
+ * EBM_COORDINATOR outranks the same-host fabric: a cold sweep on a
+ * writable scratch store leases over TCP, streams its rows into the
+ * coordinator's store, and never elects a local server for the
+ * scratch store.
  */
-TEST_F(DistributedSweepTest, SupervisorExportsCoordinatorToWorkers)
+TEST_F(DistributedSweepTest, CoordinatorAddressOutranksLocalElection)
 {
-    SweepSupervisor::Options opts;
-    opts.workers = 2;
-    opts.coordinator = "127.0.0.1:7733";
-    SweepSupervisor supervisor(opts);
-    const SweepSupervisor::Report report = supervisor.run(
-        [&](std::uint32_t, std::uint32_t) {
-            const char *env = std::getenv("EBM_COORDINATOR");
-            return (env != nullptr &&
-                    std::string(env) == "127.0.0.1:7733")
-                       ? 0
-                       : 7;
-        });
-    EXPECT_TRUE(report.allSucceeded)
-        << "a supervised worker did not see EBM_COORDINATOR";
-    EXPECT_EQ(std::getenv("EBM_COORDINATOR"), nullptr)
-        << "the parent's environment must stay untouched";
+    DiskCache dist(dist_path_);
+    Coordinator coordinator(dist, Coordinator::Options{});
+    ASSERT_TRUE(coordinator.bind().ok());
+    ASSERT_TRUE(coordinator.start().ok());
+    test::ScopedEnv address("EBM_COORDINATOR",
+                            coordinator.address().c_str());
+
+    DiskCache scratch(scratchPath(0));
+    auto lease = makeLeaseProvider(scratch);
+    ASSERT_NE(lease, nullptr);
+    EXPECT_STREQ(lease->kind(), "net");
+    lease.reset();
+
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    Exhaustive ex(runner, scratch);
+    ex.setJobs(1);
+    (void)ex.sweep(makePair("BLK", "TRD"), {1, 4});
+    EXPECT_EQ(ex.status().simulated, 4u);
+    EXPECT_EQ(scratch.leaseServer(), nullptr)
+        << "a TCP-leased sweep must not elect a same-host server";
+    coordinator.stop();
+
+    dist.sync();
+    dist.refresh();
+    EXPECT_EQ(dist.size(), 4u) << "every row reached the coordinator";
 }
 
 } // namespace

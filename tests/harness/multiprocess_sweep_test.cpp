@@ -1,14 +1,17 @@
 /**
  * @file
- * Same-host sweep sharding (EBM_SWEEP_SHARD=1): the lease protocol as
- * peers of the elected local coordinator see it, the election itself
- * (exactly one server among forked processes; a killed server leaves
- * its peers standalone and still byte-identical), the deferred-row
- * wait phase driven single-process (skip replication, stale-lease
- * takeover), and the full acceptance scenario — N forked processes
- * cooperatively filling one cold sweep through a shared store, each
- * producing the bit-identical table, with the compacted store
- * byte-identical to a single-process run.
+ * Same-host sweep sharding, which every fill with a miss on a writable
+ * store joins with no flag: the lease protocol as peers of the
+ * elected local coordinator see it; who joins (a warm sweep and a
+ * read-only store elect nothing); the election itself (exactly one
+ * server among forked processes; a killed server leaves its peers
+ * standalone and still byte-identical); liveness (a SIGKILLed peer's
+ * leases are orphaned at once, a stopped peer's go stale after the
+ * window); the deferred-row wait phase driven single-process (skip
+ * replication, stale-lease takeover); and the full acceptance
+ * scenario — N forked processes cooperatively filling one cold sweep
+ * through a shared store, each producing the bit-identical table,
+ * with the compacted store byte-identical to a single-process run.
  *
  * The forked suites run in their own binary: fork()/waitpid()
  * orchestration should never share a process with unrelated tests.
@@ -35,6 +38,7 @@
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/lease_provider.hpp"
+#include "harness/profile_db.hpp"
 
 namespace ebm {
 namespace {
@@ -51,32 +55,7 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** Set an environment variable for one scope (restored on exit). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
+using test::ScopedEnv;
 
 /**
  * A peer of the elected local coordinator for @p cache's store: the
@@ -85,7 +64,6 @@ class ScopedEnv
 std::unique_ptr<LeaseProvider>
 joinPeer(DiskCache &cache)
 {
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     auto peer = makeLeaseProvider(cache);
     EXPECT_NE(peer, nullptr);
     if (peer != nullptr) {
@@ -265,6 +243,71 @@ TEST_F(MultiprocessSweepTest, StaleClaimIsBrokenAndTakenOver)
 }
 
 // ---------------------------------------------------------------------
+// Who joins: a fill with a miss on a writable store, with no flag set.
+// A warm fill and a read-only store elect nothing.
+// ---------------------------------------------------------------------
+
+TEST_F(MultiprocessSweepTest, WarmSweepElectsNoCoordinator)
+{
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    const Workload wl = makePair("BLK", "TRD");
+    const std::vector<std::uint32_t> ladder = {1, 4};
+    {
+        DiskCache cold(shared_path_);
+        ProfileDb profiles(runner, cold);
+        for (const AppProfile &app : resolveApps(wl))
+            profiles.profile(app);
+        Exhaustive ex(runner, cold);
+        ex.setJobs(1);
+        (void)ex.sweep(wl, ladder);
+        EXPECT_EQ(ex.status().simulated, 4u);
+        EXPECT_NE(cold.leaseServer(), nullptr)
+            << "a cold fill elects its store's coordinator, no flag set";
+    }
+
+    // The cold store's server retired with it, so a join now would
+    // have to elect this cache: a null server means nothing joined.
+    DiskCache warm(shared_path_);
+    ProfileDb profiles(runner, warm);
+    for (const AppProfile &app : resolveApps(wl))
+        profiles.profile(app);
+    Exhaustive ex(runner, warm);
+    ex.setJobs(1);
+    (void)ex.sweep(wl, ladder);
+    EXPECT_EQ(ex.status().simulated, 0u);
+    EXPECT_EQ(ex.status().fromCache, 4u);
+    EXPECT_EQ(warm.leaseServer(), nullptr)
+        << "a fully warm fill must neither connect nor bind";
+}
+
+TEST_F(MultiprocessSweepTest, ReadOnlyColdSweepElectsNothing)
+{
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    {
+        ScopedEnv readonly("EBM_CACHE_READONLY", "1");
+        DiskCache cache(shared_path_);
+        ASSERT_TRUE(cache.readOnly());
+        EXPECT_EQ(makeLeaseProvider(cache), nullptr);
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        const ComboTable table = ex.sweep(makePair("BLK", "TRD"), {1, 4});
+        EXPECT_EQ(ex.status().simulated, 4u);
+        EXPECT_EQ(table.combos.size(), 4u);
+        EXPECT_EQ(cache.leaseServer(), nullptr)
+            << "a read-only store has no rows to share";
+
+        // Nothing holds the store's name either: a writable peer that
+        // joins now wins the election.
+        ::unsetenv("EBM_CACHE_READONLY");
+        DiskCache writable(shared_path_);
+        auto lease = joinPeer(writable);
+        EXPECT_NE(writable.leaseServer(), nullptr);
+    }
+    EXPECT_NE(::access(shared_path_.c_str(), F_OK), 0)
+        << "the read-only sweep wrote nothing";
+}
+
+// ---------------------------------------------------------------------
 // Fencing epochs: a stale owner that resumes after takeover cannot
 // double-release or clobber the newer epoch's lease.
 // ---------------------------------------------------------------------
@@ -400,7 +443,6 @@ TEST_F(MultiprocessSweepTest, HeartbeaterKeepsLongRowFreshAtTinyWindow)
  */
 TEST_F(MultiprocessSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
 {
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     ScopedEnv stale("EBM_CLAIM_STALE_MS", "200");
 
     // Slow the simulation so one row comfortably exceeds the window
@@ -413,34 +455,24 @@ TEST_F(MultiprocessSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
     const std::vector<std::uint32_t> ladder = {2};
     std::vector<pid_t> kids;
     for (int c = 0; c < 2; ++c) {
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            int rc = 0;
-            {
-                Runner runner(test::tinyConfig(2), slow);
-                DiskCache cache(shared_path_);
-                Exhaustive ex(runner, cache);
-                ex.setJobs(1);
-                const ComboTable t =
-                    ex.sweep(makePair("BLK", "TRD"), ladder);
-                if (t.combos.size() != 1 || t.isSkipped(0))
-                    rc = 2;
-                std::ofstream st(statusPath(c));
-                st << ex.status().simulated << "\n";
-            }
-            ::_exit(rc);
-        }
-        kids.push_back(pid);
+        kids.push_back(test::forkPeer([&] {
+            Runner runner(test::tinyConfig(2), slow);
+            DiskCache cache(shared_path_);
+            Exhaustive ex(runner, cache);
+            ex.setJobs(1);
+            const ComboTable t = ex.sweep(makePair("BLK", "TRD"), ladder);
+            std::ofstream st(statusPath(c));
+            st << ex.status().simulated << "\n";
+            return t.combos.size() != 1 || t.isSkipped(0) ? 2 : 0;
+        }));
+        ASSERT_GE(kids.back(), 0);
     }
 
     std::size_t total_simulated = 0;
     for (std::size_t c = 0; c < kids.size(); ++c) {
-        int status = 0;
-        EXPECT_EQ(::waitpid(kids[c], &status, 0), kids[c]);
-        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        EXPECT_TRUE(test::exitedZero(test::reapPeer(kids[c])))
             << "child " << c;
-        std::ifstream st(statusPath(c));
+        std::ifstream st(statusPath(static_cast<int>(c)));
         std::size_t n = 0;
         st >> n;
         total_simulated += n;
@@ -454,7 +486,7 @@ TEST_F(MultiprocessSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
 // ---------------------------------------------------------------------
 
 /**
- * A peer's skip marker is replicated: the sharded sweep defers the
+ * A peer's skip marker is replicated: the leased sweep defers the
  * leased row, sees the marker, and records the same
  * skipped row a single process would after exhausting retries.
  */
@@ -470,7 +502,6 @@ TEST_F(MultiprocessSweepTest, PeerSkipMarkerIsReplicated)
     ASSERT_TRUE(peer->tryAcquire(key));
     peer->markSkipped(key);
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     DiskCache cache(shared_path_);
     Exhaustive ex(runner, cache);
     ex.setJobs(1);
@@ -502,7 +533,6 @@ TEST_F(MultiprocessSweepTest, StaleClaimedRowIsTakenOverBySweep)
     ASSERT_NE(dead, nullptr);
     ASSERT_TRUE(dead->tryAcquire(runner.comboKey(wl.name, {4, 4})));
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     ScopedEnv stale("EBM_CLAIM_STALE_MS", "1");
     DiskCache cache(shared_path_);
     Exhaustive ex(runner, cache);
@@ -515,7 +545,160 @@ TEST_F(MultiprocessSweepTest, StaleClaimedRowIsTakenOverBySweep)
     for (std::size_t row = 0; row < table.combos.size(); ++row)
         EXPECT_FALSE(table.isSkipped(row)) << "row " << row;
 
-    // A plain (unsharded) sweep of the same ladder is bit-identical.
+    // A sweep of the same ladder on its own store is bit-identical.
+    DiskCache ref_cache(ref_path_);
+    Exhaustive ref(runner, ref_cache);
+    ref.setJobs(1);
+    EXPECT_TRUE(tablesBitIdentical(ref.sweep(wl, {1, 4}), table));
+}
+
+// ---------------------------------------------------------------------
+// Liveness: a dead peer's leases are orphaned when its connection
+// drops; a hung peer's go stale after the window.
+// ---------------------------------------------------------------------
+
+/**
+ * A peer SIGKILLed while it holds a lease: its connection drops, the
+ * coordinator orphans the lease at once, and the surviving peer
+ * finishes the row long before a staleness window could expire. The
+ * table and the compacted store are the serial fill's.
+ */
+TEST_F(MultiprocessSweepTest, SigkilledPeersRowsAreFinishedBySurvivor)
+{
+    const std::vector<std::uint32_t> ladder = {1, 4};
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    const Workload wl = makePair("BLK", "TRD");
+
+    ComboTable ref;
+    std::string ref_bytes;
+    {
+        DiskCache cache(ref_path_);
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        ref = ex.sweep(wl, ladder);
+        ASSERT_TRUE(cache.compact());
+        ref_bytes = slurp(ref_path_);
+    }
+
+    // A window far longer than the test: only the orphaning can free
+    // the dead peer's lease in time.
+    ScopedEnv stale("EBM_CLAIM_STALE_MS", "60000");
+    int go[2];
+    ASSERT_EQ(::pipe(go), 0);
+    // Forked before this process elects, so the peer inherits no
+    // server thread and no connection.
+    const pid_t victim = test::forkPeer([&] {
+        ::close(go[1]);
+        char byte = 0;
+        if (::read(go[0], &byte, 1) != 1)
+            return 3;
+        // Every crash draw fires: the peer dies holding the lease of
+        // the first row it wins.
+        FaultInjector fi(7);
+        fi.armAfter(Point::CrashClaimHeld, 0, 64);
+        RunOptions opts = test::tinyOptions();
+        opts.faultInjector = &fi;
+        Runner doomed(test::tinyConfig(2), opts);
+        DiskCache cache(shared_path_);
+        Exhaustive ex(doomed, cache);
+        ex.setJobs(1);
+        (void)ex.sweep(wl, ladder);
+        return 4;
+    });
+    ASSERT_GE(victim, 0);
+    ::close(go[0]);
+
+    DiskCache cache(shared_path_);
+    auto host = joinPeer(cache);
+    ASSERT_NE(cache.leaseServer(), nullptr);
+    char byte = 1;
+    ASSERT_EQ(::write(go[1], &byte, 1), 1);
+    ::close(go[1]);
+    const int status = test::reapPeer(victim);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the peer must die at its crash point, lease held";
+
+    const auto t0 = std::chrono::steady_clock::now();
+    Exhaustive ex(runner, cache);
+    ex.setJobs(1);
+    const ComboTable table = ex.sweep(wl, ladder);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(30))
+        << "the dead peer's lease waited out the staleness window";
+    EXPECT_EQ(ex.status().simulated, 4u);
+    EXPECT_EQ(ex.status().skipped, 0u);
+    EXPECT_TRUE(tablesBitIdentical(ref, table));
+    EXPECT_GE(cache.leaseServer()->stats().orphanedLeases, 1u);
+
+    host.reset();
+    ASSERT_TRUE(cache.compact());
+    EXPECT_EQ(slurp(shared_path_), ref_bytes);
+}
+
+/**
+ * A peer that hangs (SIGSTOP: alive and connected, but silent) orphans
+ * nothing; its lease goes stale after the window and the sweep takes
+ * the row over, with no table gap and no process killed to get there.
+ */
+TEST_F(MultiprocessSweepTest, StoppedPeersLeaseIsTakenOverAfterTheWindow)
+{
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    const Workload wl = makePair("BLK", "TRD");
+    const std::string key = runner.comboKey(wl.name, {4, 4});
+    ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
+
+    int go[2];
+    int held[2];
+    ASSERT_EQ(::pipe(go), 0);
+    ASSERT_EQ(::pipe(held), 0);
+    // Forked before this process elects (see above).
+    const pid_t hung = test::forkPeer([&] {
+        ::close(go[1]);
+        ::close(held[0]);
+        char byte = 0;
+        if (::read(go[0], &byte, 1) != 1)
+            return 3;
+        DiskCache cache(shared_path_);
+        auto lease = makeLeaseProvider(cache);
+        if (lease == nullptr || cache.leaseServer() != nullptr ||
+            !lease->tryAcquire(key))
+            return 4;
+        (void)!::write(held[1], &byte, 1);
+        ::raise(SIGSTOP); // Hang holding the lease, connection open.
+        return 5;
+    });
+    ASSERT_GE(hung, 0);
+    ::close(go[0]);
+    ::close(held[1]);
+
+    DiskCache cache(shared_path_);
+    auto host = joinPeer(cache);
+    ASSERT_NE(cache.leaseServer(), nullptr);
+    char byte = 1;
+    ASSERT_EQ(::write(go[1], &byte, 1), 1);
+    ASSERT_EQ(::read(held[0], &byte, 1), 1)
+        << "the peer never leased its row";
+    int status = 0;
+    ASSERT_EQ(::waitpid(hung, &status, WUNTRACED), hung);
+    ASSERT_TRUE(WIFSTOPPED(status));
+
+    Exhaustive ex(runner, cache);
+    ex.setJobs(1);
+    const ComboTable table = ex.sweep(wl, {1, 4});
+    EXPECT_EQ(ex.status().simulated, 4u);
+    EXPECT_EQ(ex.status().skipped, 0u);
+    const Coordinator::Stats stats = cache.leaseServer()->stats();
+    EXPECT_GE(stats.takeovers, 1u);
+    EXPECT_EQ(stats.orphanedLeases, 0u)
+        << "the window, not a disconnect, must have freed the row";
+
+    ASSERT_EQ(::kill(hung, SIGKILL), 0);
+    status = test::reapPeer(hung);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the peer was still stopped when the sweep finished";
+    ::close(go[1]);
+    ::close(held[0]);
+
     DiskCache ref_cache(ref_path_);
     Exhaustive ref(runner, ref_cache);
     ref.setJobs(1);
@@ -527,10 +710,10 @@ TEST_F(MultiprocessSweepTest, StaleClaimedRowIsTakenOverBySweep)
 // ---------------------------------------------------------------------
 
 /**
- * Fork @p num_procs children that cooperatively run one cold sweep
- * (EBM_SWEEP_SHARD=1) through @p shared_path at @p jobs worker
- * threads each, verifying every child's table against @p ref inside
- * the child. @return the children's simulated-row counts.
+ * Fork @p num_procs peers that cooperatively run one cold sweep
+ * through @p shared_path at @p jobs worker threads each, verifying
+ * every peer's table against @p ref inside the peer. @return the
+ * peers' simulated-row counts.
  */
 std::vector<std::size_t>
 runShardedChildren(int num_procs, std::uint32_t jobs_count,
@@ -542,44 +725,32 @@ runShardedChildren(int num_procs, std::uint32_t jobs_count,
 {
     std::vector<pid_t> kids;
     for (int c = 0; c < num_procs; ++c) {
-        const pid_t pid = ::fork();
-        EXPECT_GE(pid, 0);
-        if (pid == 0) {
-            // Child: a fresh cooperating process. No gtest assertions
-            // here — failures are reported through the exit code.
-            int rc = 0;
-            {
-                RunOptions opts = test::tinyOptions();
-                std::optional<FaultInjector> fi;
-                if (armed_injector != nullptr) {
-                    // Same seed in every process: the pre-drawn fault
-                    // schedule is identical everywhere.
-                    fi.emplace(*armed_injector);
-                    opts.faultInjector = &*fi;
-                }
-                Runner runner(test::tinyConfig(2), opts);
-                DiskCache cache(shared_path);
-                Exhaustive ex(runner, cache);
-                ex.setJobs(jobs_count);
-                const ComboTable mine =
-                    ex.sweep(makePair("BLK", "TRD"), ladder);
-                if (!tablesBitIdentical(ref, mine))
-                    rc = 2;
-                std::ofstream st(status_stem + ".status." +
-                                 std::to_string(c));
-                st << ex.status().simulated << "\n";
+        kids.push_back(test::forkPeer([&] {
+            RunOptions opts = test::tinyOptions();
+            std::optional<FaultInjector> fi;
+            if (armed_injector != nullptr) {
+                // Same seed in every process: the pre-drawn fault
+                // schedule is identical everywhere.
+                fi.emplace(*armed_injector);
+                opts.faultInjector = &*fi;
             }
-            ::_exit(rc);
-        }
-        kids.push_back(pid);
+            Runner runner(test::tinyConfig(2), opts);
+            DiskCache cache(shared_path);
+            Exhaustive ex(runner, cache);
+            ex.setJobs(jobs_count);
+            const ComboTable mine =
+                ex.sweep(makePair("BLK", "TRD"), ladder);
+            std::ofstream st(status_stem + ".status." +
+                             std::to_string(c));
+            st << ex.status().simulated << "\n";
+            return tablesBitIdentical(ref, mine) ? 0 : 2;
+        }));
+        EXPECT_GE(kids.back(), 0);
     }
 
     std::vector<std::size_t> simulated;
     for (std::size_t c = 0; c < kids.size(); ++c) {
-        int status = 0;
-        EXPECT_EQ(::waitpid(kids[c], &status, 0), kids[c]);
-        EXPECT_TRUE(WIFEXITED(status)) << "child " << c;
-        EXPECT_EQ(WEXITSTATUS(status), 0)
+        EXPECT_TRUE(test::exitedZero(test::reapPeer(kids[c])))
             << "child " << c
             << " saw a table differing from the single-process one";
         std::ifstream st(status_stem + ".status." + std::to_string(c));
@@ -604,7 +775,7 @@ TEST_F(MultiprocessSweepTest, ForkedColdSweepMatchesSingleProcess)
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     const Workload wl = makePair("BLK", "TRD");
 
-    // The single-process reference (sharding off), compacted.
+    // The single-process reference, compacted.
     ComboTable ref;
     std::string ref_bytes;
     {
@@ -618,7 +789,6 @@ TEST_F(MultiprocessSweepTest, ForkedColdSweepMatchesSingleProcess)
         ASSERT_FALSE(ref_bytes.empty());
     }
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     const struct
     {
         int procs;
@@ -685,7 +855,6 @@ TEST_F(MultiprocessSweepTest, ForkedSweepWithInjectedFailuresMatches)
         ref_bytes = slurp(ref_path_);
     }
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     const std::vector<std::size_t> simulated = runShardedChildren(
         2, 1, shared_path_, stem_, ref, ladder, &seed_injector);
 
@@ -715,40 +884,33 @@ TEST_F(MultiprocessSweepTest, ForkedSweepWithInjectedFailuresMatches)
  */
 TEST_F(MultiprocessSweepTest, ForkedPeersElectExactlyOneServer)
 {
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     int ready[2];
     int go[2];
     ASSERT_EQ(::pipe(ready), 0);
     ASSERT_EQ(::pipe(go), 0);
     std::vector<pid_t> kids;
     for (int c = 0; c < 2; ++c) {
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
+        kids.push_back(test::forkPeer([&] {
             ::close(ready[0]);
             ::close(go[1]);
-            int rc = 0;
-            {
-                DiskCache cache(shared_path_);
-                auto lease = makeLeaseProvider(cache);
-                if (lease == nullptr ||
-                    std::string(lease->kind()) != "local")
-                    rc = 2;
-                // Report only once both peers are connected: the
-                // parent closes `go` after reading both ready bytes.
-                char byte = 1;
-                (void)!::write(ready[1], &byte, 1);
-                (void)!::read(go[0], &byte, 1);
-                const Coordinator *server = cache.leaseServer();
-                std::ofstream st(statusPath(c));
-                st << (server != nullptr ? 1 : 0) << " "
-                   << (server != nullptr ? server->stats().connections
-                                         : 0)
-                   << "\n";
-            }
-            ::_exit(rc);
-        }
-        kids.push_back(pid);
+            DiskCache cache(shared_path_);
+            auto lease = makeLeaseProvider(cache);
+            // Report only once both peers are connected: the parent
+            // closes `go` after reading both ready bytes.
+            char byte = 1;
+            (void)!::write(ready[1], &byte, 1);
+            (void)!::read(go[0], &byte, 1);
+            const Coordinator *server = cache.leaseServer();
+            std::ofstream st(statusPath(c));
+            st << (server != nullptr ? 1 : 0) << " "
+               << (server != nullptr ? server->stats().connections : 0)
+               << "\n";
+            return lease != nullptr &&
+                           std::string(lease->kind()) == "local"
+                       ? 0
+                       : 2;
+        }));
+        ASSERT_GE(kids.back(), 0);
     }
     ::close(ready[1]);
     ::close(go[0]);
@@ -762,9 +924,7 @@ TEST_F(MultiprocessSweepTest, ForkedPeersElectExactlyOneServer)
     int servers = 0;
     std::uint64_t server_connections = 0;
     for (std::size_t c = 0; c < kids.size(); ++c) {
-        int status = 0;
-        EXPECT_EQ(::waitpid(kids[c], &status, 0), kids[c]);
-        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        EXPECT_TRUE(test::exitedZero(test::reapPeer(kids[c])))
             << "child " << c;
         std::ifstream st(statusPath(static_cast<int>(c)));
         int is_server = 0;
@@ -805,47 +965,42 @@ TEST_F(MultiprocessSweepTest, KilledServerLeavesTheSurvivorBitIdentical)
         ref_bytes = slurp(ref_path_);
     }
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
     int elected[2];
     int joined[2];
     ASSERT_EQ(::pipe(elected), 0);
     ASSERT_EQ(::pipe(joined), 0);
 
-    const pid_t server = ::fork();
-    ASSERT_GE(server, 0);
-    if (server == 0) {
+    const pid_t server = test::forkPeer([&] {
         DiskCache cache(shared_path_);
         auto hold = makeLeaseProvider(cache);
         if (hold == nullptr || cache.leaseServer() == nullptr)
-            ::_exit(3);
+            return 3;
         char byte = 1;
         (void)!::write(elected[1], &byte, 1);
         Exhaustive ex(runner, cache);
         ex.setJobs(1);
         (void)ex.sweep(wl, ladder);
+        // Exit without retiring the server, so a server that finished
+        // is never mistaken for one killed mid-fill.
         ::_exit(0);
-    }
+        return 0;
+    });
+    ASSERT_GE(server, 0);
     char byte = 0;
     ASSERT_EQ(::read(elected[0], &byte, 1), 1);
 
-    const pid_t survivor = ::fork();
+    const pid_t survivor = test::forkPeer([&] {
+        DiskCache cache(shared_path_);
+        auto probe = makeLeaseProvider(cache);
+        if (probe == nullptr || cache.leaseServer() != nullptr)
+            return 3; // Must have joined the server, not elected.
+        probe.reset();
+        (void)!::write(joined[1], &byte, 1);
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        return tablesBitIdentical(ref, ex.sweep(wl, ladder)) ? 0 : 2;
+    });
     ASSERT_GE(survivor, 0);
-    if (survivor == 0) {
-        int rc = 0;
-        {
-            DiskCache cache(shared_path_);
-            auto probe = makeLeaseProvider(cache);
-            if (probe == nullptr || cache.leaseServer() != nullptr)
-                rc = 3; // Must have joined the server, not elected.
-            probe.reset();
-            (void)!::write(joined[1], &byte, 1);
-            Exhaustive ex(runner, cache);
-            ex.setJobs(1);
-            if (!tablesBitIdentical(ref, ex.sweep(wl, ladder)))
-                rc = 2;
-        }
-        ::_exit(rc);
-    }
     ASSERT_EQ(::read(joined[0], &byte, 1), 1);
 
     // Kill the server once it has made a row durable: mid-fill.
@@ -855,13 +1010,12 @@ TEST_F(MultiprocessSweepTest, KilledServerLeavesTheSurvivorBitIdentical)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ASSERT_EQ(::kill(server, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(server, &status, 0), server);
+    int status = test::reapPeer(server);
     EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
         << "the server finished before it could be killed mid-fill";
 
-    ASSERT_EQ(::waitpid(survivor, &status, 0), survivor);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+    status = test::reapPeer(survivor);
+    EXPECT_TRUE(test::exitedZero(status))
         << "survivor exit " << WEXITSTATUS(status);
     for (int fd : {elected[0], elected[1], joined[0], joined[1]})
         ::close(fd);

@@ -239,9 +239,7 @@ TEST_F(StoreFsckTest, RepairSweepsOrphanedEpochSidecars)
         // A leased fill: the row is leased through the elected local
         // coordinator, appended, published and released.
         DiskCache cache(path_);
-        ::setenv("EBM_SWEEP_SHARD", "1", 1);
         auto lease = makeLeaseProvider(cache);
-        ::unsetenv("EBM_SWEEP_SHARD");
         ASSERT_NE(lease, nullptr);
         ASSERT_TRUE(lease->tryAcquire("row"));
         cache.put("row", {1.0});

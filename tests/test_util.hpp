@@ -1,13 +1,19 @@
 /**
  * @file
  * Shared fixtures for the test suite: a deliberately tiny simulated
- * GPU so unit and integration tests run in milliseconds, plus small
- * synthetic application profiles with known behaviour.
+ * GPU so unit and integration tests run in milliseconds, small
+ * synthetic application profiles with known behaviour, a scoped
+ * environment override, and fork-and-reap helpers for the suites that
+ * run cooperating peer processes.
  */
 #pragma once
 
 #include <dirent.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -137,6 +143,77 @@ filesBeside(const std::string &path)
         ::closedir(d);
     }
     return found;
+}
+
+/** Set an environment variable for one scope (restored on exit). */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            had_ = true;
+            old_ = old;
+        }
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (had_)
+            ::setenv(name_, old_.c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+/**
+ * Fork a peer process that runs @p body and exits with its return
+ * value; an exception escaping @p body exits 125. The peer never
+ * returns into the test, so @p body reports failures through its exit
+ * code, not gtest assertions. @return the peer's pid (-1 when fork
+ * failed).
+ */
+template <typename Body>
+pid_t
+forkPeer(Body &&body)
+{
+    const pid_t pid = ::fork();
+    if (pid != 0)
+        return pid;
+    int rc = 125;
+    try {
+        rc = body();
+    } catch (...) {
+    }
+    ::_exit(rc);
+}
+
+/** Wait for peer @p pid to end. @return its wait status, or -1 when
+ * it cannot be waited for. */
+inline int
+reapPeer(pid_t pid)
+{
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR)
+            return -1;
+    }
+    return status;
+}
+
+/** Did a wait status come from a zero exit? */
+inline bool
+exitedZero(int status)
+{
+    return status >= 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 } // namespace ebm::test
