@@ -13,7 +13,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
@@ -93,8 +92,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("abl_signal_choice", run);
 }

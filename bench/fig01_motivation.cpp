@@ -6,7 +6,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
@@ -66,8 +65,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("fig01_motivation", run);
 }

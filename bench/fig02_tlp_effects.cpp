@@ -7,7 +7,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "workload/app_catalog.hpp"
@@ -15,9 +14,8 @@
 using namespace ebm;
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     Experiment exp(2);
     const AppAloneProfile &prof =
         exp.profiles().profile(findApp("BFS"));

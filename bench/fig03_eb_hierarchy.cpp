@@ -8,7 +8,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "workload/app_catalog.hpp"
@@ -16,9 +15,8 @@
 using namespace ebm;
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     Experiment exp(2);
 
     std::printf("Figure 3: EB at hierarchy levels (apps alone at "

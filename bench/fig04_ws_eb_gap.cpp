@@ -7,7 +7,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
@@ -69,8 +68,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("fig04_ws_eb_gap", run);
 }

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/job_pool.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "metrics/metrics.hpp"
@@ -19,9 +18,8 @@
 using namespace ebm;
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     Experiment exp(2);
 
     // The 16 apps spanned by the evaluated suite.

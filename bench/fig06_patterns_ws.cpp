@@ -10,7 +10,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "metrics/metrics.hpp"
@@ -111,8 +110,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("fig06_patterns_ws", run);
 }

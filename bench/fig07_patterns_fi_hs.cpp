@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "metrics/metrics.hpp"
@@ -123,8 +122,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("fig07_patterns_fi_hs", run);
 }

@@ -7,7 +7,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "core/eb_monitor.hpp"
 #include "core/pbs_policy.hpp"
 #include "harness/experiment.hpp"
@@ -17,9 +16,8 @@
 using namespace ebm;
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     Experiment exp(2);
     const GpuConfig &cfg = exp.runner().config();
 

@@ -23,8 +23,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return ebm::runGuarded("fig09_ws_comparison", run);
 }

@@ -6,7 +6,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "core/pbs_policy.hpp"
 #include "harness/experiment.hpp"
 #include "workload/workload_suite.hpp"
@@ -54,9 +53,8 @@ printTimeline(const char *label, const Workload &wl,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     Experiment exp(2);
     const Workload wl = makePair("BLK", "BFS");
 

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "core/dyncta.hpp"
 #include "core/mod_bypass.hpp"

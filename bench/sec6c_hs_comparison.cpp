@@ -24,8 +24,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return ebm::runGuarded("sec6c_hs_comparison", run);
 }

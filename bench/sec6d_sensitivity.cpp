@@ -7,7 +7,6 @@
  */
 #include <cstdio>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "core/dyncta.hpp"
 #include "core/pbs_policy.hpp"
@@ -201,8 +200,7 @@ run()
 }
 
 int
-main(int argc, char **argv)
+main()
 {
-    ebm::applyJobsFlag(argc, argv);
     return runGuarded("sec6d_sensitivity", run);
 }

@@ -13,8 +13,8 @@
  * acceptance bar: warm-hit p99 < 1 ms at thousands of queries.
  *
  * Usage: serve_bench [--queries N] [--threads T] [--out FILE]
- *                    [--jobs N]
- *        (defaults: 2000 queries, 4 client threads, JSON to stdout)
+ *        (defaults: 2000 queries, 4 client threads, JSON to stdout;
+ *        EBM_JOBS sets the fill's worker threads)
  *
  * Refresh the checked-in reference with
  *   ./build/bench/serve_bench --out BENCH_serve.json
@@ -37,13 +37,12 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/advisor_service.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/profile_db.hpp"
 #include "harness/runner.hpp"
-#include "harness/warm_state.hpp"
 #include "workload/app_catalog.hpp"
 #include "workload/workload_suite.hpp"
 
@@ -111,7 +110,6 @@ main(int argc, char **argv)
         std::size_t total_queries = 2000;
         unsigned threads = 4;
         std::string out_path; // Empty = stdout.
-        applyJobsFlag(argc, argv);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             std::uint64_t v = 0;
@@ -126,11 +124,6 @@ main(int argc, char **argv)
                 ++i;
             } else if (arg == "--out" && i + 1 < argc) {
                 out_path = argv[++i];
-            } else if ((arg == "--jobs" || arg == "-j") &&
-                       i + 1 < argc) {
-                ++i; // consumed by applyJobsFlag above
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                // consumed by applyJobsFlag above
             } else {
                 fatal(Error{Errc::InvalidArgument,
                             "unknown argument '" + arg + "'"});
@@ -316,12 +309,15 @@ main(int argc, char **argv)
                 Clock::now() - q0;
             return dq.count();
         };
-        const bool snap_was = WarmStateCache::enabled();
-        WarmStateCache::setEnabled(true);
-        const double fill_warm_s = timedColdFill("SRAD", "BP");
-        WarmStateCache::setEnabled(false);
-        const double fill_cold_s = timedColdFill("LPS", "HS");
-        WarmStateCache::setEnabled(snap_was);
+        const auto timedFillWithSnapshots = [&](bool on,
+                                                const std::string &a,
+                                                const std::string &b) {
+            RuntimeConfig::Override snapshots(
+                [on](RuntimeConfig &c) { c.snapshot = on; });
+            return timedColdFill(a, b);
+        };
+        const double fill_warm_s = timedFillWithSnapshots(true, "SRAD", "BP");
+        const double fill_cold_s = timedFillWithSnapshots(false, "LPS", "HS");
 
         // --- Daemon-side stats + aggregation ---
         const AdvisorService::Stats s = service.stats();

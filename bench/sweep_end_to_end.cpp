@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
@@ -138,8 +139,8 @@ void
 BM_SweepSnapshot(benchmark::State &state)
 {
     const bool fork_on = state.range(0) != 0;
-    const bool snap_was = WarmStateCache::enabled();
-    WarmStateCache::setEnabled(fork_on);
+    RuntimeConfig::Override snapshots(
+        [fork_on](RuntimeConfig &c) { c.snapshot = fork_on; });
     WarmStateCache::instance().clear();
 
     RunOptions opts = benchOptions();
@@ -173,7 +174,6 @@ BM_SweepSnapshot(benchmark::State &state)
 
     std::remove(path.c_str());
     WarmStateCache::instance().clear();
-    WarmStateCache::setEnabled(snap_was);
 }
 BENCHMARK(BM_SweepSnapshot)
     ->Arg(1)
@@ -398,9 +398,11 @@ BM_SweepDistributed(benchmark::State &state)
             const pid_t pid = ::fork();
             if (pid == 0) {
                 {
-                    if (coordinated)
-                        ::setenv("EBM_COORDINATOR", address.c_str(),
-                                 1);
+                    RuntimeConfig::Override lease_from(
+                        [&](RuntimeConfig &c) {
+                            if (coordinated)
+                                c.coordinator = address;
+                        });
                     Runner runner(benchConfig(), benchOptions());
                     DiskCache cache(worker_path(c));
                     Exhaustive ex(runner, cache);

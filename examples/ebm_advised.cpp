@@ -10,8 +10,7 @@
  * leases) while the client polls a ticket or blocks under a deadline.
  *
  * Usage: ebm_advised [--socket PATH] [--cache FILE] [--fast]
- *                    [--jobs N] [--coordinator HOST:PORT]
- *                    [--no-remote-shutdown]
+ *                    [--coordinator HOST:PORT] [--no-remote-shutdown]
  *
  *   --socket PATH  listen here (default ./ebm_advised.sock)
  *   --cache FILE   result store (default: DiskCache::defaultPath(),
@@ -19,12 +18,14 @@
  *   --fast         tiny 4-core machine + short runs, so cold fills
  *                  finish in seconds (CI smoke / demos; keys are
  *                  fingerprint-separated from the standard machine)
- *   --jobs N       worker threads per miss fill
  *   --coordinator HOST:PORT  lease cold-fill rows from an
- *                  ebm_coordinator (sets EBM_COORDINATOR), so this
+ *                  ebm_coordinator (overrides EBM_COORDINATOR), so this
  *                  daemon's miss fills fan out across the same worker
  *                  fleet instead of simulating every row locally
  *   --no-remote-shutdown  ignore the SHUTDOWN verb (Ctrl-C only)
+ *
+ * EBM_JOBS sets the worker threads per miss fill. STATS replies end
+ * with the resolved EBM_* settings.
  *
  * Query it with ebm_advise_client, e.g.:
  *
@@ -38,8 +39,8 @@
 #include <string>
 #include <thread>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/advisor_service.hpp"
 #include "harness/experiment.hpp"
 
@@ -93,7 +94,7 @@ main(int argc, char **argv)
         std::string cache_path;
         bool fast = false;
         bool remote_shutdown = true;
-        applyJobsFlag(argc, argv);
+        std::string coordinator;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--socket" && i + 1 < argc) {
@@ -103,16 +104,9 @@ main(int argc, char **argv)
             } else if (arg == "--fast") {
                 fast = true;
             } else if (arg == "--coordinator" && i + 1 < argc) {
-                // The sweep dispatch gate reads EBM_COORDINATOR; the
-                // flag is a convenience spelling of the same contract.
-                ::setenv("EBM_COORDINATOR", argv[++i], 1);
+                coordinator = argv[++i];
             } else if (arg == "--no-remote-shutdown") {
                 remote_shutdown = false;
-            } else if ((arg == "--jobs" || arg == "-j") &&
-                       i + 1 < argc) {
-                ++i; // consumed by applyJobsFlag above
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                // consumed by applyJobsFlag above
             } else {
                 fatal(Error{Errc::InvalidArgument,
                             "unknown argument '" + arg +
@@ -120,6 +114,12 @@ main(int argc, char **argv)
             }
         }
 
+        // The sweep dispatch gate reads RuntimeConfig::coordinator; the
+        // flag is a spelling of EBM_COORDINATOR for the daemon's life.
+        RuntimeConfig::Override lease_from([&](RuntimeConfig &c) {
+            if (!coordinator.empty())
+                c.coordinator = coordinator;
+        });
         if (cache_path.empty())
             cache_path = DiskCache::defaultPath();
         DiskCache cache(cache_path);

@@ -14,29 +14,57 @@
  *
  *   --cache FILE   result store (default: DiskCache::defaultPath())
  *   --host ADDR    numeric bind address (default 127.0.0.1)
- *   --port N       TCP port; 0 = kernel-assigned, printed at startup
- *   --stale-ms N   lease staleness window (default EBM_CLAIM_STALE_MS)
+ *   --port N       TCP port in [0, 65535]; 0 = kernel-assigned, printed
+ *                  at startup
+ *   --stale-ms N   lease window in [1, 3600000] ms (default
+ *                  EBM_CLAIM_STALE_MS). Every worker paces its
+ *                  heartbeats from the window this daemon reports at
+ *                  HELLO, whatever its own environment says
  *   --compact      compact the store on shutdown (canonical bytes)
  *   --no-remote-shutdown  ignore the SHUTDOWN verb (Ctrl-C only)
  *
  * Point workers at the printed address:
  *
  *   EBM_COORDINATOR=127.0.0.1:7733 ebm_sweep_worker --pair BFS FFT
+ *
+ * STATS replies end with the window in force and the resolved EBM_*
+ * settings.
  */
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/experiment.hpp"
 
 using namespace ebm;
+
+namespace {
+
+/** @p text as an unsigned integer in [@p min, @p max]; anything else
+ * (a sign, trailing garbage, out of range) is an InvalidArgument. */
+std::uint64_t
+flagValue(const std::string &flag, const char *text, std::uint64_t min,
+          std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    if (!parseUint(text, v) || v < min || v > max) {
+        fatal(Error{Errc::InvalidArgument,
+                    flag + " wants an integer in [" +
+                        std::to_string(min) + ", " +
+                        std::to_string(max) + "], not '" + text + "'"});
+    }
+    return v;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -54,10 +82,11 @@ main(int argc, char **argv)
                 opts.host = argv[++i];
             } else if (arg == "--port" && i + 1 < argc) {
                 opts.port = static_cast<std::uint16_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                    flagValue(arg, argv[++i], 0, 65535));
             } else if (arg == "--stale-ms" && i + 1 < argc) {
                 opts.staleThreshold = std::chrono::milliseconds(
-                    std::strtoll(argv[++i], nullptr, 10));
+                    flagValue(arg, argv[++i], 1,
+                              RuntimeConfig::kMaxWindowMs));
             } else if (arg == "--compact") {
                 compact_on_exit = true;
             } else if (arg == "--no-remote-shutdown") {

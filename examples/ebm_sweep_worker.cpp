@@ -13,22 +13,21 @@
  * byte-compared against).
  *
  * Usage: ebm_sweep_worker [--coordinator HOST:PORT] [--pair A B]
- *                         [--cache FILE] [--fast] [--jobs N]
- *                         [--compact]
+ *                         [--cache FILE] [--fast] [--compact]
  *
  *   --coordinator HOST:PORT  lease rows from here (or EBM_COORDINATOR)
  *   --pair A B     catalog abbreviations (default BFS FFT)
  *   --cache FILE   local store (default: DiskCache::defaultPath())
  *   --fast         tiny 4-core machine + short runs (CI / demos)
- *   --jobs N       worker threads for the sweep
  *   --compact      compact the local store before exiting
+ *
+ * EBM_JOBS sets the sweep's worker threads.
  */
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "common/job_pool.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/experiment.hpp"
 #include "harness/profile_db.hpp"
@@ -79,7 +78,6 @@ main(int argc, char **argv)
         std::string app_b = "FFT";
         bool fast = false;
         bool compact_on_exit = false;
-        applyJobsFlag(argc, argv);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--coordinator" && i + 1 < argc) {
@@ -93,11 +91,6 @@ main(int argc, char **argv)
                 fast = true;
             } else if (arg == "--compact") {
                 compact_on_exit = true;
-            } else if ((arg == "--jobs" || arg == "-j") &&
-                       i + 1 < argc) {
-                ++i; // consumed by applyJobsFlag above
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                // consumed by applyJobsFlag above
             } else {
                 fatal(Error{Errc::InvalidArgument,
                             "unknown argument '" + arg +
@@ -105,10 +98,13 @@ main(int argc, char **argv)
             }
         }
 
-        // The dispatch gate reads EBM_COORDINATOR; the flag is just a
-        // convenience spelling of the same contract.
-        if (!coordinator.empty())
-            ::setenv("EBM_COORDINATOR", coordinator.c_str(), 1);
+        // The dispatch gate reads RuntimeConfig::coordinator; the flag
+        // is a spelling of EBM_COORDINATOR for this run.
+        RuntimeConfig::Override lease_from([&](RuntimeConfig &c) {
+            if (!coordinator.empty())
+                c.coordinator = coordinator;
+        });
+        coordinator = RuntimeConfig::get().coordinator;
 
         if (cache_path.empty())
             cache_path = DiskCache::defaultPath();
@@ -123,10 +119,8 @@ main(int argc, char **argv)
 
         const Workload wl = makePair(app_a, app_b);
         inform("ebm_sweep_worker: filling " + wl.name +
-               (std::getenv("EBM_COORDINATOR") != nullptr
-                    ? std::string(" via coordinator ") +
-                          std::getenv("EBM_COORDINATOR")
-                    : std::string(" standalone")));
+               (!coordinator.empty() ? " via coordinator " + coordinator
+                                     : std::string(" standalone")));
 
         ProfileDb profiles(runner, cache);
         Exhaustive exhaustive(runner, cache);

@@ -1,12 +1,9 @@
 #include "common/config.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
-#include <mutex>
-#include <set>
-#include <string>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -31,42 +28,6 @@ parseUint(const char *text, std::uint64_t &out)
         return false;
     out = v;
     return true;
-}
-
-std::uint64_t
-envUint(const char *name, std::uint64_t fallback, std::uint64_t min,
-        std::uint64_t max)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    std::uint64_t v = 0;
-    if (!parseUint(env, v)) {
-        // Knobs are re-read on every call (some per RPC), so warn
-        // once per name and bad value, not once per read.
-        static std::mutex mu;
-        static std::set<std::string> warned;
-        std::lock_guard<std::mutex> lk(mu);
-        if (warned.insert(std::string(name) + '=' + env).second) {
-            warn(std::string(name) + ": ignoring invalid value '" +
-                 env + "' (expected an unsigned integer)");
-        }
-        return fallback;
-    }
-    return std::clamp<std::uint64_t>(v, min, max);
-}
-
-bool
-envFlag(const char *name, bool fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    std::string v(env);
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return v != "0" && v != "false" && v != "off" && v != "no";
 }
 
 const std::vector<std::uint32_t> &

@@ -145,29 +145,11 @@ struct GpuConfig
  * Strict unsigned-integer parse of @p text into @p out: the whole
  * string must be a base-10 number — leading signs, trailing garbage
  * ("8x"), and empty strings are rejected. The single parser behind
- * every numeric knob (EBM_* env vars, --jobs, wire-protocol fields),
- * so "accepts trailing garbage" bugs cannot creep in per call site.
+ * every numeric setting (RuntimeConfig's EBM_* variables, daemon
+ * flags, wire-protocol fields), so "accepts trailing garbage" bugs
+ * cannot creep in per call site.
  */
 bool parseUint(const char *text, std::uint64_t &out);
-
-/**
- * Parse environment variable @p name as an unsigned integer clamped
- * to [@p min, @p max]; @p fallback when unset, empty, or garbage
- * (garbage is warned about once per name and value — a knob the user
- * set but mistyped should not be silently ignored, nor flood the log
- * when it is re-read per RPC). The shared parser behind every EBM_*
- * numeric knob (EBM_JOBS, EBM_CLAIM_STALE_MS, ...), so they all
- * reject nonsense the same way.
- */
-std::uint64_t envUint(const char *name, std::uint64_t fallback,
-                      std::uint64_t min, std::uint64_t max);
-
-/**
- * Parse environment variable @p name as a boolean flag: "0", "false",
- * "off", and "no" (case-insensitive) are false, any other non-empty
- * value is true, unset/empty is @p fallback.
- */
-bool envFlag(const char *name, bool fallback);
 
 /**
  * Deterministic hash over *every* field of @p cfg.

@@ -57,7 +57,6 @@ class IoShim
     }
 
     FaultInjector *injector() const { return injector_; }
-    void setInjector(FaultInjector *injector) { injector_ = injector; }
 
     /**
      * Write all @p len bytes at @p off, retrying on EINTR.

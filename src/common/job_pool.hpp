@@ -6,11 +6,10 @@
  * committed into pre-assigned slots, so the output of a parallel run
  * is bit-identical to the serial one regardless of interleaving.
  *
- * Concurrency defaults come from, in priority order: an explicit
- * constructor argument, a process-wide override (the benches' --jobs
- * flag), the EBM_JOBS environment variable, and finally the hardware
- * concurrency. Jobs = 1 restores strictly serial behaviour; callers
- * are expected to run inline in that case rather than spawn a thread.
+ * Concurrency defaults come from an explicit constructor argument,
+ * else EBM_JOBS (RuntimeConfig::jobs), else the hardware concurrency.
+ * Jobs = 1 restores strictly serial behaviour; callers are expected
+ * to run inline in that case rather than spawn a thread.
  *
  * The job queue is a BoundedQueue with explicit back-pressure: a
  * submitter blocks once the queue is full, so a producer enumerating
@@ -21,19 +20,15 @@
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bounded_queue.hpp"
-#include "common/config.hpp"
-#include "common/log.hpp"
+#include "common/runtime_config.hpp"
 
 namespace ebm {
 
@@ -48,7 +43,7 @@ class JobPool
      * @param queue_depth pending-job window; 0 = 2 x workers
      */
     explicit JobPool(unsigned workers = 0, std::size_t queue_depth = 0)
-        : workers_(resolveWorkers(workers)),
+        : workers_(workers != 0 ? workers : defaultJobs()),
           queue_(queue_depth != 0 ? queue_depth : 2 * workers_)
     {
         threads_.reserve(workers_);
@@ -102,51 +97,11 @@ class JobPool
         }
     }
 
-    /**
-     * Resolved default concurrency: the process-wide override set by
-     * setDefaultJobs() (the --jobs flag), else EBM_JOBS, else the
-     * hardware concurrency. Always >= 1. EBM_JOBS goes through the
-     * shared strict envUint parser — "8x" is a warned-about rejection
-     * (falling back to hardware concurrency), never silently 8 — and
-     * an explicit 0 means "auto" (hardware concurrency), matching the
-     * constructor's 0 = defaultJobs() convention.
-     */
-    static unsigned
-    defaultJobs()
-    {
-        const unsigned override_jobs =
-            overrideJobs().load(std::memory_order_relaxed);
-        if (override_jobs != 0)
-            return override_jobs;
-        const auto env_jobs = static_cast<unsigned>(
-            envUint("EBM_JOBS", 0, 0, 1u << 16));
-        if (env_jobs != 0)
-            return env_jobs;
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw != 0 ? hw : 1;
-    }
-
-    /** Process-wide concurrency override (0 clears it). */
-    static void
-    setDefaultJobs(unsigned jobs)
-    {
-        overrideJobs().store(jobs, std::memory_order_relaxed);
-    }
+    /** Resolved default concurrency, always >= 1: EBM_JOBS, else
+     * the hardware concurrency (RuntimeConfig::jobs). */
+    static unsigned defaultJobs() { return RuntimeConfig::get().jobs; }
 
   private:
-    static std::atomic<unsigned> &
-    overrideJobs()
-    {
-        static std::atomic<unsigned> jobs{0};
-        return jobs;
-    }
-
-    static unsigned
-    resolveWorkers(unsigned workers)
-    {
-        return workers != 0 ? workers : defaultJobs();
-    }
-
     void
     workerLoop()
     {
@@ -190,35 +145,5 @@ class JobPool
     std::exception_ptr firstError_ = nullptr;
     std::vector<std::thread> threads_;
 };
-
-/**
- * Parse a `--jobs N` / `--jobs=N` / `-j N` flag from @p argv into the
- * process-wide default (bench mains call this before running). A
- * malformed value is warned about and ignored rather than fatal: the
- * benches should still produce their figures. @return the resolved
- * default concurrency after parsing.
- */
-inline unsigned
-applyJobsFlag(int argc, char *const argv[])
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc)
-            value = argv[i + 1];
-        else if (arg.rfind("--jobs=", 0) == 0)
-            value = arg.substr(7);
-        else
-            continue;
-        std::uint64_t n = 0;
-        if (!parseUint(value.c_str(), n) || n == 0 || n > (1u << 16)) {
-            warn("ignoring invalid --jobs value '" + value + "'");
-            return JobPool::defaultJobs();
-        }
-        JobPool::setDefaultJobs(static_cast<unsigned>(n));
-        return JobPool::defaultJobs();
-    }
-    return JobPool::defaultJobs();
-}
 
 } // namespace ebm

@@ -8,8 +8,8 @@
  *             cleanly — library code never calls std::exit.
  * - panic():  an internal invariant was violated (a simulator bug);
  *             throws InternalError by default. Set EBM_ABORT_ON_PANIC=1
- *             (or setPanicAborts(true)) to abort instead so a core
- *             dump / debugger can be attached.
+ *             (RuntimeConfig::abortOnPanic) to abort instead so a
+ *             core dump / debugger can be attached.
  * - warn():   something may behave approximately; execution continues.
  * - inform(): status messages with no connotation of misbehaviour.
  */
@@ -21,6 +21,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/runtime_config.hpp"
 
 namespace ebm {
 
@@ -38,24 +39,7 @@ logMutex()
     return mu;
 }
 
-/** Mutable panic behaviour (overridable in tests / debug sessions). */
-inline bool &
-panicAbortsFlag()
-{
-    static bool aborts = [] {
-        const char *env = std::getenv("EBM_ABORT_ON_PANIC");
-        return env != nullptr && env[0] != '\0' && env[0] != '0';
-    }();
-    return aborts;
-}
-
 } // namespace detail
-
-/** Whether panic() hard-aborts (core dump) instead of throwing. */
-inline bool panicAborts() { return detail::panicAbortsFlag(); }
-
-/** Override the panic behaviour (tests, debugger sessions). */
-inline void setPanicAborts(bool aborts) { detail::panicAbortsFlag() = aborts; }
 
 /** Terminate the current operation due to a user/configuration error. */
 [[noreturn]] inline void
@@ -83,7 +67,7 @@ panic(const std::string &msg)
         std::lock_guard<std::mutex> lk(detail::logMutex());
         std::fprintf(stderr, "panic: %s\n", msg.c_str());
     }
-    if (panicAborts())
+    if (RuntimeConfig::get().abortOnPanic)
         std::abort();
     throw InternalError(msg);
 }

@@ -8,6 +8,7 @@
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/warm_state.hpp"
 #include "workload/app_catalog.hpp"
 #include "workload/workload_suite.hpp"
@@ -653,7 +654,8 @@ AdvisorServer::handleStats()
         << " latency_samples=" << s.latencySamples
         << " p50_us=" << formatDouble(s.p50us)
         << " p90_us=" << formatDouble(s.p90us)
-        << " p99_us=" << formatDouble(s.p99us);
+        << " p99_us=" << formatDouble(s.p99us) << ' '
+        << RuntimeConfig::get().describe();
     return out.str();
 }
 

@@ -3,9 +3,10 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/config.hpp"
+#include "common/runtime_config.hpp"
 #include "common/wire.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/lease_provider.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -34,15 +35,8 @@ epochAndKey(const std::string &payload, std::size_t verb_len,
     const std::size_t sp = payload.find(' ', start);
     if (sp == std::string::npos || sp + 1 >= payload.size())
         return false;
-    epoch = 0;
-    for (std::size_t i = start; i < sp; ++i) {
-        const char c = payload[i];
-        if (c < '0' || c > '9')
-            return false;
-        epoch = epoch * 10 + static_cast<std::uint64_t>(c - '0');
-    }
     key = payload.substr(sp + 1);
-    return true;
+    return parseUint(payload.substr(start, sp - start).c_str(), epoch);
 }
 
 } // namespace
@@ -76,14 +70,8 @@ Coordinator::Coordinator(DiskCache &cache, Options options)
                   orphanConnection(conn);
               })
 {
-}
-
-std::chrono::milliseconds
-Coordinator::staleThreshold() const
-{
-    return options_.staleThreshold.count() > 0
-               ? options_.staleThreshold
-               : leaseStaleThreshold();
+    if (options_.staleThreshold.count() <= 0)
+        options_.staleThreshold = RuntimeConfig::get().claimStale;
 }
 
 Status
@@ -196,8 +184,11 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
     }
     if (payload == "PING")
         return "OK";
-    if (payload == "STATS")
-        return "OK " + stats().summaryLine();
+    if (payload == "STATS") {
+        return "OK " + stats().summaryLine() + " window_ms=" +
+               std::to_string(staleThreshold().count()) + " " +
+               RuntimeConfig::get().describe();
+    }
     if (payload == "SHUTDOWN") {
         if (!options_.allowRemoteShutdown)
             return "ERROR forbidden remote shutdown is disabled";

@@ -2,27 +2,19 @@
  * @file
  * The sweep coordinator: the one implementation of lease semantics
  * in the fill fabric (DESIGN.md §8.3, §8.6). A Coordinator hands out
- * row leases over one result store, on either of two listeners:
- *
- *   - a same-host abstract AF_UNIX socket named after the store
- *     (joined by every cold fill of a writable store): the process
- *     that wins bind() runs the Coordinator inside its DiskCache and
- *     every process filling the store, its own included, leases
- *     through it. Only peers with this process's uid are accepted
- *     (SO_PEERCRED). Results travel through the shared store file,
- *     so PUT/GET go unused;
- *   - TCP (the ebm_coordinator daemon, EBM_COORDINATOR=host:port):
- *     ebm_sweep_worker processes share no file and stream CRC-framed
- *     v3 records back, which the coordinator group-commits through
- *     its own DiskCache writer.
- *
- * Either way `compact()` byte-identity stays the merge invariant.
+ * row leases over one result store, on the same-host AF_UNIX socket
+ * elected for the store (peers with this process's uid only, results
+ * through the shared file, so PUT/GET go unused) or on TCP (the
+ * ebm_coordinator daemon: workers share no file and stream CRC-framed
+ * v3 records back, group-committed through this store's writer).
+ * lease_provider.hpp describes both modes. Either way `compact()`
+ * byte-identity stays the merge invariant.
  *
  * Protocol: EBS1 frames (common/wire.hpp), one request/response pair
  * per frame. Text verbs, with the record stream carrying raw storefmt
  * frame bytes after the verb line:
  *
- *   HELLO <fingerprint> <catalogVersion>  -> OK <staleMs> | ERROR ...
+ *   HELLO <fingerprint> <catalogVersion>  -> OK <windowMs> | ERROR ...
  *   ACQ <key>            -> OK <epoch> | HELD | SKIP
  *   HB <epoch> <key>     -> OK | FENCED
  *   REL <epoch> <key>    -> OK | FENCED      (streamed records synced)
@@ -33,15 +25,18 @@
  *   PUT\n<storefmt frame> -> OK | ERROR ...
  *   PING / STATS / SHUTDOWN -> OK ...
  *
+ * The STATS reply ends with the lease window in force (window_ms=)
+ * and the RuntimeConfig settings as EBM_NAME=value tokens.
+ *
  * Fencing: the coordinator is the single authority for per-key
  * epochs, which live in memory for its lifetime. Heartbeats are RPCs
- * timestamped on the coordinator's clock, and staleness is judged
- * against EBM_CLAIM_STALE_MS (leaseStaleThreshold()). A connection
- * that drops — worker killed, crashed mid-record-stream, network
- * gone — orphans its leases immediately: peers see STALE without
- * waiting out the window, BREAK reassigns the row under a bumped
- * epoch, and the dead owner's epoch-carrying verbs are refused
- * (FENCED) if it ever resurfaces. A record cut off mid-stream never
+ * timestamped on the coordinator's clock and judged against its lease
+ * window (staleThreshold()), which every peer gets at HELLO and paces
+ * its heartbeats from. A connection that drops — worker killed,
+ * crashed mid-record-stream, network gone — orphans its leases
+ * immediately: peers see STALE without waiting out the window, BREAK
+ * reassigns the row under a bumped epoch, and the dead owner's
+ * epoch-carrying verbs are refused (FENCED) if it ever resurfaces. A record cut off mid-stream never
  * reaches the store at all: the wire frame doesn't reassemble, so
  * unlike a torn file append there is no tail to truncate.
  *
@@ -80,7 +75,8 @@ class Coordinator
         std::string host = "127.0.0.1";
         /** 0 = kernel-assigned ephemeral; read back with port(). */
         std::uint16_t port = 0;
-        /** Lease staleness window; zero = leaseStaleThreshold(). */
+        /** Lease window; zero = RuntimeConfig::claimStale
+         * (EBM_CLAIM_STALE_MS) when the Coordinator is built. */
         std::chrono::milliseconds staleThreshold{0};
         /** Honor the SHUTDOWN verb (daemon mode). */
         bool allowRemoteShutdown = false;
@@ -153,8 +149,12 @@ class Coordinator
     /** Did a client ask for SHUTDOWN (daemon mode)? */
     bool shutdownRequested() const { return server_.shutdownRequested(); }
 
-    /** The staleness window in force (options or env). */
-    std::chrono::milliseconds staleThreshold() const;
+    /** The lease window in force (Options, else RuntimeConfig),
+     * fixed at construction. */
+    std::chrono::milliseconds staleThreshold() const
+    {
+        return options_.staleThreshold;
+    }
 
   private:
     struct Lease

@@ -14,9 +14,9 @@
 #include <limits>
 #include <sstream>
 
-#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
@@ -88,10 +88,9 @@ DiskCache::machineFingerprint()
 std::string
 DiskCache::defaultPath(const std::string &file)
 {
-    const char *dir = std::getenv("EBM_CACHE_DIR");
-    if (dir == nullptr || dir[0] == '\0')
+    std::string path = RuntimeConfig::get().cacheDir;
+    if (path.empty())
         return file;
-    std::string path(dir);
     if (path.back() != '/')
         path += '/';
     return path + file;
@@ -141,31 +140,24 @@ DiskCache::load()
     // EBM_CACHE_READONLY forces the degraded serving mode (and lets
     // the read-only path be tested deterministically even where
     // permission bits don't apply, e.g. running as root).
-    const bool forced_ro = envFlag("EBM_CACHE_READONLY", false);
-    int fd = forced_ro ? -1 : ::open(path_.c_str(), O_RDWR);
+    readOnly_ = RuntimeConfig::get().cacheReadOnly;
+    int fd = readOnly_ ? -1 : ::open(path_.c_str(), O_RDWR);
     const bool writable = fd >= 0;
     if (!writable)
         fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0) {
-        if (forced_ro) {
-            // No file to serve, and appends are refused: an empty
-            // read-only store.
-            readOnly_ = true;
-            loadReport_.readOnlyMode = true;
-        }
-        return; // Missing file: an empty cache, not an error.
-    }
-    if (!writable) {
+    if (fd >= 0 && !writable) {
         // The file exists but cannot be written (read-only filesystem,
         // permissions, or EBM_CACHE_READONLY): degrade to serving.
         // Entries load and get() works; appends and torn-tail
         // truncation are refused instead of failing attempt by
         // attempt.
         readOnly_ = true;
-        loadReport_.readOnlyMode = true;
         warn("DiskCache: " + path_ +
              " is not writable; serving read-only (appends refused)");
     }
+    loadReport_.readOnlyMode = readOnly_;
+    if (fd < 0)
+        return; // Missing file: an empty cache (read-only if forced).
     ::flock(fd, LOCK_EX);
 
     struct stat st = {};
@@ -173,6 +165,8 @@ DiskCache::load()
         ::close(fd);
         return;
     }
+    scanDev_ = st.st_dev;
+    scanIno_ = st.st_ino;
     const auto file_size = static_cast<std::size_t>(st.st_size);
     if (file_size == 0) {
         ::close(fd);
@@ -453,92 +447,130 @@ DiskCache::compact()
         ++persistFailures_;
         return false;
     }
-    EntryMap snapshot;
+    std::size_t wrote = 0;
     {
-        std::lock_guard<std::mutex> lk(mapMu_);
-        snapshot = entries_;
+        std::lock_guard<std::mutex> io(ioMu_);
+        // The store's exclusive flock is held from the fold-in through
+        // the rename: a second compactor or an appender waits, then
+        // finds the new file at the path and reopens it.
+        const int fd = openLockedStore(true);
+        if (fd >= 0) {
+            foldInLocked(fd);
+            wrote = writeCompactedLocked();
+            ::close(fd);
+        }
     }
-    const bool ok = writeCompacted(snapshot);
-    if (!ok) {
-        std::lock_guard<std::mutex> lk(persistMu_);
+    std::lock_guard<std::mutex> lk(persistMu_);
+    if (wrote == 0) {
         ++persistFailures_;
+        return false;
     }
-    return ok;
+    loadReport_.bytesWritten += wrote;
+    return true;
 }
 
-bool
-DiskCache::writeCompacted(const EntryMap &snapshot)
+std::size_t
+DiskCache::writeCompactedLocked()
 {
     // Sorted keys: deterministic bytes that diff cleanly — the same
     // file for a given entry set no matter what order frames were
     // appended in, how many threads raced, or how many processes
     // cooperated on the sweep.
-    std::vector<const std::string *> keys;
-    keys.reserve(snapshot.size());
-    for (const auto &kv : snapshot)
-        keys.push_back(&kv.first);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string *a, const std::string *b) {
-                  return *a < *b;
-              });
     std::string buf = buildHeader();
-    for (const std::string *key : keys)
-        appendFrame(buf, *key, snapshot.at(*key));
-
     {
-        std::lock_guard<std::mutex> io(ioMu_);
-        // Atomic rewrite: a sibling temp file, fsync, then rename over
-        // the real path. A crash mid-write leaves the old file intact.
-        const std::string tmp = path_ + ".tmp";
-        const int fd =
-            ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd < 0) {
-            warn("DiskCache: cannot persist to " + path_ +
-                 " (directory unwritable?); results stay in memory");
-            return false;
-        }
-        const bool wrote = io_.pwriteAll(fd, 0, buf.data(),
-                                         buf.size()).ok() &&
-                           io_.fsyncFd(fd).ok();
-        ::close(fd);
-        if (!wrote) {
-            warn("DiskCache: write to " + tmp + " failed");
-            std::remove(tmp.c_str());
-            return false;
-        }
-        if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-            warn("DiskCache: rename " + tmp + " -> " + path_ +
-                 " failed");
-            std::remove(tmp.c_str());
-            return false;
-        }
-        scanOffset_ = buf.size();
+        std::lock_guard<std::mutex> lk(mapMu_);
+        std::vector<EntryMap::const_iterator> sorted;
+        sorted.reserve(entries_.size());
+        for (auto it = entries_.cbegin(); it != entries_.cend(); ++it)
+            sorted.push_back(it);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a->first < b->first;
+                  });
+        for (const auto &it : sorted)
+            appendFrame(buf, it->first, it->second);
     }
-    std::lock_guard<std::mutex> lk(persistMu_);
-    loadReport_.bytesWritten += buf.size();
-    return true;
+
+    // Atomic rewrite: a sibling temp file, fsync, then rename over the
+    // real path. A crash mid-write leaves the old file intact.
+    const std::string tmp = path_ + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    struct stat st = {};
+    const bool wrote =
+        fd >= 0 && io_.pwriteAll(fd, 0, buf.data(), buf.size()).ok() &&
+        io_.fsyncFd(fd).ok() && ::fstat(fd, &st) == 0;
+    if (fd >= 0)
+        ::close(fd);
+    if (!wrote || std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        warn("DiskCache: rewrite of " + path_ + " through " + tmp +
+             " failed; results stay in memory");
+        std::remove(tmp.c_str());
+        return 0;
+    }
+    scanDev_ = st.st_dev;
+    scanIno_ = st.st_ino;
+    scanOffset_ = buf.size();
+    return buf.size();
+}
+
+int
+DiskCache::openLockedStore(bool create)
+{
+    for (;;) {
+        int fd = ::open(path_.c_str(), O_RDWR | (create ? O_CREAT : 0),
+                        0644);
+        if (fd < 0 && !create)
+            fd = ::open(path_.c_str(), O_RDONLY);
+        if (fd < 0) {
+            if (create) {
+                warn("DiskCache: cannot persist to " + path_ +
+                     " (directory unwritable?); results stay in memory");
+            }
+            return -1;
+        }
+        // Exclusive, not shared: a scan may truncate a torn peer tail.
+        ::flock(fd, LOCK_EX);
+        struct stat held = {};
+        struct stat named = {};
+        if (::fstat(fd, &held) == 0 && ::stat(path_.c_str(), &named) == 0 &&
+            named.st_dev == held.st_dev && named.st_ino == held.st_ino) {
+            if (held.st_dev != scanDev_ || held.st_ino != scanIno_) {
+                // Not the file scanned last (a peer compacted it): its
+                // offsets mean nothing to us, so scan it from the start.
+                scanDev_ = held.st_dev;
+                scanIno_ = held.st_ino;
+                scanOffset_ = 0;
+            }
+            return fd;
+        }
+        // A compaction renamed a new file over the path while we
+        // waited for the lock on the old one.
+        ::close(fd);
+    }
+}
+
+std::size_t
+DiskCache::foldInLocked(int fd)
+{
+    struct stat st = {};
+    std::uint64_t valid_end = 0;
+    std::size_t merged = 0;
+    if (::fstat(fd, &st) == 0 &&
+        static_cast<std::uint64_t>(st.st_size) > scanOffset_ &&
+        static_cast<std::uint64_t>(st.st_size) >= kHeaderSize)
+        scanRegionLocked(fd, static_cast<std::uint64_t>(st.st_size),
+                         valid_end, merged);
+    return merged;
 }
 
 std::size_t
 DiskCache::refresh()
 {
     std::lock_guard<std::mutex> io(ioMu_);
-    int fd = ::open(path_.c_str(), O_RDWR);
-    if (fd < 0)
-        fd = ::open(path_.c_str(), O_RDONLY);
+    const int fd = openLockedStore(false);
     if (fd < 0)
         return 0; // Nothing persisted anywhere yet.
-    // Exclusive, not shared: a scan may truncate a torn peer tail.
-    ::flock(fd, LOCK_EX);
-    struct stat st = {};
-    std::size_t merged = 0;
-    if (::fstat(fd, &st) == 0 &&
-        static_cast<std::uint64_t>(st.st_size) > scanOffset_ &&
-        static_cast<std::uint64_t>(st.st_size) >= kHeaderSize) {
-        std::uint64_t valid_end = 0;
-        scanRegionLocked(fd, static_cast<std::uint64_t>(st.st_size),
-                         valid_end, merged);
-    }
+    const std::size_t merged = foldInLocked(fd);
     ::close(fd);
     return merged;
 }
@@ -563,14 +595,9 @@ DiskCache::appendBatch(const std::vector<Entry> &batch)
     bool ok = false;
     {
         std::lock_guard<std::mutex> io(ioMu_);
-        const int fd =
-            ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
-        if (fd < 0) {
-            warn("DiskCache: cannot persist to " + path_ +
-                 " (directory unwritable?); results stay in memory");
+        const int fd = openLockedStore(true);
+        if (fd < 0)
             return false;
-        }
-        ::flock(fd, LOCK_EX);
         struct stat st = {};
         if (::fstat(fd, &st) == 0) {
             auto end = static_cast<std::uint64_t>(st.st_size);

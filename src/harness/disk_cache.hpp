@@ -2,9 +2,8 @@
  * @file
  * A durable on-disk result store so the expensive 64-combination
  * exhaustive sweeps are simulated once and shared by every bench
- * binary — and, since v3, by every *process*. Values are flat double
- * vectors; keys are caller-constructed strings that embed a
- * configuration fingerprint.
+ * binary and every process. Values are flat double vectors; keys are
+ * caller-constructed strings that embed a configuration fingerprint.
  *
  * Format v3 (one binary file):
  *
@@ -14,45 +13,32 @@
  *                       key bytes | valueCount raw doubles |
  *                       u64 checksum over key and value bits
  *
- * The store is *append-only*: put() appends CRC-framed records under
- * an exclusive `flock`, with group commit — a burst of concurrent
- * put()s collapses into a handful of batched appends, each fsync'ed,
- * and a put() returns once a batched append covering its entry is
- * durable or claimed by the active writer. Appending replaces the v2
- * full-file coalescing rewrite, so persist I/O is O(new entries), not
- * O(total entries) per burst. Loading reads the file with pread and
- * scans frames once with O(1) per-record work (raw doubles are
- * memcpy'd, never re-parsed from text). Duplicate keys are legal — later frames
- * win — and `compact()` rewrites the store sorted by key (atomic
- * tmp + rename), so a compacted store is byte-identical for a given
- * entry set no matter what order, how many threads, or how many
- * processes appended.
+ * The store is append-only: put() appends CRC-framed records under an
+ * exclusive `flock` with group commit (a burst of concurrent put()s
+ * collapses into a few fsync'ed batched appends), so persist I/O is
+ * O(new entries). Loading scans frames once with O(1) per-record
+ * work. Duplicate keys are legal — later frames win — and `compact()`
+ * rewrites the store sorted by key, so a compacted store is
+ * byte-identical for a given entry set no matter what order, how many
+ * threads, or how many processes appended.
  *
  * Corruption handling is frame-by-frame: a torn tail (a killed writer
- * mid-append) truncates the file back to the last valid frame instead
- * of quarantining the world; anything else — bad header, foreign
- * machine, mid-file frame corruption — preserves the v2 contract of
- * quarantining the file to `<path>.quarantined` and recomputing. A
- * frame that runs past the end of the file is a torn tail only when
- * no valid frame starts after it: a damaged length field mid-file is
- * corruption, and truncating there would destroy the valid frames
- * behind it.
- * A file without the v3 magic — including the pre-v3 v1 (plain text)
- * and v2 (checksummed text) formats, which are no longer read — is
- * quarantined like any other untrusted file.
+ * mid-append) truncates the file back to the last valid frame; a bad
+ * header, a foreign machine, a file without the v3 magic, or mid-file
+ * frame corruption quarantines the file to `<path>.quarantined` and
+ * recomputes. A frame that runs past the end of the file is a torn
+ * tail only when no valid frame starts after it.
  *
- * Cross-process sharing: writers from different processes interleave
- * appends safely under `flock`, and `refresh()` folds frames appended
- * by other processes since the last scan into memory — the read side
- * of same-host lease fills (harness/lease_provider.hpp). The process
- * elected to coordinate those fills keeps its Coordinator here
- * (adoptLeaseServer), so the server lives exactly as long as the
- * store it was elected for.
+ * Cross-process sharing: appends from different processes interleave
+ * under `flock`, `refresh()` folds in frames other processes appended
+ * (the read side of same-host lease fills, lease_provider.hpp), and
+ * a compaction holds the lock through its rename, after which every
+ * process reopens the new file. The process elected to coordinate
+ * this store's fills keeps its Coordinator here (adoptLeaseServer).
  *
  * Thread safety: all public operations may be called concurrently.
  * The in-memory map is one hash map under one mutex; the append
- * protocol is single-writer and coalescing, exactly like the
- * v2 persist role, just appending deltas instead of rewriting.
+ * protocol is single-writer and coalescing.
  */
 #pragma once
 
@@ -145,7 +131,8 @@ class DiskCache
     /**
      * Is the store degraded to read-only? Set when the backing file
      * exists but cannot be opened for writing (read-only filesystem,
-     * permissions), or forced with EBM_CACHE_READONLY=1. Reads, get(),
+     * permissions), or forced with EBM_CACHE_READONLY=1
+     * (RuntimeConfig::cacheReadOnly). Reads, get(),
      * and refresh() keep working; appends, torn-tail truncation, and
      * compaction are refused without touching the file.
      */
@@ -181,13 +168,11 @@ class DiskCache
     std::size_t refresh();
 
     /**
-     * Offline compaction: rewrite the store as one sorted-by-key
-     * frame sequence (atomic tmp + fsync + rename). A compacted store
-     * is byte-identical for a given entry set regardless of append
-     * history, thread count, or process count. Offline means no
-     * *other process* may be appending concurrently (same-process
-     * put()s serialize against it); the compacting process's own
-     * in-memory view is authoritative.
+     * Fold in every frame appended since the last scan, then rewrite
+     * the store as one sorted-by-key frame sequence (tmp + fsync +
+     * rename), all under the store's exclusive flock, so concurrent
+     * compactions and appends from other processes serialize on it.
+     * A compacted store is byte-identical for a given entry set.
      */
     bool compact();
 
@@ -240,8 +225,8 @@ class DiskCache
     static std::string machineFingerprint();
 
     /**
-     * Default cache location: `$EBM_CACHE_DIR/<file>` when the
-     * environment variable is set, else `<file>` in the working
+     * Default cache location: `<EBM_CACHE_DIR>/<file>` when
+     * RuntimeConfig::cacheDir is set, else `<file>` in the working
      * directory (the historical default).
      */
     static std::string
@@ -285,7 +270,24 @@ class DiskCache
                           std::uint64_t &valid_end,
                           std::size_t &merged);
     void quarantineAndRewrite();
-    bool writeCompacted(const EntryMap &snapshot);
+    /** Write the entries sorted to a temp file and rename it over the
+     * store. Expects ioMu_ and the store's flock held. @return the
+     * bytes written, 0 on failure. */
+    std::size_t writeCompactedLocked();
+    /** Fold in frames appended past the scan cursor. Expects ioMu_
+     * and the store's flock held. @return the entries merged. */
+    std::size_t foldInLocked(int fd);
+    /**
+     * Open the store (created when @p create; else read-write, or
+     * read-only when that fails) and take its exclusive flock,
+     * reopening until the locked inode is the one at the path: a
+     * peer's compaction may rename a new file over it while this
+     * process waits, and frames written to the replaced inode would
+     * be lost. A file other than the one scanned last restarts the
+     * scan cursor. Expects ioMu_ held. @return the fd, or -1 (warned
+     * about when @p create).
+     */
+    int openLockedStore(bool create);
     /** Append one group-commit batch under flock; updates counters. */
     bool appendBatch(const std::vector<Entry> &batch);
 
@@ -317,6 +319,9 @@ class DiskCache
     mutable std::mutex ioMu_;
     /** File offset up to which frames have been folded into memory. */
     std::uint64_t scanOffset_ = 0;
+    /** The file scanOffset_ refers to (device and inode). */
+    std::uint64_t scanDev_ = 0;
+    std::uint64_t scanIno_ = 0;
 
     mutable std::mutex serverMu_;
     std::unique_ptr<Coordinator> leaseServer_;

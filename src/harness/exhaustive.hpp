@@ -184,7 +184,6 @@ class Exhaustive
 
     /** Extra attempts per failing combination before skipping it. */
     std::uint32_t maxRetries() const { return maxRetries_; }
-    void setMaxRetries(std::uint32_t retries) { maxRetries_ = retries; }
 
     /** Worker threads per sweep (0 = JobPool::defaultJobs()). */
     std::uint32_t jobs() const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
@@ -52,13 +53,12 @@ Experiment::Experiment(std::uint32_t num_apps,
 
 Experiment::~Experiment()
 {
-    // Fold in everything cooperating processes appended, then rewrite
-    // sorted: every process that finishes a shared sweep leaves the
-    // same canonical bytes, whichever one exits last.
-    if (envFlag("EBM_CACHE_COMPACT", false)) {
-        cache_.refresh();
+    // compact() folds in everything cooperating processes appended
+    // and rewrites sorted under the store's lock: every process that
+    // finishes a shared sweep leaves the same canonical bytes,
+    // whichever one exits last.
+    if (RuntimeConfig::get().cacheCompact)
         cache_.compact();
-    }
 }
 
 void

@@ -56,7 +56,7 @@ class Experiment
 
     /**
      * Worker threads used by sweeps and alone-run profiling
-     * (0 = JobPool::defaultJobs(), i.e. --jobs / EBM_JOBS / hardware
+     * (0 = JobPool::defaultJobs(), i.e. EBM_JOBS / hardware
      * concurrency; 1 restores strictly serial execution). Output is
      * bit-identical at any setting.
      */

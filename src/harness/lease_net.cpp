@@ -4,11 +4,11 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/store_format.hpp"
@@ -43,29 +43,9 @@ localSocketName(const std::string &store_path)
 
 } // namespace
 
-NetLeaseProvider::NetLeaseProvider(UniqueFd fd, Options options,
-                                   DiskCache *store)
-    : options_(options), store_(store), fd_(std::move(fd))
+NetLeaseProvider::NetLeaseProvider(UniqueFd fd, DiskCache *store)
+    : store_(store), fd_(std::move(fd))
 {
-}
-
-std::unique_ptr<NetLeaseProvider>
-NetLeaseProvider::connect(const std::string &address)
-{
-    // The env-driven entry point (makeLeaseProvider) honors retry
-    // overrides so a CI job or test can shrink the 40x250ms default
-    // budget when the coordinator is expected to already be up.
-    // Both go through the strict shared parser: "-1" or "8x" warns
-    // and keeps the default instead of wrapping or truncating.
-    Options options;
-    options.connectAttempts = static_cast<std::uint32_t>(
-        envUint("EBM_NET_CONNECT_ATTEMPTS", options.connectAttempts, 1,
-                UINT32_MAX));
-    options.connectBackoff = std::chrono::milliseconds(
-        envUint("EBM_NET_CONNECT_BACKOFF_MS",
-                static_cast<std::uint64_t>(options.connectBackoff.count()),
-                0, 60 * 1000));
-    return connect(address, options);
 }
 
 std::unique_ptr<NetLeaseProvider>
@@ -92,16 +72,15 @@ NetLeaseProvider::connect(const std::string &address,
         }
         std::this_thread::sleep_for(options.connectBackoff);
     }
-    return handshake(std::move(fd), options, nullptr,
-                     "coordinator at " + address);
+    return handshake(std::move(fd), nullptr, "coordinator at " + address);
 }
 
 std::unique_ptr<NetLeaseProvider>
-NetLeaseProvider::handshake(UniqueFd fd, const Options &options,
-                            DiskCache *store, const std::string &peer)
+NetLeaseProvider::handshake(UniqueFd fd, DiskCache *store,
+                            const std::string &peer)
 {
     auto provider = std::unique_ptr<NetLeaseProvider>(
-        new NetLeaseProvider(std::move(fd), options, store));
+        new NetLeaseProvider(std::move(fd), store));
     // Handshake before any lease verb: a worker whose doubles don't
     // round-trip byte-identically with the coordinator's store (or
     // whose app catalog disagrees) must not contribute records.
@@ -109,22 +88,21 @@ NetLeaseProvider::handshake(UniqueFd fd, const Options &options,
     const auto reply = provider->rpc(
         "HELLO " + DiskCache::machineFingerprint() + " " +
         std::to_string(kAppCatalogVersion));
-    // The reply is "OK" or "OK <staleness ms>"; anything else — an
-    // error, a sign, an overflow — refuses the handshake.
+    // The reply is "OK <window ms>", the window this peer's heartbeats
+    // and deadlines are paced from; anything else — an error, no
+    // window, a zero, a sign, an overflow — refuses the handshake.
     const auto tokens =
         reply ? wire::splitTokens(*reply) : std::vector<std::string>{};
-    std::uint64_t stale_ms = 0;
-    const bool ok =
-        !tokens.empty() && tokens[0] == "OK" &&
-        (tokens.size() == 1 ||
-         (tokens.size() == 2 && parseUint(tokens[1].c_str(), stale_ms) &&
-          stale_ms <= kMaxStaleMs));
+    std::uint64_t window_ms = 0;
+    const bool ok = tokens.size() == 2 && tokens[0] == "OK" &&
+                    parseUint(tokens[1].c_str(), window_ms) &&
+                    window_ms >= 1 && window_ms <= RuntimeConfig::kMaxWindowMs;
     if (!ok) {
         warn("NetLeaseProvider: " + peer + " refused the handshake" +
              (reply ? ": " + *reply : std::string()));
         return nullptr;
     }
-    provider->staleMs_ = std::chrono::milliseconds(stale_ms);
+    provider->window_ = std::chrono::milliseconds(window_ms);
     return provider;
 }
 
@@ -138,7 +116,7 @@ NetLeaseProvider::joinLocal(DiskCache &cache)
     for (int round = 0; round < kRounds; ++round) {
         auto conn = netConnectUnix(name);
         if (conn) {
-            return handshake(std::move(conn.value()), Options{}, &cache,
+            return handshake(std::move(conn.value()), &cache,
                              "local coordinator for " + cache.path());
         }
         // Nothing answers: stand for election. bind() fails while any
@@ -156,25 +134,19 @@ NetLeaseProvider::joinLocal(DiskCache &cache)
     return nullptr;
 }
 
-int
-NetLeaseProvider::timeoutMs() const
-{
-    if (options_.rpcTimeout.count() > 0)
-        return static_cast<int>(options_.rpcTimeout.count());
-    const auto window = leaseStaleThreshold() * 4;
-    return static_cast<int>(
-        std::max<std::chrono::milliseconds::rep>(window.count(),
-                                                 2000));
-}
-
 std::optional<std::string>
 NetLeaseProvider::rpc(const std::string &request)
 {
     if (degraded_)
         return std::nullopt;
+    // The deadline is four lease windows, at least 2 s (before HELLO
+    // reports the window, just 2 s).
+    const auto deadline = std::max<std::chrono::milliseconds::rep>(
+        4 * window_.count(), 2000);
     std::string reply;
     if (wire::sendFrame(fd_.get(), request) &&
-        wire::recvFrame(fd_.get(), reader_, reply, timeoutMs()))
+        wire::recvFrame(fd_.get(), reader_, reply,
+                        static_cast<int>(deadline)))
         return reply;
     latchDegraded();
     return std::nullopt;

@@ -1,38 +1,33 @@
 /**
  * @file
- * Lease client: the worker half of the lease fabric
- * (harness/coordinator.hpp has the protocol). A NetLeaseProvider
- * speaks the lease verbs as request/response RPCs over one connection
- * to a Coordinator, reached one of two ways:
+ * Lease client: the worker half of the lease fabric. A
+ * NetLeaseProvider speaks the lease verbs (harness/coordinator.hpp
+ * has the protocol) as RPCs over one connection to a Coordinator,
+ * reached as lease_provider.hpp describes: joinLocal() for the
+ * same-host coordinator of a store, where results travel through the
+ * shared file (publish() is the group-commit sync(), fetch() is
+ * refresh() then a validated get), or connect() for an
+ * ebm_coordinator over TCP, where records are streamed (PUT) and
+ * probed (GET) and the worker's own DiskCache is private scratch.
  *
- *   - joinLocal(): the same-host coordinator of one store, on an
- *     abstract AF_UNIX socket named after the store's canonical path.
- *     This is the default: makeLeaseProvider joins it for every fill
- *     with a miss on a writable store, with no flag. The first
- *     process to find the name free binds it and serves in-process
- *     (the server lives inside that process's DiskCache); every
- *     process, the server's own included, then connects as a client.
- *     Results travel through the shared store file: publish() is the
- *     group-commit sync(), fetch() is refresh() then a validated get;
- *   - connect(): an ebm_coordinator daemon over TCP. The worker shares
- *     no file with it, so results are streamed as CRC-framed v3
- *     records (PUT) and probed in the coordinator's store (GET); the
- *     worker's own DiskCache is private scratch in this mode.
+ * Lease window: the HELLO reply carries the window the coordinator
+ * judges leases against, in [1, 3,600,000] ms; a reply without one
+ * refuses the handshake. window() returns it, LeaseHeartbeater renews
+ * every quarter of it, and the RPC deadline is four windows (at least
+ * 2 s; a coordinator that misses it is treated as gone). The peer's
+ * own EBM_CLAIM_STALE_MS plays no part.
  *
  * Threading: the sweep's JobPool workers and every LeaseHeartbeater
- * tick share this one connection; RPCs are serialized under a mutex
- * (they are microseconds against rows that take milliseconds to
- * seconds — the coordinator's LatencyHistogram keeps the receipts).
+ * tick share the connection; RPCs are serialized under a mutex (they
+ * are microseconds against rows of milliseconds to seconds).
  *
- * Failure policy: the fabric is an optimization, never a correctness
- * dependency. If the connection breaks — coordinator gone, RPC
+ * Failure policy: if the connection breaks — coordinator gone, RPC
  * timeout, garbled frame — the provider latches a degraded mode that
  * behaves like no coordination at all: every tryAcquire is granted
  * locally (epoch 0), peeks read Absent, TCP publishes fail quietly.
- * The sweep then computes everything itself, which is always correct,
- * merely not shared; and because real peers never see this worker's
- * leases again (its connection died with it), the coordinator orphans
- * them and peers take the rows over under bumped epochs.
+ * The sweep computes everything itself, which is always correct,
+ * and the coordinator orphans the dead connection's leases, so peers
+ * take those rows over under bumped epochs.
  */
 #pragma once
 
@@ -61,10 +56,6 @@ class NetLeaseProvider final : public LeaseProvider
          * coordinator finishes binding) and their spacing. */
         std::uint32_t connectAttempts = 40;
         std::chrono::milliseconds connectBackoff{250};
-        /** Per-RPC response deadline; zero = 4x the staleness
-         * window (min 2s). A coordinator that cannot answer within
-         * that is treated as gone (degraded mode). */
-        std::chrono::milliseconds rpcTimeout{0};
     };
 
     /**
@@ -76,8 +67,6 @@ class NetLeaseProvider final : public LeaseProvider
      */
     static std::unique_ptr<NetLeaseProvider>
     connect(const std::string &address, const Options &options);
-    static std::unique_ptr<NetLeaseProvider>
-    connect(const std::string &address);
 
     /**
      * Join the same-host coordinator for @p cache's store, standing
@@ -104,27 +93,18 @@ class NetLeaseProvider final : public LeaseProvider
     {
         return store_ != nullptr ? "local" : "net";
     }
+    /** The lease window the coordinator reported at HELLO. */
+    std::chrono::milliseconds window() const override { return window_; }
 
     /** Has the connection been lost (standalone degrade latched)? */
     bool degraded() const;
 
-    /** The staleness window the coordinator reported at HELLO. */
-    std::chrono::milliseconds coordinatorStaleMs() const
-    {
-        return staleMs_;
-    }
-
   private:
-    /** Largest staleness window a HELLO reply may report: the
-     * EBM_CLAIM_STALE_MS bound. */
-    static constexpr std::uint64_t kMaxStaleMs = 3600000;
-
-    NetLeaseProvider(UniqueFd fd, Options options, DiskCache *store);
+    NetLeaseProvider(UniqueFd fd, DiskCache *store);
 
     /** HELLO over a fresh connection; nullptr when refused. */
     static std::unique_ptr<NetLeaseProvider>
-    handshake(UniqueFd fd, const Options &options, DiskCache *store,
-              const std::string &peer);
+    handshake(UniqueFd fd, DiskCache *store, const std::string &peer);
 
     /** One serialized request/response exchange. Returns std::nullopt
      * (and latches degraded mode) on any transport failure. */
@@ -138,13 +118,10 @@ class NetLeaseProvider final : public LeaseProvider
     bool grantFromReply(const std::string &key,
                         const std::optional<std::string> &reply);
 
-    int timeoutMs() const;
-
-    Options options_;
     /** The shared store file results travel through (joinLocal), or
      * null to stream them over the connection (connect). */
     DiskCache *const store_;
-    std::chrono::milliseconds staleMs_{0};
+    std::chrono::milliseconds window_{0};
 
     mutable std::mutex mu_;
     UniqueFd fd_;

@@ -1,10 +1,9 @@
 #include "harness/lease_provider.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_net.hpp"
 
@@ -13,13 +12,13 @@ namespace ebm {
 std::unique_ptr<LeaseProvider>
 makeLeaseProvider(DiskCache &cache)
 {
-    const char *coordinator = std::getenv("EBM_COORDINATOR");
-    if (coordinator != nullptr && coordinator[0] != '\0') {
-        auto net = NetLeaseProvider::connect(coordinator);
+    const std::string &coordinator = RuntimeConfig::get().coordinator;
+    if (!coordinator.empty()) {
+        auto net = NetLeaseProvider::connect(coordinator,
+                                             NetLeaseProvider::Options{});
         if (net != nullptr)
             return net;
-        warn("makeLeaseProvider: cannot reach coordinator " +
-             std::string(coordinator) +
+        warn("makeLeaseProvider: cannot reach coordinator " + coordinator +
              "; sweep degrades to standalone (results stay local)");
         return nullptr;
     }
@@ -32,13 +31,6 @@ makeLeaseProvider(DiskCache &cache)
              cache.path() + "; sweep degrades to standalone");
     }
     return local;
-}
-
-std::chrono::milliseconds
-leaseStaleThreshold()
-{
-    return std::chrono::milliseconds(
-        envUint("EBM_CLAIM_STALE_MS", 10000, 1, 3600000));
 }
 
 LeaseHeartbeater::LeaseHeartbeater(LeaseProvider *lease, std::string key)
@@ -64,11 +56,10 @@ LeaseHeartbeater::~LeaseHeartbeater()
 void
 LeaseHeartbeater::run()
 {
-    // A quarter of the staleness window keeps a live owner at least
-    // three missed ticks away from ever looking stale (the
-    // coordinator judges leases against the same window on its own
-    // clock).
-    const auto interval = std::max(leaseStaleThreshold() / 4,
+    // A quarter of the coordinator's window keeps a live owner at
+    // least three missed ticks away from ever looking stale on the
+    // coordinator's clock.
+    const auto interval = std::max(lease_->window() / 4,
                                    std::chrono::milliseconds(10));
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {

@@ -31,8 +31,13 @@
  *
  * Liveness is part of the protocol: a worker that dies drops its
  * connection, which orphans its leases at once, and a worker that
- * hangs stops heartbeating, so its leases go stale after
- * EBM_CLAIM_STALE_MS. Either way a surviving peer takes the rows over.
+ * hangs stops heartbeating, so its leases go stale after the lease
+ * window. Either way a surviving peer takes the rows over.
+ *
+ * The window belongs to the coordinator: its Options, else the
+ * EBM_CLAIM_STALE_MS of the process that started it. Peers pace
+ * their heartbeats and RPC deadlines from the window reported at
+ * HELLO, never from their own settings.
  *
  * A LeaseProvider is an *optimization, never a correctness
  * dependency*: every verb may fail (fenced, disconnected, degraded)
@@ -123,14 +128,18 @@ class LeaseProvider
 
     /** Transport tag for logs/diagnostics ("local", "net"). */
     virtual const char *kind() const = 0;
+
+    /** The lease window this provider's leases are judged against:
+     * a lease unrenewed for longer is taken over. */
+    virtual std::chrono::milliseconds window() const = 0;
 };
 
 /**
  * Pick the lease provider for one fill against @p cache, in priority
  * order:
  *
- *   1. EBM_COORDINATOR=host:port — TCP leases against that
- *      coordinator;
+ *   1. EBM_COORDINATOR=host:port (RuntimeConfig::coordinator) — TCP
+ *      leases against that coordinator;
  *   2. a read-only @p cache — nullptr (it cannot append a row);
  *   3. otherwise — the elected same-host coordinator for @p cache's
  *      store (joined, or started inside @p cache).
@@ -142,21 +151,13 @@ class LeaseProvider
  */
 std::unique_ptr<LeaseProvider> makeLeaseProvider(DiskCache &cache);
 
-/** The lease staleness window, EBM_CLAIM_STALE_MS (default 10000):
- * a lease unrenewed for longer is taken over, and a skip marker older
- * than it expires. Read on every call, so tests can shrink it. */
-std::chrono::milliseconds leaseStaleThreshold();
-
 /**
- * Periodic in-run heartbeat for one held lease (RAII), spanning a
- * row's whole attempt loop with a background thread that renews the
- * lease every leaseStaleThreshold()/4 (at least 10 ms) so a row
- * longer than the staleness window never looks abandoned to peers.
- *
- * If a tick discovers the lease was fenced (a peer took the row over
- * after a stall longer than the window), it stops renewing and
- * latches fenced(); the owner checks after the run and demotes its
- * result to a duplicate compute.
+ * Periodic in-run heartbeat for one held lease (RAII): a background
+ * thread renews it every quarter of the provider's window() (at least
+ * 10 ms), so a row longer than the window never looks abandoned. A
+ * tick that finds the lease fenced (taken over after a stall) stops
+ * and latches fenced(); the owner then demotes its result to a
+ * duplicate compute.
  */
 class LeaseHeartbeater
 {

@@ -6,6 +6,7 @@
 #include "common/fault_injector.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/gpu_pool.hpp"
 #include "harness/warm_state.hpp"
 #include "sim/gpu.hpp"
@@ -199,7 +200,7 @@ Runner::run(const std::vector<AppProfile> &apps, TlpPolicy &policy,
     // the EBM_SNAPSHOT kill switch and whenever a fault injector is
     // present (injected faults must perturb the whole run).
     Cycle fork_target = 0;
-    if (WarmStateCache::enabled() && opts_.faultInjector == nullptr) {
+    if (RuntimeConfig::get().snapshot && opts_.faultInjector == nullptr) {
         if (deferred) {
             // The measure boundary on the window ladder: the first
             // window close at or after warmup, capped at the run end.

@@ -18,6 +18,9 @@
  *               PENDING ticket=<id> ...
  *               ERROR <code> <message>
  *
+ * The STATS reply ends with the RuntimeConfig settings as
+ * EBM_NAME=value tokens.
+ *
  * The servefmt names below are aliases into ebm::wire, kept so the
  * daemon, its clients, and their tests read as one protocol layer
  * (and so existing includes keep compiling unchanged).

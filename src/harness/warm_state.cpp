@@ -1,25 +1,11 @@
 #include "harness/warm_state.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/runtime_config.hpp"
 
 namespace ebm {
-
-namespace {
-
-std::atomic<bool> &
-enabledFlag()
-{
-    // Strict shared parser: "0" disables, "1" (or unset) enables,
-    // garbage warns and falls back to enabled.
-    static std::atomic<bool> flag{envUint("EBM_SNAPSHOT", 1, 0, 1) != 0};
-    return flag;
-}
-
-} // namespace
 
 WarmStateCache::WarmStateCache() : budgetBytes_(kSnapshotBudgetBytes) {}
 
@@ -67,7 +53,7 @@ std::shared_ptr<const WarmStateCache::Checkpoint>
 WarmStateCache::warmTo(std::uint64_t base_key, Gpu &gpu, Cycle target,
                        Cycle window_cycles, Cycle relay_latency)
 {
-    if (!enabled())
+    if (!RuntimeConfig::get().snapshot)
         return nullptr;
 
     const std::pair<std::uint64_t, Cycle> key{base_key, target};
@@ -163,18 +149,6 @@ WarmStateCache::instance()
 {
     static WarmStateCache cache;
     return cache;
-}
-
-bool
-WarmStateCache::enabled()
-{
-    return enabledFlag().load(std::memory_order_relaxed);
-}
-
-void
-WarmStateCache::setEnabled(bool enabled)
-{
-    enabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
 } // namespace ebm

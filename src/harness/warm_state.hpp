@@ -18,8 +18,8 @@
  * requests for the same key are single-flighted: one thread computes
  * on its own leased machine while the others wait on the result.
  *
- * The cache is an accelerator, never a semantic: EBM_SNAPSHOT=0 (or
- * setEnabled(false)) disables capture and reuse entirely, and the
+ * The cache is an accelerator, never a semantic: EBM_SNAPSHOT=0
+ * (RuntimeConfig::snapshot) disables capture and reuse entirely, and the
  * byte-compare tests pin that both modes produce identical results.
  * Retained bytes are bounded by an LRU budget (kSnapshotBudgetBytes,
  * 256 MiB). This is the only checkpoint cache: every fork in
@@ -118,13 +118,6 @@ class WarmStateCache
     /** The process-wide instance. */
     static WarmStateCache &instance();
 
-    /**
-     * Kill switch. Defaults from EBM_SNAPSHOT via the strict shared
-     * env parser (unset or 1 = enabled, 0 = disabled, anything else
-     * warns and falls back to enabled), read once.
-     */
-    static bool enabled();
-    static void setEnabled(bool enabled);
 
   private:
     struct Entry

@@ -1,6 +1,5 @@
 #include "common/config.hpp"
 
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -147,65 +146,6 @@ TEST(ParseUint, AcceptsOnlyWholeBase10Numbers)
     EXPECT_FALSE(parseUint("3.5", v));
     EXPECT_FALSE(parseUint("18446744073709551616", v)) << "overflow";
     EXPECT_EQ(v, 99u) << "out untouched on rejection";
-}
-
-TEST(EnvUint, RejectsGarbageAndClamps)
-{
-    ::setenv("EBM_TEST_KNOB", "12", 1);
-    EXPECT_EQ(envUint("EBM_TEST_KNOB", 5, 1, 100), 12u);
-    ::setenv("EBM_TEST_KNOB", "12x", 1);
-    EXPECT_EQ(envUint("EBM_TEST_KNOB", 5, 1, 100), 5u)
-        << "trailing garbage falls back (with a warning)";
-    ::setenv("EBM_TEST_KNOB", "1000", 1);
-    EXPECT_EQ(envUint("EBM_TEST_KNOB", 5, 1, 100), 100u) << "clamped";
-    ::unsetenv("EBM_TEST_KNOB");
-    EXPECT_EQ(envUint("EBM_TEST_KNOB", 5, 1, 100), 5u);
-}
-
-/** Count the lines of @p text that contain @p needle. */
-std::size_t
-countLines(const std::string &text, const std::string &needle)
-{
-    std::size_t n = 0;
-    std::size_t begin = 0;
-    while (begin < text.size()) {
-        std::size_t end = text.find('\n', begin);
-        if (end == std::string::npos)
-            end = text.size();
-        if (text.substr(begin, end - begin).find(needle) !=
-            std::string::npos)
-            ++n;
-        begin = end + 1;
-    }
-    return n;
-}
-
-TEST(EnvUint, InvalidValueWarnsOncePerNameAndValue)
-{
-    // Knobs like EBM_CLAIM_STALE_MS are re-read on every lease RPC: a
-    // typo must warn once, not once per read, and must still fall back
-    // on every read.
-    ::setenv("EBM_TEST_WARN_ONCE", "10s", 1);
-    ::testing::internal::CaptureStderr();
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(envUint("EBM_TEST_WARN_ONCE", 5, 1, 100), 5u);
-    std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(countLines(err, "EBM_TEST_WARN_ONCE"), 1u) << err;
-    EXPECT_NE(err.find("'10s'"), std::string::npos) << err;
-
-    // Still read on every call: a fixed value takes effect at once...
-    ::setenv("EBM_TEST_WARN_ONCE", "40", 1);
-    EXPECT_EQ(envUint("EBM_TEST_WARN_ONCE", 5, 1, 100), 40u);
-
-    // ...and a different bad value is a new mistake, warned once more.
-    ::setenv("EBM_TEST_WARN_ONCE", "1e3", 1);
-    ::testing::internal::CaptureStderr();
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(envUint("EBM_TEST_WARN_ONCE", 5, 1, 100), 5u);
-    err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(countLines(err, "EBM_TEST_WARN_ONCE"), 1u) << err;
-    EXPECT_NE(err.find("'1e3'"), std::string::npos) << err;
-    ::unsetenv("EBM_TEST_WARN_ONCE");
 }
 
 } // namespace

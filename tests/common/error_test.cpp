@@ -72,7 +72,7 @@ TEST(LogTest, FatalThrowsFatalErrorWithCategory)
 
 TEST(LogTest, PanicThrowsInternalErrorByDefault)
 {
-    ASSERT_FALSE(panicAborts());
+    ASSERT_FALSE(RuntimeConfig::get().abortOnPanic);
     EXPECT_THROW(panic("invariant broken"), InternalError);
 }
 
@@ -86,12 +86,13 @@ TEST(LogTest, RunGuardedConvertsFatalToExitCode)
 }
 
 // The one remaining true death test: the opt-in hard abort for
-// debugger use (EBM_ABORT_ON_PANIC / setPanicAborts).
+// debugger use (EBM_ABORT_ON_PANIC).
 TEST(LogDeath, OptInPanicAbortStillDumpsCore)
 {
     EXPECT_DEATH(
         {
-            setPanicAborts(true);
+            RuntimeConfig::Override aborts(
+                [](RuntimeConfig &c) { c.abortOnPanic = true; });
             panic("core dump wanted");
         },
         "core dump wanted");

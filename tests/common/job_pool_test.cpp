@@ -1,40 +1,16 @@
 #include "common/job_pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/runtime_config.hpp"
+
 namespace ebm {
 namespace {
-
-/** RAII guard: pins EBM_JOBS and the process override, restores both. */
-class JobsEnvGuard
-{
-  public:
-    JobsEnvGuard()
-    {
-        const char *env = std::getenv("EBM_JOBS");
-        hadEnv_ = env != nullptr;
-        if (hadEnv_)
-            saved_ = env;
-    }
-
-    ~JobsEnvGuard()
-    {
-        JobPool::setDefaultJobs(0);
-        if (hadEnv_)
-            ::setenv("EBM_JOBS", saved_.c_str(), 1);
-        else
-            ::unsetenv("EBM_JOBS");
-    }
-
-  private:
-    bool hadEnv_ = false;
-    std::string saved_;
-};
 
 TEST(JobPool, RunsEverySubmittedJob)
 {
@@ -102,73 +78,39 @@ TEST(JobPool, WaitRethrowsTheFirstJobException)
 
 TEST(JobPool, DefaultJobsPrefersOverrideThenEnv)
 {
-    JobsEnvGuard guard;
-
-    ::setenv("EBM_JOBS", "3", 1);
-    JobPool::setDefaultJobs(0);
-    EXPECT_EQ(JobPool::defaultJobs(), 3u);
-
-    JobPool::setDefaultJobs(7);
-    EXPECT_EQ(JobPool::defaultJobs(), 7u) << "override beats EBM_JOBS";
-
-    JobPool::setDefaultJobs(0);
-    ::unsetenv("EBM_JOBS");
-    EXPECT_GE(JobPool::defaultJobs(), 1u) << "hardware fallback";
+    const unsigned from_env = JobPool::defaultJobs();
+    EXPECT_GE(from_env, 1u);
+    {
+        RuntimeConfig::Override jobs([](RuntimeConfig &c) { c.jobs = 7; });
+        EXPECT_EQ(JobPool::defaultJobs(), 7u) << "the override wins";
+        JobPool pool;
+        EXPECT_EQ(pool.workers(), 7u);
+    }
+    EXPECT_EQ(JobPool::defaultJobs(), from_env);
 }
 
 TEST(JobPool, DefaultJobsRejectsTrailingGarbageInEnv)
 {
-    JobsEnvGuard guard;
-    JobPool::setDefaultJobs(0);
-
-    ::unsetenv("EBM_JOBS");
-    const unsigned fallback = JobPool::defaultJobs();
+    const auto jobsFor = [](const char *value) {
+        return RuntimeConfig::parse([value](const char *name) {
+                   return std::string(name) == "EBM_JOBS" ? value
+                                                          : nullptr;
+               }).jobs;
+    };
+    const unsigned fallback = jobsFor(nullptr);
+    EXPECT_GE(fallback, 1u);
 
     // The historical hand-rolled strtoul accepted "8x" as 8; the
     // shared strict parser rejects it (with a warning) and falls back
     // to the hardware default instead.
-    ::setenv("EBM_JOBS", "8x", 1);
-    EXPECT_EQ(JobPool::defaultJobs(), fallback);
-
-    ::setenv("EBM_JOBS", "-4", 1);
-    EXPECT_EQ(JobPool::defaultJobs(), fallback);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(jobsFor("8x"), fallback);
+    EXPECT_EQ(jobsFor("-4"), fallback);
+    ::testing::internal::GetCapturedStderr();
 
     // An explicit 0 means "auto", like the constructor's 0.
-    ::setenv("EBM_JOBS", "0", 1);
-    EXPECT_EQ(JobPool::defaultJobs(), fallback);
-
-    ::setenv("EBM_JOBS", "6", 1);
-    EXPECT_EQ(JobPool::defaultJobs(), 6u);
-}
-
-TEST(JobPool, ApplyJobsFlagParsesTheSupportedSpellings)
-{
-    JobsEnvGuard guard;
-    ::unsetenv("EBM_JOBS");
-
-    const char *argv1[] = {"bench", "--jobs", "5"};
-    EXPECT_EQ(applyJobsFlag(3, const_cast<char *const *>(argv1)), 5u);
-
-    const char *argv2[] = {"bench", "--jobs=2"};
-    EXPECT_EQ(applyJobsFlag(2, const_cast<char *const *>(argv2)), 2u);
-
-    const char *argv3[] = {"bench", "-j", "9"};
-    EXPECT_EQ(applyJobsFlag(3, const_cast<char *const *>(argv3)), 9u);
-}
-
-TEST(JobPool, ApplyJobsFlagIgnoresMalformedValues)
-{
-    JobsEnvGuard guard;
-    ::unsetenv("EBM_JOBS");
-    JobPool::setDefaultJobs(0);
-
-    const unsigned fallback = JobPool::defaultJobs();
-    const char *argv[] = {"bench", "--jobs", "banana"};
-    EXPECT_EQ(applyJobsFlag(3, const_cast<char *const *>(argv)),
-              fallback);
-    const char *argv2[] = {"bench", "--jobs=0"};
-    EXPECT_EQ(applyJobsFlag(2, const_cast<char *const *>(argv2)),
-              fallback);
+    EXPECT_EQ(jobsFor("0"), fallback);
+    EXPECT_EQ(jobsFor("6"), 6u);
 }
 
 } // namespace

@@ -120,7 +120,7 @@ TEST_F(AdvisorServiceTest, FillsReportWarmCheckpointTraffic)
     // run of a shape computes the prefix) and hits (every later combo
     // of that shape forks from the capture).
     WarmStateCache::instance().clear();
-    WarmStateCache::setEnabled(true);
+    test::Setting snapshots(&RuntimeConfig::snapshot, true);
     DiskCache cache(cache_path_);
     AdvisorService svc(*runner_, cache, fastOpts());
     const auto r = svc.advise("BLK", "TRD", 0);

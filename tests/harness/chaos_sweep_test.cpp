@@ -234,7 +234,8 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
         ASSERT_FALSE(ref_bytes.empty());
     }
 
-    test::ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
+    test::Setting window(&RuntimeConfig::claimStale,
+                         std::chrono::milliseconds(300));
 
     const struct
     {

@@ -557,13 +557,14 @@ TEST_F(DiskCacheTest, InjectedWriteFailureKeepsEntryInMemory)
 
 TEST_F(DiskCacheTest, DefaultPathHonorsCacheDirEnv)
 {
-    unsetenv("EBM_CACHE_DIR");
-    EXPECT_EQ(DiskCache::defaultPath(), "ebm_results.cache");
-    setenv("EBM_CACHE_DIR", "/var/tmp/ebm", 1);
-    EXPECT_EQ(DiskCache::defaultPath(), "/var/tmp/ebm/ebm_results.cache");
-    setenv("EBM_CACHE_DIR", "/var/tmp/ebm/", 1);
-    EXPECT_EQ(DiskCache::defaultPath("x.cache"), "/var/tmp/ebm/x.cache");
-    unsetenv("EBM_CACHE_DIR");
+    const auto pathUnder = [](const char *dir, const char *file) {
+        test::Setting cache_dir(&RuntimeConfig::cacheDir, std::string(dir));
+        return DiskCache::defaultPath(file);
+    };
+    EXPECT_EQ(pathUnder("", "ebm_results.cache"), "ebm_results.cache");
+    EXPECT_EQ(pathUnder("/var/tmp/ebm", "ebm_results.cache"),
+              "/var/tmp/ebm/ebm_results.cache");
+    EXPECT_EQ(pathUnder("/var/tmp/ebm/", "x.cache"), "/var/tmp/ebm/x.cache");
 }
 
 TEST_F(DiskCacheTest, InjectedTruncationRecoversAllButLastEntry)
@@ -595,8 +596,8 @@ TEST_F(DiskCacheTest, ReadOnlyModeServesEntriesAndRefusesAppends)
     }
     const std::string before = slurpFile(path_);
 
-    setenv("EBM_CACHE_READONLY", "1", 1);
     {
+        test::Setting readonly(&RuntimeConfig::cacheReadOnly, true);
         DiskCache cache(path_);
         EXPECT_TRUE(cache.readOnly());
         EXPECT_TRUE(cache.loadReport().readOnlyMode);
@@ -622,7 +623,6 @@ TEST_F(DiskCacheTest, ReadOnlyModeServesEntriesAndRefusesAppends)
         // Compaction is refused without touching the file.
         EXPECT_FALSE(cache.compact());
     }
-    unsetenv("EBM_CACHE_READONLY");
 
     EXPECT_EQ(slurpFile(path_), before)
         << "read-only mode must never write a byte";
@@ -634,9 +634,8 @@ TEST_F(DiskCacheTest, ReadOnlyModeServesEntriesAndRefusesAppends)
 
 TEST_F(DiskCacheTest, ReadOnlyModeWithNoFileIsAnEmptyStore)
 {
-    setenv("EBM_CACHE_READONLY", "1", 1);
+    test::Setting readonly(&RuntimeConfig::cacheReadOnly, true);
     DiskCache cache(path_);
-    unsetenv("EBM_CACHE_READONLY");
     EXPECT_TRUE(cache.readOnly());
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(cache.get("anything").has_value());
@@ -660,13 +659,12 @@ TEST_F(DiskCacheTest, ReadOnlyModeLeavesTornTailOnDisk)
                   static_cast<std::streamsize>(bytes.size()));
     }
 
-    setenv("EBM_CACHE_READONLY", "1", 1);
     {
+        test::Setting readonly(&RuntimeConfig::cacheReadOnly, true);
         DiskCache cache(path_);
         EXPECT_EQ(cache.size(), 1u);
         EXPECT_TRUE(cache.loadReport().tornTailTruncated);
     }
-    unsetenv("EBM_CACHE_READONLY");
     EXPECT_EQ(slurpFile(path_), bytes)
         << "read-only load must not repair the file";
 }
@@ -809,11 +807,10 @@ TEST_F(DiskCacheTest, CompactSweepsOrphanedEpochSidecars)
 
     // Even with a 1 ms staleness window there is nothing to sweep:
     // compaction is the same as for an unleased store.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
+    test::Setting window(&RuntimeConfig::claimStale,
+                         std::chrono::milliseconds(1));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const bool compacted = cache.compact();
-    ::unsetenv("EBM_CLAIM_STALE_MS");
-    ASSERT_TRUE(compacted);
+    ASSERT_TRUE(cache.compact());
     EXPECT_EQ(slurpFile(path_), expected);
     EXPECT_TRUE(test::filesBeside(path_).empty());
 }

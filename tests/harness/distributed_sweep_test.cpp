@@ -90,7 +90,6 @@ class DistributedSweepTest : public ::testing::Test
     void
     SetUp() override
     {
-        ::unsetenv("EBM_COORDINATOR");
         stem_ = ::testing::TempDir() + "ebm_dist_" +
                 ::testing::UnitTest::GetInstance()
                     ->current_test_info()
@@ -187,7 +186,7 @@ class DistributedSweepTest : public ::testing::Test
         // failures are reported through the exit code.
         int rc = 0;
         {
-            ::setenv("EBM_COORDINATOR", address.c_str(), 1);
+            test::Setting lease_from(&RuntimeConfig::coordinator, address);
             if (start_delay_ms > 0) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(start_delay_ms));
@@ -236,6 +235,10 @@ class DistributedSweepTest : public ::testing::Test
         return n;
     }
 
+    /** Tests choose their coordinator; the suite's own
+     * EBM_COORDINATOR never leaks in. */
+    test::Setting<std::string> noCoordinator_{&RuntimeConfig::coordinator,
+                                              std::string()};
     std::string stem_;
     std::string ref_path_;
     std::string dist_path_;
@@ -368,7 +371,8 @@ TEST_F(DistributedSweepTest, WorkerKilledMidLeaseIsTakenOver)
     if (doomed == 0) {
         int rc = 3;
         {
-            auto lease = NetLeaseProvider::connect(address);
+            auto lease = NetLeaseProvider::connect(
+                address, NetLeaseProvider::Options{});
             if (lease != nullptr && lease->tryAcquire(held_key)) {
                 std::ofstream ready(readyPath(0));
                 ready << "held\n";
@@ -392,7 +396,7 @@ TEST_F(DistributedSweepTest, WorkerKilledMidLeaseIsTakenOver)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(5));
             }
-            ::setenv("EBM_COORDINATOR", address.c_str(), 1);
+            test::Setting lease_from(&RuntimeConfig::coordinator, address);
             Runner runner(test::tinyConfig(2), test::tinyOptions());
             DiskCache scratch(scratchPath(1));
             Exhaustive ex(runner, scratch);
@@ -411,7 +415,8 @@ TEST_F(DistributedSweepTest, WorkerKilledMidLeaseIsTakenOver)
 
     // Kill the holder once its lease is visible over the wire.
     {
-        auto observer = NetLeaseProvider::connect(address);
+        auto observer =
+            NetLeaseProvider::connect(address, NetLeaseProvider::Options{});
         ASSERT_NE(observer, nullptr);
         LeaseProvider::State s = LeaseProvider::State::Absent;
         for (int i = 0; i < 2000; ++i) {
@@ -541,8 +546,8 @@ TEST_F(DistributedSweepTest, CoordinatorAddressOutranksLocalElection)
     Coordinator coordinator(dist, Coordinator::Options{});
     ASSERT_TRUE(coordinator.bind().ok());
     ASSERT_TRUE(coordinator.start().ok());
-    test::ScopedEnv address("EBM_COORDINATOR",
-                            coordinator.address().c_str());
+    test::Setting lease_from(&RuntimeConfig::coordinator,
+                             coordinator.address());
 
     DiskCache scratch(scratchPath(0));
     auto lease = makeLeaseProvider(scratch);

@@ -40,10 +40,8 @@ class GpuPoolTest : public ::testing::Test
     SetUp() override
     {
         enabledBefore_ = GpuPool::enabled();
-        warmBefore_ = WarmStateCache::enabled();
         GpuPool::setEnabled(true);
         GpuPool::threadLocal().clear();
-        WarmStateCache::setEnabled(true);
         WarmStateCache::instance().clear();
     }
 
@@ -54,11 +52,10 @@ class GpuPoolTest : public ::testing::Test
         GpuPool::setEnabled(enabledBefore_);
         WarmStateCache::instance().setBudgetBytes(kSnapshotBudgetBytes);
         WarmStateCache::instance().clear();
-        WarmStateCache::setEnabled(warmBefore_);
     }
 
     bool enabledBefore_ = true;
-    bool warmBefore_ = true;
+    test::Setting<bool> snapshotsOn_{&RuntimeConfig::snapshot, true};
 };
 
 /** A measurement-shaped scenario: knobs, windows, a digest. */

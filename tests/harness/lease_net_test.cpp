@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "common/frame_server.hpp"
 #include "common/net.hpp"
 #include "common/stats.hpp"
@@ -42,7 +43,6 @@ quickConnect()
     NetLeaseProvider::Options o;
     o.connectAttempts = 10;
     o.connectBackoff = std::chrono::milliseconds(20);
-    o.rpcTimeout = std::chrono::milliseconds(5000);
     return o;
 }
 
@@ -426,16 +426,69 @@ TEST_F(LeaseNetTest, HandshakeReportsStalenessWindow)
 {
     startCoordinator(std::chrono::milliseconds(1234));
     auto a = connectWorker();
-    EXPECT_EQ(a->coordinatorStaleMs(),
-              std::chrono::milliseconds(1234));
+    EXPECT_EQ(a->window(), std::chrono::milliseconds(1234));
+}
+
+/**
+ * The lease window is the coordinator's: a peer renews at a quarter of
+ * the window it got at HELLO, whatever its own EBM_CLAIM_STALE_MS says.
+ * Here the peer's setting is 60 s but the coordinator judges leases
+ * against 200 ms; a rival polling throughout must never find the lease
+ * stale enough to take over.
+ */
+TEST_F(LeaseNetTest, PeerRenewsWithinTheCoordinatorsWindow)
+{
+    test::Setting own_window(&RuntimeConfig::claimStale,
+                             std::chrono::milliseconds(60000));
+    startCoordinator(std::chrono::milliseconds(200));
+    auto owner = connectWorker();
+    auto rival = connectWorker();
+    ASSERT_TRUE(owner != nullptr && rival != nullptr);
+    EXPECT_EQ(owner->window(), std::chrono::milliseconds(200));
+    ASSERT_TRUE(owner->tryAcquire("row"));
+    bool fenced = false;
+    {
+        LeaseHeartbeater beat(owner.get(), "row");
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(1500);
+        while (std::chrono::steady_clock::now() < until) {
+            if (rival->peek("row") == State::Stale)
+                rival->breakStale("row");
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        fenced = beat.fenced();
+    }
+    EXPECT_EQ(coord_->stats().takeovers, 0u);
+    EXPECT_FALSE(fenced);
+    EXPECT_TRUE(owner->release("row"));
+}
+
+/** The inverse: a peer set to a 50 ms window under a 10 s coordinator
+ * renews every 2.5 s, not every 12.5 ms — at most one HB a second. */
+TEST_F(LeaseNetTest, PeerDoesNotOverRenewUnderAWideWindow)
+{
+    test::Setting own_window(&RuntimeConfig::claimStale,
+                             std::chrono::milliseconds(50));
+    startCoordinator(std::chrono::milliseconds(10000));
+    auto owner = connectWorker();
+    ASSERT_NE(owner, nullptr);
+    ASSERT_TRUE(owner->tryAcquire("row"));
+    const std::uint64_t before = coord_->stats().rpcs;
+    {
+        LeaseHeartbeater beat(owner.get(), "row");
+        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+        EXPECT_FALSE(beat.fenced());
+    }
+    EXPECT_LE(coord_->stats().rpcs - before, 1u)
+        << "heartbeats paced from the peer's own 50 ms setting";
+    EXPECT_TRUE(owner->release("row"));
 }
 
 TEST_F(LeaseNetTest, MakeLeaseProviderSelectsNetMode)
 {
     startCoordinator();
-    ::setenv("EBM_COORDINATOR", coord_->address().c_str(), 1);
+    test::Setting lease_from(&RuntimeConfig::coordinator, coord_->address());
     auto lease = makeLeaseProvider(*cache_);
-    ::unsetenv("EBM_COORDINATOR");
     ASSERT_NE(lease, nullptr);
     EXPECT_STREQ(lease->kind(), "net");
     EXPECT_TRUE(lease->tryAcquire("row"));
@@ -444,35 +497,17 @@ TEST_F(LeaseNetTest, MakeLeaseProviderSelectsNetMode)
 
 TEST_F(LeaseNetTest, UnreachableCoordinatorDegradesToNull)
 {
-    // Port 1 on localhost refuses connections; makeLeaseProvider must
-    // warn and return null (standalone sweep), never hang or throw.
-    // Shrink the connect-retry budget so the test stays fast.
-    ::setenv("EBM_COORDINATOR", "127.0.0.1:1", 1);
-    ::setenv("EBM_NET_CONNECT_ATTEMPTS", "2", 1);
-    ::setenv("EBM_NET_CONNECT_BACKOFF_MS", "10", 1);
-    auto lease = makeLeaseProvider(*cache_);
-    ::unsetenv("EBM_COORDINATOR");
-    ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
-    ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");
-    EXPECT_EQ(lease, nullptr);
-}
-
-TEST_F(LeaseNetTest, MalformedConnectKnobsKeepTheDefaultBudget)
-{
-    // "-1" must not wrap to ~4.29 billion attempts: the strict parser
-    // rejects it and keeps the default 40, which with no backoff
-    // between them fail at once against a refusing port.
-    ::setenv("EBM_COORDINATOR", "127.0.0.1:1", 1);
-    ::setenv("EBM_NET_CONNECT_ATTEMPTS", "-1", 1);
-    ::setenv("EBM_NET_CONNECT_BACKOFF_MS", "0", 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto lease = makeLeaseProvider(*cache_);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    ::unsetenv("EBM_COORDINATOR");
-    ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
-    ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");
-    EXPECT_EQ(lease, nullptr);
-    EXPECT_LT(elapsed, std::chrono::seconds(5));
+    // A malformed address: makeLeaseProvider must warn and return
+    // null (standalone sweep), never hang or throw.
+    {
+        test::Setting lease_from(&RuntimeConfig::coordinator,
+                                 std::string("no-port-here"));
+        EXPECT_EQ(makeLeaseProvider(*cache_), nullptr);
+    }
+    // Port 1 on localhost refuses connections: the retry budget runs
+    // out and connect() returns null.
+    EXPECT_EQ(NetLeaseProvider::connect("127.0.0.1:1", quickConnect()),
+              nullptr);
 }
 
 TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
@@ -480,7 +515,10 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
     FakeCoordinator fake;
     // A staleness window that is not a plain number refuses the
     // handshake: no exception, and no negative window.
-    for (const char *hello : {"OK x", "OK 99999999999999999999", "OK -5"}) {
+    // A reply without a window, or with a zero one, is refused too:
+    // a peer paces its heartbeats from that window.
+    for (const char *hello : {"OK x", "OK 99999999999999999999", "OK -5",
+                              "OK", "OK 0", "OK 3600001"}) {
         fake.script(hello, "OK 1");
         std::unique_ptr<NetLeaseProvider> p;
         EXPECT_NO_THROW(
@@ -489,13 +527,13 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
     }
     // The same through the env-driven entry point a sweep uses.
     fake.script("OK x", "OK 1");
-    ::setenv("EBM_COORDINATOR", fake.address().c_str(), 1);
-    ::setenv("EBM_NET_CONNECT_ATTEMPTS", "1", 1);
-    std::unique_ptr<LeaseProvider> lease;
-    EXPECT_NO_THROW(lease = makeLeaseProvider(*cache_));
-    ::unsetenv("EBM_COORDINATOR");
-    ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
-    EXPECT_EQ(lease, nullptr);
+    {
+        test::Setting lease_from(&RuntimeConfig::coordinator,
+                                 fake.address());
+        std::unique_ptr<LeaseProvider> lease;
+        EXPECT_NO_THROW(lease = makeLeaseProvider(*cache_));
+        EXPECT_EQ(lease, nullptr);
+    }
 
     // A grant without an epoch >= 1 latches degraded mode: the row is
     // computed locally and never renewed or released on the wire.
@@ -504,8 +542,7 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
         auto acq = NetLeaseProvider::connect(fake.address(),
                                              quickConnect());
         ASSERT_NE(acq, nullptr);
-        EXPECT_EQ(acq->coordinatorStaleMs(),
-                  std::chrono::milliseconds(1000));
+        EXPECT_EQ(acq->window(), std::chrono::milliseconds(1000));
         EXPECT_TRUE(acq->tryAcquire("row")) << grant;
         EXPECT_TRUE(acq->degraded()) << grant;
         EXPECT_EQ(acq->ownedEpoch("row"), 0u);

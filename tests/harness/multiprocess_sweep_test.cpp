@@ -16,6 +16,7 @@
  * The forked suites run in their own binary: fork()/waitpid()
  * orchestration should never share a process with unrelated tests.
  */
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -55,7 +56,7 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-using test::ScopedEnv;
+using std::chrono::milliseconds;
 
 /**
  * A peer of the elected local coordinator for @p cache's store: the
@@ -187,6 +188,9 @@ TEST_F(MultiprocessSweepTest, DistinctKeysNeverContend)
 
 TEST_F(MultiprocessSweepTest, SkipMarkerIsDurableAndExpires)
 {
+    // The coordinator fixes its window when elected: wide enough for
+    // the checks below, short enough to wait out.
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(250));
     DiskCache host(shared_path_);
     auto lease = joinPeer(host);
     auto peer = joinPeer(host);
@@ -205,8 +209,7 @@ TEST_F(MultiprocessSweepTest, SkipMarkerIsDurableAndExpires)
     // retries the row (single-process semantics: a failed
     // combination is never persisted).
     {
-        ScopedEnv stale("EBM_CLAIM_STALE_MS", "1");
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::this_thread::sleep_for(milliseconds(300));
         EXPECT_EQ(lease->peek("row"), State::Absent);
         EXPECT_TRUE(lease->tryAcquire("row"));
         lease->release("row");
@@ -215,16 +218,16 @@ TEST_F(MultiprocessSweepTest, SkipMarkerIsDurableAndExpires)
 
 TEST_F(MultiprocessSweepTest, StaleClaimIsBrokenAndTakenOver)
 {
+    // A window comfortably wider than any single check below, so
+    // "fresh" observations never race the clock — but short enough
+    // that waiting it out keeps the test quick.
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(250));
     DiskCache host(shared_path_);
     auto owner = joinPeer(host);
     auto waiter = joinPeer(host);
     ASSERT_TRUE(owner != nullptr && waiter != nullptr);
     ASSERT_TRUE(owner->tryAcquire("row"));
     {
-        // A window comfortably wider than any single check below, so
-        // "fresh" observations never race the clock — but short
-        // enough that waiting it out keeps the test quick.
-        ScopedEnv stale("EBM_CLAIM_STALE_MS", "250");
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
         EXPECT_EQ(waiter->peek("row"), State::Stale);
 
@@ -284,7 +287,8 @@ TEST_F(MultiprocessSweepTest, ReadOnlyColdSweepElectsNothing)
 {
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     {
-        ScopedEnv readonly("EBM_CACHE_READONLY", "1");
+        std::optional<test::Setting<bool>> readonly(
+            std::in_place, &RuntimeConfig::cacheReadOnly, true);
         DiskCache cache(shared_path_);
         ASSERT_TRUE(cache.readOnly());
         EXPECT_EQ(makeLeaseProvider(cache), nullptr);
@@ -298,7 +302,7 @@ TEST_F(MultiprocessSweepTest, ReadOnlyColdSweepElectsNothing)
 
         // Nothing holds the store's name either: a writable peer that
         // joins now wins the election.
-        ::unsetenv("EBM_CACHE_READONLY");
+        readonly.reset();
         DiskCache writable(shared_path_);
         auto lease = joinPeer(writable);
         EXPECT_NE(writable.leaseServer(), nullptr);
@@ -336,6 +340,7 @@ TEST_F(MultiprocessSweepTest, AcquireMintsMonotonicEpochs)
 
 TEST_F(MultiprocessSweepTest, FencedOwnerCannotReleaseOrSkip)
 {
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(100));
     DiskCache host(shared_path_);
     auto owner = joinPeer(host);
     auto waiter = joinPeer(host);
@@ -345,11 +350,8 @@ TEST_F(MultiprocessSweepTest, FencedOwnerCannotReleaseOrSkip)
 
     // The owner stalls past the staleness window; a waiter takes the
     // row over under a bumped epoch.
-    {
-        ScopedEnv stale("EBM_CLAIM_STALE_MS", "50");
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
-        ASSERT_TRUE(waiter->breakStale("row"));
-    }
+    std::this_thread::sleep_for(milliseconds(150));
+    ASSERT_TRUE(waiter->breakStale("row"));
     EXPECT_EQ(waiter->ownedEpoch("row"), 2u);
 
     // The resumed stale owner is fenced on every verb: heartbeat
@@ -374,16 +376,14 @@ TEST_F(MultiprocessSweepTest, TakeoverEpochReachesTheStoreHeader)
 {
     // A takeover (epoch 2) noted on the cache is stamped into the
     // header by the next append; compaction re-canonicalizes to 0.
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(50));
     DiskCache cache(shared_path_);
     auto dead = joinPeer(cache);
     auto taker = joinPeer(cache);
     ASSERT_TRUE(dead != nullptr && taker != nullptr);
     ASSERT_TRUE(dead->tryAcquire("row"));
-    {
-        ScopedEnv stale("EBM_CLAIM_STALE_MS", "50");
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
-        ASSERT_TRUE(taker->breakStale("row"));
-    }
+    std::this_thread::sleep_for(milliseconds(80));
+    ASSERT_TRUE(taker->breakStale("row"));
 
     cache.noteFencingEpoch(taker->ownedEpoch("row"));
     cache.put("row", {1.0});
@@ -406,7 +406,7 @@ TEST_F(MultiprocessSweepTest, TakeoverEpochReachesTheStoreHeader)
 
 TEST_F(MultiprocessSweepTest, HeartbeaterKeepsLongRowFreshAtTinyWindow)
 {
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "200");
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(200));
     DiskCache host(shared_path_);
     auto owner = joinPeer(host);
     auto peer = joinPeer(host);
@@ -443,7 +443,7 @@ TEST_F(MultiprocessSweepTest, HeartbeaterKeepsLongRowFreshAtTinyWindow)
  */
 TEST_F(MultiprocessSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
 {
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "200");
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(200));
 
     // Slow the simulation so one row comfortably exceeds the window
     // (the tiny config runs ~7k cycles in single-digit milliseconds;
@@ -528,12 +528,12 @@ TEST_F(MultiprocessSweepTest, StaleClaimedRowIsTakenOverBySweep)
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     const Workload wl = makePair("BLK", "TRD");
 
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(1));
     DiskCache dead_cache(shared_path_);
     auto dead = joinPeer(dead_cache);
     ASSERT_NE(dead, nullptr);
     ASSERT_TRUE(dead->tryAcquire(runner.comboKey(wl.name, {4, 4})));
 
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "1");
     DiskCache cache(shared_path_);
     Exhaustive ex(runner, cache);
     ex.setJobs(1);
@@ -582,7 +582,7 @@ TEST_F(MultiprocessSweepTest, SigkilledPeersRowsAreFinishedBySurvivor)
 
     // A window far longer than the test: only the orphaning can free
     // the dead peer's lease in time.
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "60000");
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(60000));
     int go[2];
     ASSERT_EQ(::pipe(go), 0);
     // Forked before this process elects, so the peer inherits no
@@ -645,7 +645,7 @@ TEST_F(MultiprocessSweepTest, StoppedPeersLeaseIsTakenOverAfterTheWindow)
     Runner runner(test::tinyConfig(2), test::tinyOptions());
     const Workload wl = makePair("BLK", "TRD");
     const std::string key = runner.comboKey(wl.name, {4, 4});
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
+    test::Setting window(&RuntimeConfig::claimStale, milliseconds(300));
 
     int go[2];
     int held[2];
@@ -1024,6 +1024,83 @@ TEST_F(MultiprocessSweepTest, KilledServerLeavesTheSurvivorBitIdentical)
     EXPECT_EQ(merged.size(), ref.combos.size());
     ASSERT_TRUE(merged.compact());
     EXPECT_EQ(slurp(shared_path_), ref_bytes);
+}
+
+// ---------------------------------------------------------------------
+// Exit-time compaction: processes that compact one store at the same
+// moment serialize on its lock.
+// ---------------------------------------------------------------------
+
+/**
+ * Two forked children each append their share of the rows, then
+ * compact the same store at once, twenty times over. Every round must
+ * leave the bytes a serial fill compacts to, and neither child may
+ * warn (a lost rename, a peer's half-written temp file, or a scan
+ * from a stale offset all print one).
+ */
+TEST_F(MultiprocessSweepTest, ConcurrentCompactionsLeaveTheCanonicalStore)
+{
+    constexpr int kRows = 40;
+    const auto keyOf = [](int i) { return "row/" + std::to_string(i); };
+    const auto valuesOf = [](int i) {
+        return std::vector<double>{i * 1.0, i + 0.5};
+    };
+    std::string expected;
+    {
+        DiskCache serial(ref_path_);
+        for (int i = 0; i < kRows; ++i)
+            serial.put(keyOf(i), valuesOf(i));
+        ASSERT_TRUE(serial.compact());
+        expected = slurp(ref_path_);
+    }
+
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        removeAll();
+        {
+            // A quarter of the rows already on disk, appended out of
+            // key order.
+            DiskCache seed(shared_path_);
+            for (int i = kRows / 4 - 1; i >= 0; --i)
+                seed.put(keyOf(i), valuesOf(i));
+            seed.sync();
+        }
+        int ready[2];
+        int go[2];
+        ASSERT_EQ(::pipe(ready), 0);
+        ASSERT_EQ(::pipe(go), 0);
+        std::vector<pid_t> kids;
+        for (int c = 0; c < 2; ++c) {
+            kids.push_back(test::forkPeer([&, c] {
+                const int err = ::open(statusPath(c).c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+                if (err < 0 || ::dup2(err, STDERR_FILENO) < 0)
+                    return 3;
+                DiskCache cache(shared_path_);
+                for (int i = kRows / 4 + c; i < kRows; i += 2)
+                    cache.put(keyOf(i), valuesOf(i));
+                cache.sync();
+                char byte = 'r';
+                if (::write(ready[1], &byte, 1) != 1 ||
+                    ::read(go[0], &byte, 1) != 1)
+                    return 4;
+                return cache.compact() ? 0 : 1;
+            }));
+        }
+        char bytes[2];
+        ASSERT_EQ(::read(ready[0], bytes, 1), 1);
+        ASSERT_EQ(::read(ready[0], bytes + 1, 1), 1);
+        ASSERT_EQ(::write(go[1], "gg", 2), 2);
+        for (const pid_t kid : kids)
+            EXPECT_TRUE(test::exitedZero(test::reapPeer(kid)));
+        for (int fd : {ready[0], ready[1], go[0], go[1]})
+            ::close(fd);
+        for (int c = 0; c < 2; ++c)
+            EXPECT_EQ(slurp(statusPath(c)), "") << "child " << c;
+        EXPECT_EQ(slurp(shared_path_), expected);
+        EXPECT_NE(::access((shared_path_ + ".tmp").c_str(), F_OK), 0)
+            << "no temp file left behind";
+    }
 }
 
 } // namespace

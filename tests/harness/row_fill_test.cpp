@@ -152,6 +152,10 @@ class ScriptedLease : public LeaseProvider
     }
 
     const char *kind() const override { return "scripted"; }
+    std::chrono::milliseconds window() const override
+    {
+        return std::chrono::milliseconds(10000);
+    }
 
   private:
     std::map<std::string, std::uint64_t> owned_;

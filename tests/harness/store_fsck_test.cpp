@@ -251,13 +251,13 @@ TEST_F(StoreFsckTest, RepairSweepsOrphanedEpochSidecars)
 
     // Scrub and repair agree the leased store is clean; repair leaves
     // its bytes alone and finds nothing beside it to groom.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
+    test::Setting window(&RuntimeConfig::claimStale,
+                         std::chrono::milliseconds(1));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     const FsckReport scrub = fsckStore(path_);
     FsckOptions options;
     options.repair = true;
     const FsckReport report = fsckStore(path_, options);
-    ::unsetenv("EBM_CLAIM_STALE_MS");
     EXPECT_EQ(scrub.verdict, FsckReport::Verdict::Clean);
     EXPECT_EQ(report.verdict, FsckReport::Verdict::Clean);
     EXPECT_FALSE(report.repaired);

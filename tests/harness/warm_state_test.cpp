@@ -46,11 +46,15 @@ slurp(const std::string &path)
 class WarmStateTest : public ::testing::Test
 {
   protected:
+    /** Every test starts with the cache on, whatever EBM_SNAPSHOT
+     * the suite runs under. */
+    RuntimeConfig::Override snapshotsOn_{
+        [](RuntimeConfig &c) { c.snapshot = true; }};
+
     void
     SetUp() override
     {
         WarmStateCache::instance().clear();
-        WarmStateCache::setEnabled(true);
         GpuPool::threadLocal().clear();
         start_ = WarmStateCache::instance().stats();
     }
@@ -58,7 +62,6 @@ class WarmStateTest : public ::testing::Test
     void
     TearDown() override
     {
-        WarmStateCache::setEnabled(true);
         WarmStateCache::instance().clear();
         GpuPool::threadLocal().clear();
     }
@@ -95,7 +98,8 @@ TEST_F(WarmStateTest, ForkOnVsOffStoreBytesIdentical)
                           const std::string &path) {
         std::remove(path.c_str());
         WarmStateCache::instance().clear();
-        WarmStateCache::setEnabled(fork_on);
+        RuntimeConfig::Override forks(
+            [fork_on](RuntimeConfig &c) { c.snapshot = fork_on; });
         Runner runner(test::tinyConfig(2), test::tinyOptions());
         DiskCache cache(path);
         Exhaustive ex(runner, cache);
@@ -222,11 +226,12 @@ TEST_F(WarmStateTest, ByteBudgetEvictsOldestFirst)
     cache.setBudgetBytes(256u * 1024 * 1024);
 }
 
-/** EBM_SNAPSHOT=0 / setEnabled(false) turns the cache fully off. */
+/** EBM_SNAPSHOT=0 turns the cache fully off. */
 TEST_F(WarmStateTest, KillSwitchDisablesCaptureEntirely)
 {
-    WarmStateCache::setEnabled(false);
-    EXPECT_FALSE(WarmStateCache::enabled());
+    RuntimeConfig::Override off(
+        [](RuntimeConfig &c) { c.snapshot = false; });
+    EXPECT_FALSE(RuntimeConfig::get().snapshot);
     const GpuConfig cfg = test::tinyConfig(2);
     const std::vector<AppProfile> apps{test::streamingApp(),
                                        test::cacheApp()};
@@ -237,28 +242,28 @@ TEST_F(WarmStateTest, KillSwitchDisablesCaptureEntirely)
     const auto d = delta();
     EXPECT_EQ(d.hits, 0u);
     EXPECT_EQ(d.misses, 0u);
-    WarmStateCache::setEnabled(true);
 }
 
 /**
- * The kill switch parses through the shared strict envUint parser:
- * exact "0" disables, exact "1" enables, trailing garbage falls back
- * to enabled rather than being half-read.
+ * The kill switch parses through RuntimeConfig's strict parser: exact
+ * "0" disables, exact "1" enables, trailing garbage falls back to
+ * enabled rather than being half-read.
  */
 TEST_F(WarmStateTest, KillSwitchUsesStrictEnvParse)
 {
     const auto parse = [](const char *value) {
-        ::setenv("EBM_SNAPSHOT_PARSE_PROBE", value, 1);
-        const std::uint64_t v =
-            envUint("EBM_SNAPSHOT_PARSE_PROBE", 1, 0, 1);
-        ::unsetenv("EBM_SNAPSHOT_PARSE_PROBE");
-        return v;
+        return RuntimeConfig::parse([value](const char *name) {
+                   return std::string(name) == "EBM_SNAPSHOT" ? value
+                                                              : nullptr;
+               }).snapshot;
     };
-    EXPECT_EQ(parse("0"), 0u);
-    EXPECT_EQ(parse("1"), 1u);
-    EXPECT_EQ(parse("0x"), 1u) << "trailing garbage -> fallback";
-    EXPECT_EQ(parse(" 0"), 1u) << "leading space -> fallback";
-    EXPECT_EQ(parse("off"), 1u) << "words are not numbers here";
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse("0"));
+    EXPECT_TRUE(parse("1"));
+    EXPECT_TRUE(parse("0x")) << "trailing garbage -> fallback";
+    EXPECT_TRUE(parse(" 0")) << "leading space -> fallback";
+    EXPECT_TRUE(parse("off")) << "words are not numbers here";
+    ::testing::internal::GetCapturedStderr();
 }
 
 } // namespace

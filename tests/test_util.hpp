@@ -19,6 +19,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/runtime_config.hpp"
 #include "harness/run_result.hpp"
 #include "workload/app_profile.hpp"
 
@@ -145,33 +146,20 @@ filesBeside(const std::string &path)
     return found;
 }
 
-/** Set an environment variable for one scope (restored on exit). */
-class ScopedEnv
+/**
+ * Override one RuntimeConfig field for a scope, e.g.
+ * `test::Setting window(&RuntimeConfig::claimStale, 200ms);` —
+ * the in-process replacement for setting an EBM_* variable. Forked
+ * peers inherit it.
+ */
+template <typename T>
+class Setting : public RuntimeConfig::Override
 {
   public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
+    Setting(T RuntimeConfig::*field, T value)
+        : Override([field, value](RuntimeConfig &c) { c.*field = value; })
     {
-        if (const char *old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
     }
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
 };
 
 /**
