@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "interconnect/crossbar.hpp"
 #include "mem/address_map.hpp"
 #include "mem/cache.hpp"
@@ -82,6 +83,32 @@ BM_DramChannelStreaming(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramChannelStreaming);
+
+void
+BM_DramChannelContended(benchmark::State &state)
+{
+    // Two apps with random bank and row, the queue topped up to full
+    // every cycle: the FR-FCFS scan at its deepest.
+    const GpuConfig cfg = benchConfig(2);
+    DramChannel dram(cfg, 2);
+    Rng rng(1);
+    MemRequest req;
+    DramCoord coord;
+    for (auto _ : state) {
+        while (!dram.queueFull()) {
+            req.app = static_cast<AppId>(rng.nextBounded(2));
+            coord.bank = static_cast<std::uint32_t>(
+                rng.nextBounded(cfg.banksPerChannel));
+            coord.row = rng.nextBounded(8);
+            coord.col = static_cast<std::uint32_t>(rng.nextBounded(16));
+            dram.enqueue(req, coord);
+        }
+        DramCompletion done;
+        benchmark::DoNotOptimize(dram.tick(done));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramChannelContended);
 
 void
 BM_CrossbarTick(benchmark::State &state)

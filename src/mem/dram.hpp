@@ -3,9 +3,11 @@
  * A GDDR5-like DRAM channel with banked timing and an FR-FCFS
  * (first-ready, first-come-first-served) memory controller.
  *
- * The controller scans its request queue each DRAM command cycle and
- * prioritizes (1) column accesses to already-open rows (row hits),
- * then (2) the oldest request. Bank state machines enforce
+ * Each DRAM command cycle the controller prioritizes (1) column
+ * accesses to already-open rows (row hits), then (2) the oldest
+ * request. A per-bank index of the queued commands makes each
+ * scheduling decision cost O(banks with work), not O(queue). Bank
+ * state machines enforce
  * tRCD/tRP/tRAS/tCCD/tRRD constraints; the shared data bus serializes
  * bursts. Per-application useful-data-cycle counters provide the
  * attained-bandwidth half of the paper's EB metric.
@@ -29,8 +31,8 @@ struct DramCommand
 {
     MemRequest req;
     DramCoord coord;
-    std::uint32_t group = 0;    ///< Bank group (derived once on enqueue).
-    Cycle enqueuedAt = 0;       ///< DRAM cycle of arrival (for FCFS age).
+    std::uint64_t seq = 0;      ///< Arrival number: the FCFS age key.
+    Cycle enqueuedAt = 0;       ///< DRAM cycle of arrival (starvation cap).
     bool causedActivate = false; ///< This request opened its row itself.
 };
 
@@ -152,20 +154,72 @@ class DramChannel
     /** Last column access per bank group, for tCCDl vs tCCDs. */
     std::vector<Cycle> lastColumnInGroup_;
     /**
-     * The FR-FCFS request queue, age-ordered front to back. A flat
-     * vector (capacity reserved once, bounded by queueCap_) so the
-     * controller's per-cycle priority scans run over contiguous
-     * memory; mid-queue removal shifts, preserving age order.
+     * The FR-FCFS request queue, age-ordered front to back (strictly
+     * increasing seq). A flat vector, capacity reserved once and
+     * bounded by queueCap_; mid-queue removal shifts, preserving age
+     * order. Scans never walk it: they read the per-bank index below.
      */
     std::vector<DramCommand> queue_;
     std::size_t queueCap_;
+    std::uint64_t nextSeq_ = 0; ///< seq of the next enqueued command.
     /**
      * No command can become issuable before this cycle (set by a scan
      * that found nothing; cleared on enqueue and on every issue).
-     * Lets the controller skip the O(queue) priority scans while all
-     * commands sit out fixed timing constraints.
+     * Lets the controller skip the priority scans while all commands
+     * sit out fixed timing constraints.
      */
     Cycle scanSkipUntil_ = 0;
+
+    // --- Per-bank FR-FCFS index (derived from queue_ and banks_) ----
+
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One queued command as its bank's list records it. */
+    struct BankEntry
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t row = 0;
+        std::uint32_t next = kNil; ///< Younger entry of the bank (or free).
+    };
+
+    /** A bank's queued commands and its two scheduling candidates. */
+    struct BankQueue
+    {
+        std::uint32_t head = kNil;          ///< Oldest entry.
+        std::uint32_t tail = kNil;          ///< Youngest entry.
+        std::uint64_t firstHit = kNoSeq;    ///< Oldest open-row hit.
+        std::uint64_t firstNonHit = kNoSeq; ///< Oldest other command.
+    };
+
+    /**
+     * queueCap_ entry slots, sized once at construction: each bank's
+     * commands form an age-ordered list through `next`, and unused
+     * slots a free list from freeSlot_. The index never allocates.
+     */
+    std::vector<BankEntry> slots_;
+    std::uint32_t freeSlot_ = kNil;
+    std::vector<BankQueue> bankQueues_;
+    std::uint64_t hitMask_ = 0;    ///< Banks whose firstHit is set.
+    std::uint64_t nonHitMask_ = 0; ///< Banks whose firstNonHit is set.
+
+    /** Recompute bank @p b's candidates and mask bits from its list. */
+    void reindexBank(std::uint32_t b);
+
+    /** Append @p cmd to its bank's list and update the candidates. */
+    void indexCommand(const DramCommand &cmd);
+
+    /** Remove bank @p b's firstHit entry: its column was issued. */
+    void unindexColumn(std::uint32_t b);
+
+    /**
+     * Derive the index (and nextSeq_) from queue_ and banks_, in place:
+     * reset() and restore() allocate nothing.
+     */
+    void rebuildIndex();
+
+    /** The queued command with arrival number @p seq (must exist). */
+    std::vector<DramCommand>::iterator findQueued(std::uint64_t seq);
 
     std::vector<Counter> dataCycles_;
     Counter rowHits_;

@@ -206,5 +206,57 @@ TEST_F(DramTest, StreamsThroughputExceedsRandom)
     EXPECT_LT(stream_end, random_end);
 }
 
+/** A snapshot with two queued requests to corrupt one field at a time. */
+class DramRestoreTest : public DramTest
+{
+  protected:
+    DramChannel::Snapshot
+    queuedSnapshot()
+    {
+        dram_.enqueue(req(0), coord(0, 5, 0));
+        dram_.enqueue(req(1), coord(1, 6, 0));
+        return dram_.snapshot();
+    }
+};
+
+TEST_F(DramRestoreTest, AcceptsOwnSnapshot)
+{
+    DramChannel fresh(cfg_, 2);
+    fresh.restore(queuedSnapshot());
+    EXPECT_EQ(fresh.queueDepth(), 2u);
+}
+
+TEST_F(DramRestoreTest, RejectsWrongBankGroupCount)
+{
+    DramChannel::Snapshot snap = queuedSnapshot();
+    snap.lastColumnInGroup.push_back(0);
+    EXPECT_EBM_FATAL(dram_.restore(snap), "snapshot shape mismatch");
+}
+
+TEST_F(DramRestoreTest, RejectsOutOfRangeQueuedBank)
+{
+    DramChannel::Snapshot snap = queuedSnapshot();
+    snap.queue[1].coord.bank = cfg_.banksPerChannel;
+    EXPECT_EBM_FATAL(dram_.restore(snap), "snapshot shape mismatch");
+}
+
+TEST_F(DramRestoreTest, RejectsOutOfRangeQueuedApp)
+{
+    DramChannel::Snapshot snap = queuedSnapshot();
+    snap.queue[0].req.app = 2;
+    EXPECT_EBM_FATAL(dram_.restore(snap), "snapshot shape mismatch");
+}
+
+TEST_F(DramRestoreTest, RejectsNonIncreasingSeq)
+{
+    DramChannel::Snapshot snap = queuedSnapshot();
+    const std::uint64_t second = snap.queue[1].seq;
+    snap.queue[1].seq = snap.queue[0].seq; // A tie.
+    EXPECT_EBM_FATAL(dram_.restore(snap), "snapshot shape mismatch");
+    snap.queue[1].seq = second;
+    snap.queue[0].seq = second + 1; // Out of age order.
+    EXPECT_EBM_FATAL(dram_.restore(snap), "snapshot shape mismatch");
+}
+
 } // namespace
 } // namespace ebm
