@@ -213,6 +213,37 @@ BM_GpuRunMemBoundPairFast(benchmark::State &state)
 }
 BENCHMARK(BM_GpuRunMemBoundPairFast)->Iterations(30);
 
+/**
+ * Warm re-run of the memory-bound pair: the same machine after
+ * reset(flush_caches=false), as perfbench's simloop warm phase runs
+ * it. Most core-cycles here are dormant (no warp can issue until a
+ * fill), so this is where the per-core idle path shows. TLP 1 keeps
+ * the warm machine issuing: at TLP 4 and up it stops within 100k
+ * cycles on L1 MSHR entries that reset(false) keeps but whose fills
+ * it dropped (ROADMAP.md), which instrs_per_cycle would show. Fixed
+ * iterations, so every run times the same 100k-cycle range.
+ */
+void
+BM_GpuRunWarmPair(benchmark::State &state)
+{
+    GpuConfig cfg = benchConfig(2);
+    Gpu gpu(cfg, {findApp("BFS"), findApp("FFT")});
+    gpu.setAppTlp(0, 1);
+    gpu.setAppTlp(1, 1);
+    constexpr Cycle kChunk = 10'000;
+    constexpr Cycle kColdRun = 100'000;
+    gpu.run(kColdRun);
+    gpu.reset(false);
+    for (auto _ : state)
+        gpu.run(kChunk);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kChunk);
+    state.counters["instrs_per_cycle"] =
+        static_cast<double>(gpu.appInstrs(0) + gpu.appInstrs(1)) /
+        static_cast<double>(gpu.now());
+}
+BENCHMARK(BM_GpuRunWarmPair)->Iterations(10);
+
 /** Compute-heavy co-run: the fast-forward gate must not cost here. */
 void
 BM_GpuRunBusyPairFast(benchmark::State &state)

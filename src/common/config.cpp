@@ -69,6 +69,11 @@ GpuConfig::check() const
         bad("GpuConfig: schedulersPerCore must be >= 1");
     else if (maxWarpsPerCore % schedulersPerCore != 0)
         bad("GpuConfig: warps must divide evenly among schedulers");
+    else if (maxTlp() == 0 || maxTlp() > 64) {
+        // A scheduler's ready and off-chip masks are 64 bits wide.
+        bad("GpuConfig: maxWarpsPerCore / schedulersPerCore (" +
+            std::to_string(maxTlp()) + ") must be in [1, 64]");
+    }
     if (simtWidth == 0)
         bad("GpuConfig: simtWidth must be >= 1");
     if (numPartitions == 0)

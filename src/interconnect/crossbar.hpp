@@ -99,13 +99,21 @@ class CrossbarNetwork
         }
     }
 
+    /** Has a flit arrived at output @p out by time @p now? */
+    bool
+    hasArrival(std::uint32_t out, Cycle now) const
+    {
+        const auto &q = outputReady_[out];
+        return !q.empty() && q.front().readyAt <= now;
+    }
+
     /** Pop a flit that has arrived at output @p out by time @p now. */
     bool
     tryEject(std::uint32_t out, Cycle now, T &flit)
     {
-        auto &q = outputReady_[out];
-        if (q.empty() || q.front().readyAt > now)
+        if (!hasArrival(out, now))
             return false;
+        auto &q = outputReady_[out];
         flit = std::move(q.front().payload);
         q.pop();
         return true;

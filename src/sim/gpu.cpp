@@ -65,9 +65,14 @@ Gpu::tick()
 {
     ++now_;
 
-    // Cores issue into the crossbar.
-    for (auto &core : cores_)
-        core->tickIssue(now_, xbar_);
+    // Cores issue into the crossbar. A dormant core's issue cycle
+    // provably repeats its last one, so only its counters move.
+    for (auto &core : cores_) {
+        if (core->dormant())
+            core->dormantTick();
+        else
+            core->tickIssue(now_, xbar_);
+    }
 
     // Crossbar moves flits.
     xbar_.tick(now_);
@@ -114,9 +119,12 @@ Gpu::tick()
         holdover_.swap(holdoverScratch_);
     }
 
-    // Cores absorb responses and local completions.
-    for (auto &core : cores_)
-        core->tickResponses(now_, xbar_);
+    // Cores absorb responses and local completions, if any are due.
+    for (auto &core : cores_) {
+        if (core->localCompletionDue(now_) ||
+            xbar_.responseNet().hasArrival(core->id(), now_))
+            core->tickResponses(now_, xbar_);
+    }
 }
 
 Cycle

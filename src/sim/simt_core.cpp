@@ -49,6 +49,7 @@ SimtCore::setTlpLimit(std::uint32_t warps_per_scheduler)
 {
     for (WarpScheduler &sched : schedulers_)
         sched.setTlpLimit(warps_per_scheduler);
+    dormant_ = false;
 }
 
 void
@@ -61,11 +62,14 @@ SimtCore::refreshWarp(WarpId warp)
     }
     const bool ready =
         !(curInstr_[warp].waitsForMem && w.outstanding > 0);
-    schedulers_[warp % cfg_.schedulersPerCore].setReady(
-        warp / cfg_.schedulersPerCore, ready);
+    WarpScheduler &sched = schedulers_[warp % cfg_.schedulersPerCore];
+    const std::uint32_t pos = warp / cfg_.schedulersPerCore;
+    sched.setReady(pos, ready);
+    sched.setOffchip(pos, w.outstandingOffchip > 0);
+    dormant_ = false;
 }
 
-bool
+SimtCore::IssueResult
 SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
 {
     WarpState &w = warps_[warp];
@@ -80,17 +84,17 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
         ++w.instrsRetired;
         instrsRetired_.add();
         refreshWarp(warp);
-        return true;
+        return IssueResult::Issued;
     }
 
     // A load that stalled on an MSHR structural hazard stays stalled
     // until the next L1 fill (or reset / bypass-knob flip), all of
     // which bump the cache generation. The retry attempt is entirely
-    // side-effect-free, so skipping it here returns false exactly as
-    // the replayed Stall would — without the per-cycle line-address
-    // hash and double MSHR probe that dominate congested sweeps.
+    // side-effect-free, so skipping it here fails exactly as the
+    // replayed Stall would — without the per-cycle line-address hash
+    // and double MSHR probe that dominate congested sweeps.
     if (instr.isLoad && w.stallGen == l1_.generation())
-        return false;
+        return IssueResult::Parked;
 
     // Memory instructions issue one cache-line transaction per cycle
     // (an uncoalesced load therefore occupies the scheduler for
@@ -106,7 +110,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
         // waits on it and it does not touch the caches.
         const PartitionId store_part = amap_.partitionOf(line);
         if (!xbar.requestNet().canAccept(id_, store_part))
-            return false;
+            return IssueResult::Blocked;
         MemRequest store;
         store.lineAddr = line;
         store.type = MemAccessType::Store;
@@ -119,7 +123,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
         ++w.instrsRetired;
         instrsRetired_.add();
         refreshWarp(warp);
-        return true;
+        return IssueResult::Issued;
     }
 
     MemRequest req;
@@ -136,7 +140,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
     // transaction is not double-counted in the miss statistics.
     const PartitionId part = amap_.partitionOf(line);
     if (!xbar.requestNet().canAccept(id_, part))
-        return false;
+        return IssueResult::Blocked;
 
     const CacheOutcome outcome = l1_.access(req, bypassL1_);
     switch (outcome) {
@@ -157,7 +161,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
         // MSHR structural hazard; the warp re-arms when the L1
         // generation moves (see the skip above).
         w.stallGen = l1_.generation();
-        return false;
+        return IssueResult::Blocked;
     }
 
     ++w.outstanding;
@@ -171,7 +175,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
         instrsRetired_.add();
     }
     refreshWarp(warp);
-    return true;
+    return IssueResult::Issued;
 }
 
 void
@@ -179,15 +183,18 @@ SimtCore::tickIssue(Cycle now, Crossbar &xbar)
 {
     bool any_issued = false;
     bool any_structural = false;
+    bool any_blocked = false;
     for (WarpScheduler &sched : schedulers_) {
         for (std::uint32_t n = 0; n < cfg_.maxIssuePerScheduler; ++n) {
             const WarpId warp = sched.pickReady();
             if (warp == WarpScheduler::kNoWarp)
                 break;
-            if (!issueFrom(warp, now, xbar)) {
+            const IssueResult result = issueFrom(warp, now, xbar);
+            if (result != IssueResult::Issued) {
                 // Structural stall: a ready warp was blocked by
                 // downstream back-pressure.
                 any_structural = true;
+                any_blocked |= result == IssueResult::Blocked;
                 break;
             }
             sched.issuedAt(warp / cfg_.schedulersPerCore);
@@ -197,6 +204,7 @@ SimtCore::tickIssue(Cycle now, Crossbar &xbar)
     if (any_structural)
         stallCycles_.add();
 
+    bool mem_wait = false;
     if (!any_issued) {
         idleCycles_.add();
         // Attribute the idle cycle to memory if any SWL-active warp is
@@ -204,8 +212,20 @@ SimtCore::tickIssue(Cycle now, Crossbar &xbar)
         // Only off-chip latency counts as "memory waiting": waiting
         // out an L1 hit is a parallelism shortfall, not contention
         // (this is the distinction DynCTA's c_mem signal relies on).
-        if (anyActiveMemBlocked())
+        mem_wait = anyActiveMemBlocked();
+        if (mem_wait)
             memWaitCycles_.add();
+    }
+
+    // Nothing issued and every failed pick was parked: no state moved,
+    // so each later cycle repeats this one until a warp is refreshed,
+    // the SWL limit changes or the L1 generation moves. A Blocked pick
+    // never qualifies: a full VOQ drains without the core seeing it.
+    dormant_ = !any_issued && !any_blocked;
+    if (dormant_) {
+        dormantGen_ = l1_.generation();
+        dormantStall_ = any_structural;
+        dormantMemWait_ = mem_wait;
     }
 }
 
@@ -213,10 +233,8 @@ bool
 SimtCore::anyActiveMemBlocked() const
 {
     for (const WarpScheduler &sched : schedulers_) {
-        for (std::uint32_t i = 0; i < sched.tlpLimit(); ++i) {
-            if (warps_[sched.warpAt(i)].outstandingOffchip > 0)
-                return true;
-        }
+        if (sched.anyActiveOffchip())
+            return true;
     }
     return false;
 }
@@ -313,7 +331,8 @@ SimtCore::reset(bool flush_l1)
     lostLocality_.reset();
     victimTags_.flush();
     // Warp cursors moved back to instruction 0: re-derive the decode
-    // cache and readiness masks (all warps become ready again).
+    // cache and the ready and off-chip masks (all warps become ready
+    // again); refreshWarp also ends dormancy.
     std::fill(curInstrIdx_.begin(), curInstrIdx_.end(), kStaleInstr);
     for (WarpId w = 0; w < warps_.size(); ++w)
         refreshWarp(w);
@@ -356,9 +375,14 @@ SimtCore::restore(const Snapshot &snap)
     for (std::size_t s = 0; s < schedulers_.size(); ++s)
         schedulers_[s].restore(snap.schedulers[s]);
     // The decode cache and ready masks are copied, not re-derived:
-    // they were consistent with the warp cursors when captured.
+    // they were consistent with the warp cursors when captured. The
+    // off-chip masks are not captured, so they are re-derived here.
     curInstr_ = snap.curInstr;
     curInstrIdx_ = snap.curInstrIdx;
+    for (WarpId w = 0; w < warps_.size(); ++w) {
+        schedulers_[w % cfg_.schedulersPerCore].setOffchip(
+            w / cfg_.schedulersPerCore, warps_[w].outstandingOffchip > 0);
+    }
     l1_.restore(snap.l1);
     victimTags_.restore(snap.victimTags);
     localPending_ = snap.localPending;
@@ -369,6 +393,9 @@ SimtCore::restore(const Snapshot &snap)
     memWaitCycles_ = snap.memWaitCycles;
     stallCycles_ = snap.stallCycles;
     lostLocality_ = snap.lostLocality;
+    // Dormancy is not captured: the first cycle after a restore takes
+    // the full issue path and re-derives it.
+    dormant_ = false;
 }
 
 } // namespace ebm

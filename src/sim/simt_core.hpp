@@ -13,6 +13,12 @@
  * per pick. The core also reports the next cycle at which it can
  * possibly act (nextEventCycle) and supports batch-advancing its
  * idle accounting (fastForward) for the GPU's quiescence skip.
+ *
+ * A core whose issue cycle provably repeats (nothing issued, every
+ * pick a load parked on an MSHR stall at the current L1 generation)
+ * goes dormant: until a warp, its SWL limit or the L1 generation
+ * changes, each cycle only replays that cycle's counter increments
+ * (dormant/dormantTick) instead of walking the schedulers.
  */
 #pragma once
 
@@ -50,8 +56,46 @@ class SimtCore
     /** Issue stage for one core cycle. */
     void tickIssue(Cycle now, Crossbar &xbar);
 
+    /**
+     * Would tickIssue provably repeat its last cycle? True after a
+     * cycle in which nothing issued and every failed pick was a load
+     * parked at the L1 generation that is still current, with no warp
+     * refresh, SWL change, reset or restore since.
+     */
+    bool
+    dormant() const
+    {
+        return dormant_ && dormantGen_ == l1_.generation();
+    }
+
+    /**
+     * Stand-in for tickIssue on a dormant() core: adds exactly the
+     * counters that cycle added (idle, plus stall and memory-wait if
+     * it saw them) and touches nothing else.
+     */
+    void
+    dormantTick()
+    {
+        idleCycles_.add();
+        if (dormantStall_)
+            stallCycles_.add();
+        if (dormantMemWait_)
+            memWaitCycles_.add();
+    }
+
     /** Accept memory responses arriving from the crossbar. */
     void tickResponses(Cycle now, Crossbar &xbar);
+
+    /**
+     * Is an L1-hit completion due by @p now? (With the response
+     * network's hasArrival, says whether tickResponses has work.)
+     */
+    bool
+    localCompletionDue(Cycle now) const
+    {
+        return !localPending_.empty() &&
+               localPending_.top().readyAt <= now;
+    }
 
     /**
      * Earliest cycle after @p now at which this core can possibly do
@@ -193,13 +237,26 @@ class SimtCore
     void restore(const Snapshot &snap);
 
   private:
-    /** Try to issue one instruction from @p warp. @return success. */
-    bool issueFrom(WarpId warp, Cycle now, Crossbar &xbar);
+    /** What one issue attempt did. */
+    enum class IssueResult : std::uint8_t
+    {
+        Issued, ///< An instruction (or one load transaction) issued.
+        /** A load parked on an MSHR stall at the current L1
+         *  generation: retries fail identically until it moves. */
+        Parked,
+        /** Fresh back-pressure (a full crossbar VOQ, which can drain
+         *  without the core seeing it, or a new MSHR stall). */
+        Blocked,
+    };
+
+    /** Try to issue one instruction from @p warp. */
+    IssueResult issueFrom(WarpId warp, Cycle now, Crossbar &xbar);
 
     /**
-     * Re-derive @p warp's cached decode + readiness after its state
-     * changed (issue, fill, reset) and push it to its scheduler. The
-     * instruction is only re-decoded when nextInstr actually moved.
+     * Re-derive @p warp's cached decode, readiness and off-chip wait
+     * after its state changed (issue, fill, reset), push them to its
+     * scheduler, and end dormancy. The instruction is only re-decoded
+     * when nextInstr actually moved.
      */
     void refreshWarp(WarpId warp);
 
@@ -241,6 +298,12 @@ class SimtCore
     Counter memWaitCycles_;
     Counter stallCycles_;
     Counter lostLocality_;
+
+    /** See dormant(). Not part of Snapshot: restore() clears it. */
+    bool dormant_ = false;
+    std::uint64_t dormantGen_ = 0;  ///< L1 generation it holds for.
+    bool dormantStall_ = false;     ///< That cycle added a stall.
+    bool dormantMemWait_ = false;   ///< That cycle added a mem-wait.
 };
 
 } // namespace ebm

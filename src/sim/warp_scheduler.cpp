@@ -26,22 +26,6 @@ WarpScheduler::setTlpLimit(std::uint32_t limit)
     tlpLimit_ = std::clamp<std::uint32_t>(limit, 1, max_limit);
 }
 
-std::uint32_t
-WarpScheduler::positionOf(WarpId warp) const
-{
-    for (std::uint32_t i = 0; i < warpIds_.size(); ++i) {
-        if (warpIds_[i] == warp)
-            return i;
-    }
-    return kNoPos;
-}
-
-std::vector<WarpId>
-WarpScheduler::activeWarps() const
-{
-    return {warpIds_.begin(), warpIds_.begin() + tlpLimit_};
-}
-
 WarpId
 WarpScheduler::pickReady() const
 {
@@ -54,25 +38,6 @@ WarpScheduler::pickReady() const
         return lastIssued_;
     // Then oldest: age order equals position in warpIds_.
     return warpIds_[std::countr_zero(ready)];
-}
-
-WarpId
-WarpScheduler::pick(const std::function<bool(WarpId)> &is_ready)
-{
-    if (lastIssued_ != kNoWarp) {
-        for (std::uint32_t i = 0; i < tlpLimit_; ++i) {
-            if (warpIds_[i] == lastIssued_) {
-                if (is_ready(lastIssued_))
-                    return lastIssued_;
-                break;
-            }
-        }
-    }
-    for (std::uint32_t i = 0; i < tlpLimit_; ++i) {
-        if (is_ready(warpIds_[i]))
-            return warpIds_[i];
-    }
-    return kNoWarp;
 }
 
 } // namespace ebm

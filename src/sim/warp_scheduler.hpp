@@ -13,13 +13,14 @@
  * setReady(), and the scheduler keeps them in a bitmask ordered by
  * age position. pickReady() is then a masked find-first-set instead
  * of a per-pick rescan of every warp context, and anyActiveReady()
- * (the quiescence-fast-forward gate) is a single mask test.
+ * (the quiescence-fast-forward gate) is a single mask test. A second
+ * mask, of warps waiting on off-chip loads, makes the idle-cycle
+ * memory-wait test (anyActiveOffchip) one mask test as well.
  */
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,21 +46,8 @@ class WarpScheduler
     WarpId pickReady() const;
 
     /**
-     * Legacy callback-driven pick (tests, tools): @p is_ready is
-     * evaluated per candidate warp; the ready mask is ignored.
-     */
-    WarpId pick(const std::function<bool(WarpId)> &is_ready);
-
-    /** Record that @p warp actually issued (updates greedy state). */
-    void issued(WarpId warp)
-    {
-        lastIssued_ = warp;
-        lastPos_ = positionOf(warp);
-    }
-
-    /**
-     * Same as issued(), but the caller supplies the warp's age
-     * position directly (the hot path knows it without a scan).
+     * Record that the warp at age position @p pos actually issued
+     * (updates the greedy state).
      */
     void issuedAt(std::uint32_t pos)
     {
@@ -88,6 +76,27 @@ class WarpScheduler
         return (readyMask_ & windowMask()) != 0;
     }
 
+    /**
+     * Report whether the warp at age position @p pos has off-chip
+     * loads outstanding. Maintained by the owning core wherever that
+     * count changes; not part of Snapshot (the core re-derives it).
+     */
+    void
+    setOffchip(std::uint32_t pos, bool waiting)
+    {
+        if (waiting)
+            offchipMask_ |= 1ull << pos;
+        else
+            offchipMask_ &= ~(1ull << pos);
+    }
+
+    /** Any warp inside the SWL window waiting on an off-chip load? */
+    bool
+    anyActiveOffchip() const
+    {
+        return (offchipMask_ & windowMask()) != 0;
+    }
+
     /** Change the SWL limit (clamped to the context count). */
     void setTlpLimit(std::uint32_t limit);
 
@@ -101,25 +110,15 @@ class WarpScheduler
 
     std::uint32_t tlpLimit() const { return tlpLimit_; }
 
-    /** Number of warp contexts owned by this scheduler. */
-    std::uint32_t numWarps() const
-    {
-        return static_cast<std::uint32_t>(warpIds_.size());
-    }
-
-    /** Warp id at age position @p pos (0 = oldest). */
-    WarpId warpAt(std::uint32_t pos) const { return warpIds_[pos]; }
-
-    /** Warps currently exposed to the GTO logic (allocates; tests). */
-    std::vector<WarpId> activeWarps() const;
-
     static constexpr WarpId kNoWarp = 0xffffffffu;
 
     /**
      * Mutable arbiter state: the SWL limit (a knob, so a restored
      * machine replays the same windowed picks), the incremental ready
      * mask, and the GTO greedy pointer. The warp-id age order is
-     * immutable per instance.
+     * immutable per instance. The off-chip mask is left out:
+     * restore() keeps it, and the owning core re-derives it from its
+     * warps' outstanding counts.
      */
     struct Snapshot
     {
@@ -153,11 +152,11 @@ class WarpScheduler
         return tlpLimit_ >= 64 ? ~0ull : (1ull << tlpLimit_) - 1;
     }
 
-    std::uint32_t positionOf(WarpId warp) const;
-
     std::vector<WarpId> warpIds_; ///< Age order.
     std::uint32_t tlpLimit_;
     std::uint64_t readyMask_ = 0; ///< Bit i: warpIds_[i] can issue.
+    /** Bit i: warpIds_[i] has off-chip loads outstanding. */
+    std::uint64_t offchipMask_ = 0;
     WarpId lastIssued_ = kNoWarp;
     std::uint32_t lastPos_ = kNoPos;
 };

@@ -125,6 +125,25 @@ TEST(GpuConfigCheck, ValidConfigHasNoProblems)
     EXPECT_TRUE(GpuConfig().check().empty());
 }
 
+TEST(GpuConfigCheck, RejectsMoreWarpsPerSchedulerThanMaskBits)
+{
+    GpuConfig cfg;
+    cfg.schedulersPerCore = 2;
+    cfg.maxWarpsPerCore = 128; // 64 per scheduler: the widest allowed
+    EXPECT_TRUE(cfg.check().empty());
+
+    cfg.maxWarpsPerCore = 130; // 65 per scheduler
+    cfg.l1.lineBytes = 64;     // a second, unrelated problem
+    EXPECT_EQ(cfg.check().size(), 2u)
+        << "check() reports the width problem alongside the others";
+    EXPECT_EBM_FATAL(cfg.validate(), "(65) must be in [1, 64]");
+    EXPECT_EBM_FATAL(cfg.validate(), "line sizes");
+
+    cfg.l1.lineBytes = cfg.l2Slice.lineBytes;
+    cfg.maxWarpsPerCore = 0;
+    EXPECT_EBM_FATAL(cfg.validate(), "(0) must be in [1, 64]");
+}
+
 TEST(ParseUint, AcceptsOnlyWholeBase10Numbers)
 {
     std::uint64_t v = 0;
