@@ -58,8 +58,11 @@ GpuConfig::check() const
 
     if (numApps == 0)
         bad("GpuConfig: numApps must be >= 1 (set numApps before use)");
-    if (numCores == 0)
-        bad("GpuConfig: numCores must be >= 1");
+    if (numCores == 0 || numCores > 64) {
+        // The GPU's awake-core and response-wheel masks are 64 bits.
+        bad("GpuConfig: numCores (" + std::to_string(numCores) +
+            ") must be in [1, 64]");
+    }
     if (numApps != 0 && numCores % numApps != 0) {
         bad("GpuConfig: numCores (" + std::to_string(numCores) +
             ") must divide evenly among " + std::to_string(numApps) +

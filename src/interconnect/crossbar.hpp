@@ -19,6 +19,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <queue>
@@ -77,9 +78,11 @@ class CrossbarNetwork
      * Run one allocation cycle at time @p now. Each output grants at
      * most one input (round-robin from its pointer); granted flits
      * become visible at the output after the traversal latency.
+     * @p on_grant(out) runs once per grant.
      */
+    template <typename OnGrant>
     void
-    tick(Cycle now)
+    tick(Cycle now, OnGrant &&on_grant)
     {
         if (voqFlits_ == 0)
             return;
@@ -92,11 +95,18 @@ class CrossbarNetwork
                 continue;
             RingBuffer<T> &q = voq(in, out);
             outputReady_[out].push(InFlight{now + latency_, q.pop()});
+            on_grant(out);
             --voqFlits_;
             if (q.empty())
                 maskWord(out, in / 64) &= ~(1ull << (in % 64));
             grantPointer_[out] = (in + 1) % numInputs_;
         }
+    }
+
+    void
+    tick(Cycle now)
+    {
+        tick(now, [](std::uint32_t) {});
     }
 
     /** Has a flit arrived at output @p out by time @p now? */
@@ -105,6 +115,15 @@ class CrossbarNetwork
     {
         const auto &q = outputReady_[out];
         return !q.empty() && q.front().readyAt <= now;
+    }
+
+    /** readyAt of the earliest flit in flight to @p out, or never. */
+    Cycle
+    nextArrival(std::uint32_t out) const
+    {
+        // FIFO + fixed latency: the front is the earliest arrival.
+        const auto &q = outputReady_[out];
+        return q.empty() ? kNeverCycle : q.front().readyAt;
     }
 
     /** Pop a flit that has arrived at output @p out by time @p now. */
@@ -130,11 +149,8 @@ class CrossbarNetwork
         if (voqFlits_ > 0)
             return now + 1;
         Cycle next = kNeverCycle;
-        for (const auto &q : outputReady_) {
-            // FIFO + fixed latency: the front is the earliest arrival.
-            if (!q.empty() && q.front().readyAt < next)
-                next = q.front().readyAt;
-        }
+        for (std::uint32_t out = 0; out < outputReady_.size(); ++out)
+            next = std::min(next, nextArrival(out));
         if (next == kNeverCycle)
             return kNeverCycle;
         return next > now ? next : now + 1;
@@ -317,11 +333,23 @@ class Crossbar
         return response_;
     }
 
+    /**
+     * Tick both networks; @p on_response_grant(core) runs for each
+     * response flit granted toward @p core, which then arrives at
+     * now + cfg.icntResponseLatency.
+     */
+    template <typename OnGrant>
+    void
+    tick(Cycle now, OnGrant &&on_response_grant)
+    {
+        request_.tick(now);
+        response_.tick(now, on_response_grant);
+    }
+
     void
     tick(Cycle now)
     {
-        request_.tick(now);
-        response_.tick(now);
+        tick(now, [](std::uint32_t) {});
     }
 
     /** Earliest cycle after @p now either network can change state. */

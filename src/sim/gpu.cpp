@@ -1,5 +1,7 @@
 #include "sim/gpu.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -58,24 +60,52 @@ Gpu::Gpu(const GpuConfig &cfg, std::vector<AppProfile> apps,
     respScratch_.reserve(cfg_.frfcfsQueueDepth);
     holdover_.reserve(cfg_.frfcfsQueueDepth);
     holdoverScratch_.reserve(cfg_.frfcfsQueueDepth);
+
+    // validate() capped numCores at 64, one bit per core.
+    allCores_ = cfg_.numCores == 64 ? ~std::uint64_t{0}
+                                    : coreBit(cfg_.numCores) - 1;
+    awake_ = allCores_;
+    parkedAt_.assign(cfg_.numCores, 0);
+    wheel_.assign(std::bit_ceil(std::max(cfg_.l1HitLatency,
+                                         cfg_.icntResponseLatency) +
+                                std::uint64_t{1}),
+                  0);
+    wheelMask_ = wheel_.size() - 1;
 }
 
 void
 Gpu::tick()
 {
+    step();
+    settleParked();
+}
+
+void
+Gpu::step()
+{
     ++now_;
 
-    // Cores issue into the crossbar. A dormant core's issue cycle
-    // provably repeats its last one, so only its counters move.
-    for (auto &core : cores_) {
-        if (core->dormant())
-            core->dormantTick();
-        else
-            core->tickIssue(now_, xbar_);
+    // Awake cores issue into the crossbar. A core whose issue cycle
+    // provably repeats parks until something wakes it.
+    for (std::uint64_t m = awake_; m != 0; m &= m - 1) {
+        const auto id = static_cast<CoreId>(std::countr_zero(m));
+        const SimtCore::IssueCycle cycle =
+            cores_[id]->tickIssue(now_, xbar_);
+        if (cycle.hitQueued)
+            markDue(id, now_ + cfg_.l1HitLatency);
+        if (cycle.parked) {
+            awake_ &= ~coreBit(id);
+            parkedAt_[id] = now_;
+        }
     }
 
-    // Crossbar moves flits.
-    xbar_.tick(now_);
+    // Crossbar moves flits; each granted response is due at its core
+    // one fixed latency later.
+    std::uint64_t &arrivals =
+        wheel_[(now_ + cfg_.icntResponseLatency) & wheelMask_];
+    xbar_.tick(now_, [&arrivals](std::uint32_t core) {
+        arrivals |= coreBit(core);
+    });
 
     // Partitions drain the request network, tick L2+DRAM, and push
     // responses into the response network.
@@ -119,12 +149,46 @@ Gpu::tick()
         holdover_.swap(holdoverScratch_);
     }
 
-    // Cores absorb responses and local completions, if any are due.
-    for (auto &core : cores_) {
-        if (core->localCompletionDue(now_) ||
-            xbar_.responseNet().hasArrival(core->id(), now_))
-            core->tickResponses(now_, xbar_);
+    // Cores with a response or local completion due absorb it; one
+    // that was parked wakes for the next cycle's issue stage.
+    std::uint64_t &slot = wheel_[now_ & wheelMask_];
+    std::uint64_t due = slot;
+    slot = 0;
+    for (; due != 0; due &= due - 1) {
+        const auto id = static_cast<CoreId>(std::countr_zero(due));
+        if (cores_[id]->tickResponses(now_, xbar_))
+            wake(id);
+        markNextDue(id);
     }
+}
+
+void
+Gpu::settleParked()
+{
+    for (std::uint64_t m = allCores_ & ~awake_; m != 0; m &= m - 1) {
+        const auto id = static_cast<CoreId>(std::countr_zero(m));
+        cores_[id]->addParkedCycles(now_ - parkedAt_[id]);
+        parkedAt_[id] = now_;
+    }
+}
+
+void
+Gpu::wake(CoreId id)
+{
+    if ((awake_ & coreBit(id)) != 0)
+        return;
+    cores_[id]->addParkedCycles(now_ - parkedAt_[id]);
+    awake_ |= coreBit(id);
+}
+
+void
+Gpu::markNextDue(CoreId id)
+{
+    const Cycle next =
+        std::min(cores_[id]->nextCompletionAt(),
+                 xbar_.responseNet().nextArrival(id));
+    if (next != kNeverCycle)
+        markDue(id, std::max(next, now_ + 1));
 }
 
 Cycle
@@ -161,6 +225,7 @@ void
 Gpu::fastForwardTo(Cycle target)
 {
     const Cycle n = target - now_;
+    settleParked();
     for (auto &core : cores_)
         core->fastForward(n);
     // The crossbar holds no per-cycle state while its VOQs are empty
@@ -170,37 +235,41 @@ Gpu::fastForwardTo(Cycle target)
         part->fastForward(n);
     now_ = target;
     fastForwardedCycles_ += n;
+    // The batch counted the skipped cycles of parked cores too.
+    for (std::uint64_t m = allCores_ & ~awake_; m != 0; m &= m - 1)
+        parkedAt_[static_cast<CoreId>(std::countr_zero(m))] = now_;
 }
 
 void
 Gpu::run(Cycle cycles)
 {
     const Cycle end = now_ + cycles;
-    if (!fastForward_) {
-        while (now_ < end)
-            tick();
-        return;
-    }
     while (now_ < end) {
-        const Cycle next = nextEventCycle();
-        // Every cycle strictly before `next` is provably a no-op
-        // apart from idle accounting: skip to next-1, then simulate
-        // the event cycle itself normally.
-        Cycle target = next == kNeverCycle ? end : next - 1;
-        if (target > end)
-            target = end;
-        if (target > now_)
-            fastForwardTo(target);
-        if (now_ < end)
-            tick();
+        if (fastForward_) {
+            const Cycle next = nextEventCycle();
+            // Every cycle strictly before `next` is provably a no-op
+            // apart from idle accounting: skip to next-1, then
+            // simulate the event cycle itself normally.
+            Cycle target = next == kNeverCycle ? end : next - 1;
+            if (target > end)
+                target = end;
+            if (target > now_)
+                fastForwardTo(target);
+            if (now_ == end)
+                break;
+        }
+        step();
     }
+    settleParked();
 }
 
 void
 Gpu::setAppTlp(AppId app, std::uint32_t warps_per_scheduler)
 {
-    for (CoreId id : appCores_[app])
+    for (CoreId id : appCores_[app]) {
         cores_[id]->setTlpLimit(warps_per_scheduler);
+        wake(id);
+    }
 }
 
 std::uint32_t
@@ -212,8 +281,10 @@ Gpu::appTlp(AppId app) const
 void
 Gpu::setAppL1Bypass(AppId app, bool bypass)
 {
-    for (CoreId id : appCores_[app])
+    for (CoreId id : appCores_[app]) {
         cores_[id]->setL1Bypass(bypass);
+        wake(id);
+    }
 }
 
 void
@@ -381,6 +452,12 @@ Gpu::restore(const Snapshot &snap)
         partitions_[i]->restore(snap.partitions[i]);
     holdover_ = snap.holdover;
     // Scratch vectors are cleared before every use; leave them alone.
+    // Park and wheel state is derived: every core wakes, and the
+    // wheel marks each core's earliest pending response.
+    awake_ = allCores_;
+    std::fill(wheel_.begin(), wheel_.end(), 0);
+    for (CoreId id = 0; id < cores_.size(); ++id)
+        markNextDue(id);
 }
 
 void
@@ -394,6 +471,9 @@ Gpu::reset(bool flush_caches)
     holdover_.clear();
     for (auto &part : partitions_)
         part->reset();
+    // Nothing is in flight: every core wakes and the wheel is empty.
+    awake_ = allCores_;
+    std::fill(wheel_.begin(), wheel_.end(), 0);
 }
 
 } // namespace ebm

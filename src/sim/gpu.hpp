@@ -5,6 +5,17 @@
  * TLP-management scheme runs on; schemes interact with it only through
  * setTlpLimit()/setL1Bypass() and the statistics accessors, mirroring
  * the narrow hardware interface of the paper's Figure 8.
+ *
+ * Each cycle visits only the cores that have work. The issue stage
+ * walks a mask of awake cores: a core whose issue cycle provably
+ * repeats parks, and its idle/stall/mem-wait counters are added as
+ * one span when it wakes (a fill or L1-hit completion, a knob, reset,
+ * restore) or when tick(), run() or a fast-forward batch returns, so
+ * every reader between calls sees exact counts. The response stage
+ * reads a timing wheel of core masks keyed by due cycle, marked when
+ * the crossbar grants a response flit or an L1 hit queues its
+ * completion. Both sets are single 64-bit masks, so GpuConfig::check
+ * caps numCores at 64.
  */
 #pragma once
 
@@ -94,8 +105,14 @@ class Gpu
         return appCores_[app];
     }
 
-    SimtCore &core(CoreId id) { return *cores_[id]; }
+    /** Read-only: a parked core wakes only through this class. */
     const SimtCore &core(CoreId id) const { return *cores_[id]; }
+
+    /**
+     * Cores whose issue stage is parked, one bit per core id. Their
+     * counters are settled: exact whenever no call is running.
+     */
+    std::uint64_t parkedCores() const { return allCores_ & ~awake_; }
     const Crossbar &crossbar() const { return xbar_; }
     MemoryPartition &partition(PartitionId id) { return *partitions_[id]; }
     const MemoryPartition &partition(PartitionId id) const
@@ -212,6 +229,31 @@ class Gpu
 
     /** Batch-advance now_ and all idle accounting to @p target. */
     void fastForwardTo(Cycle target);
+
+    /** One cycle; tick() and run() settle parked cores after it. */
+    void step();
+
+    static std::uint64_t coreBit(CoreId id)
+    {
+        return std::uint64_t{1} << id;
+    }
+
+    /** Add every parked core's span through now_ to its counters. */
+    void settleParked();
+
+    /** Settle @p id's parked span and return it to the issue stage. */
+    void wake(CoreId id);
+
+    /** Mark @p id in the response wheel for cycle @p due. */
+    void
+    markDue(CoreId id, Cycle due)
+    {
+        wheel_[due & wheelMask_] |= coreBit(id);
+    }
+
+    /** Mark @p id for its earliest pending fill or L1-hit completion. */
+    void markNextDue(CoreId id);
+
     GpuConfig cfg_;
     std::vector<AppProfile> apps_;
     AddressMap amap_;
@@ -230,6 +272,21 @@ class Gpu
     std::vector<HeldResponse> holdoverScratch_;
     bool fastForward_ = true;
     std::uint64_t fastForwardedCycles_ = 0;
+
+    /** Cores whose issue stage runs; the others are parked. */
+    std::uint64_t awake_ = 0;
+    /** Mask of every core. */
+    std::uint64_t allCores_ = 0;
+    /** Per core: the last cycle its counters include while parked. */
+    std::vector<Cycle> parkedAt_;
+    /**
+     * Response timing wheel: slot (cycle & wheelMask_) holds the cores
+     * with a fill or L1-hit completion due at that cycle. Sized past
+     * both latencies, so a mark never aliases a pending cycle; not
+     * part of Snapshot (restore() rebuilds it).
+     */
+    std::vector<std::uint64_t> wheel_;
+    std::uint64_t wheelMask_ = 0;
 };
 
 } // namespace ebm

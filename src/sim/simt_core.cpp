@@ -49,7 +49,6 @@ SimtCore::setTlpLimit(std::uint32_t warps_per_scheduler)
 {
     for (WarpScheduler &sched : schedulers_)
         sched.setTlpLimit(warps_per_scheduler);
-    dormant_ = false;
 }
 
 void
@@ -66,7 +65,6 @@ SimtCore::refreshWarp(WarpId warp)
     const std::uint32_t pos = warp / cfg_.schedulersPerCore;
     sched.setReady(pos, ready);
     sched.setOffchip(pos, w.outstandingOffchip > 0);
-    dormant_ = false;
 }
 
 SimtCore::IssueResult
@@ -178,9 +176,10 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
     return IssueResult::Issued;
 }
 
-void
+SimtCore::IssueCycle
 SimtCore::tickIssue(Cycle now, Crossbar &xbar)
 {
+    const std::size_t pending = localPending_.size();
     bool any_issued = false;
     bool any_structural = false;
     bool any_blocked = false;
@@ -221,12 +220,14 @@ SimtCore::tickIssue(Cycle now, Crossbar &xbar)
     // so each later cycle repeats this one until a warp is refreshed,
     // the SWL limit changes or the L1 generation moves. A Blocked pick
     // never qualifies: a full VOQ drains without the core seeing it.
-    dormant_ = !any_issued && !any_blocked;
-    if (dormant_) {
-        dormantGen_ = l1_.generation();
-        dormantStall_ = any_structural;
-        dormantMemWait_ = mem_wait;
+    IssueCycle cycle;
+    cycle.parked = !any_issued && !any_blocked;
+    if (cycle.parked) {
+        parkedStall_ = any_structural;
+        parkedMemWait_ = mem_wait;
     }
+    cycle.hitQueued = localPending_.size() != pending;
+    return cycle;
 }
 
 bool
@@ -246,13 +247,13 @@ SimtCore::nextEventCycle(Cycle now) const
         if (sched.anyActiveReady())
             return now + 1;
     }
-    if (!localPending_.empty()) {
-        const Cycle ready = localPending_.top().readyAt;
-        return ready > now ? ready : now + 1;
-    }
-    // Blocked on off-chip responses (or fully drained): the crossbar
-    // or a memory partition owns the next event.
-    return kNeverCycle;
+    // Else the first L1-hit completion. With none, the core is blocked
+    // on off-chip responses (or fully drained): the crossbar or a
+    // memory partition owns the next event.
+    const Cycle ready = nextCompletionAt();
+    if (ready == kNeverCycle)
+        return kNeverCycle;
+    return ready > now ? ready : now + 1;
 }
 
 void
@@ -271,9 +272,10 @@ SimtCore::fastForward(Cycle cycles)
         memWaitCycles_.add(cycles);
 }
 
-void
+bool
 SimtCore::tickResponses(Cycle now, Crossbar &xbar)
 {
+    bool absorbed = false;
     // L1-hit latency expirations.
     while (!localPending_.empty() && localPending_.top().readyAt <= now) {
         const WarpId warp = localPending_.top().warp;
@@ -283,6 +285,7 @@ SimtCore::tickResponses(Cycle now, Crossbar &xbar)
         --w.outstanding;
         localPending_.pop();
         refreshWarp(warp);
+        absorbed = true;
     }
 
     // Fills coming back over the crossbar.
@@ -299,7 +302,9 @@ SimtCore::tickResponses(Cycle now, Crossbar &xbar)
             --w.outstandingOffchip;
             refreshWarp(req.warp);
         }
+        absorbed = true;
     }
+    return absorbed;
 }
 
 void
@@ -332,7 +337,7 @@ SimtCore::reset(bool flush_l1)
     victimTags_.flush();
     // Warp cursors moved back to instruction 0: re-derive the decode
     // cache and the ready and off-chip masks (all warps become ready
-    // again); refreshWarp also ends dormancy.
+    // again).
     std::fill(curInstrIdx_.begin(), curInstrIdx_.end(), kStaleInstr);
     for (WarpId w = 0; w < warps_.size(); ++w)
         refreshWarp(w);
@@ -393,9 +398,6 @@ SimtCore::restore(const Snapshot &snap)
     memWaitCycles_ = snap.memWaitCycles;
     stallCycles_ = snap.stallCycles;
     lostLocality_ = snap.lostLocality;
-    // Dormancy is not captured: the first cycle after a restore takes
-    // the full issue path and re-derives it.
-    dormant_ = false;
 }
 
 } // namespace ebm

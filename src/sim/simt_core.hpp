@@ -16,9 +16,13 @@
  *
  * A core whose issue cycle provably repeats (nothing issued, every
  * pick a load parked on an MSHR stall at the current L1 generation)
- * goes dormant: until a warp, its SWL limit or the L1 generation
- * changes, each cycle only replays that cycle's counter increments
- * (dormant/dormantTick) instead of walking the schedulers.
+ * reports itself parked: until a warp, its SWL limit or the L1
+ * generation changes, each cycle would only replay that cycle's
+ * counter increments. The owning Gpu then stops calling tickIssue and
+ * adds the parked span in one addParkedCycles call when it wakes the
+ * core (a fill or L1-hit completion, a knob, reset, restore) or
+ * returns to its caller. The core cannot wake itself, so every change
+ * to its warps or knobs goes through the Gpu.
  */
 #pragma once
 
@@ -53,48 +57,51 @@ class SimtCore
     SimtCore(const GpuConfig &cfg, const AddressMap &amap, CoreId id,
              AppId app, const TraceGen *tracer);
 
-    /** Issue stage for one core cycle. */
-    void tickIssue(Cycle now, Crossbar &xbar);
-
-    /**
-     * Would tickIssue provably repeat its last cycle? True after a
-     * cycle in which nothing issued and every failed pick was a load
-     * parked at the L1 generation that is still current, with no warp
-     * refresh, SWL change, reset or restore since.
-     */
-    bool
-    dormant() const
+    /** What one issue cycle left for the GPU's park and wake sets. */
+    struct IssueCycle
     {
-        return dormant_ && dormantGen_ == l1_.generation();
-    }
+        /**
+         * Nothing issued and every failed pick, if any, was a load
+         * parked at the current L1 generation: every later cycle
+         * repeats this one until a warp is refreshed (fill, L1-hit
+         * completion, reset, restore), the SWL limit changes or the
+         * L1 generation moves (fill, L1-bypass flip).
+         */
+        bool parked = false;
+        /** An L1 hit queued a completion due l1HitLatency later. */
+        bool hitQueued = false;
+    };
+
+    /** Issue stage for one core cycle. */
+    IssueCycle tickIssue(Cycle now, Crossbar &xbar);
 
     /**
-     * Stand-in for tickIssue on a dormant() core: adds exactly the
-     * counters that cycle added (idle, plus stall and memory-wait if
-     * it saw them) and touches nothing else.
+     * Add @p cycles repeats of the last tickIssue cycle, which must
+     * have reported parked: idle, plus stall and memory-wait if that
+     * cycle added them. Touches nothing else.
      */
     void
-    dormantTick()
+    addParkedCycles(Cycle cycles)
     {
-        idleCycles_.add();
-        if (dormantStall_)
-            stallCycles_.add();
-        if (dormantMemWait_)
-            memWaitCycles_.add();
+        idleCycles_.add(cycles);
+        if (parkedStall_)
+            stallCycles_.add(cycles);
+        if (parkedMemWait_)
+            memWaitCycles_.add(cycles);
     }
 
-    /** Accept memory responses arriving from the crossbar. */
-    void tickResponses(Cycle now, Crossbar &xbar);
-
     /**
-     * Is an L1-hit completion due by @p now? (With the response
-     * network's hasArrival, says whether tickResponses has work.)
+     * Accept memory responses arriving from the crossbar. Returns
+     * whether any fill or L1-hit completion was absorbed.
      */
-    bool
-    localCompletionDue(Cycle now) const
+    bool tickResponses(Cycle now, Crossbar &xbar);
+
+    /** readyAt of the earliest queued L1-hit completion, or never. */
+    Cycle
+    nextCompletionAt() const
     {
-        return !localPending_.empty() &&
-               localPending_.top().readyAt <= now;
+        return localPending_.empty() ? kNeverCycle
+                                     : localPending_.top().readyAt;
     }
 
     /**
@@ -144,7 +151,6 @@ class SimtCore
     }
 
     const Cache &l1() const { return l1_; }
-    Cache &l1() { return l1_; }
 
     /** Cycles in which no scheduler could issue (DynCTA's signal). */
     std::uint64_t idleCycles() const { return idleCycles_.total(); }
@@ -254,9 +260,9 @@ class SimtCore
 
     /**
      * Re-derive @p warp's cached decode, readiness and off-chip wait
-     * after its state changed (issue, fill, reset), push them to its
-     * scheduler, and end dormancy. The instruction is only re-decoded
-     * when nextInstr actually moved.
+     * after its state changed (issue, fill, reset) and push them to
+     * its scheduler. The instruction is only re-decoded when
+     * nextInstr actually moved.
      */
     void refreshWarp(WarpId warp);
 
@@ -299,11 +305,10 @@ class SimtCore
     Counter stallCycles_;
     Counter lostLocality_;
 
-    /** See dormant(). Not part of Snapshot: restore() clears it. */
-    bool dormant_ = false;
-    std::uint64_t dormantGen_ = 0;  ///< L1 generation it holds for.
-    bool dormantStall_ = false;     ///< That cycle added a stall.
-    bool dormantMemWait_ = false;   ///< That cycle added a mem-wait.
+    /** What the last parked cycle added (see addParkedCycles). Not
+     *  part of Snapshot: a restored core is awake until it parks. */
+    bool parkedStall_ = false;
+    bool parkedMemWait_ = false;
 };
 
 } // namespace ebm

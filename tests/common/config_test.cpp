@@ -144,6 +144,25 @@ TEST(GpuConfigCheck, RejectsMoreWarpsPerSchedulerThanMaskBits)
     EXPECT_EBM_FATAL(cfg.validate(), "(0) must be in [1, 64]");
 }
 
+TEST(GpuConfigCheck, RejectsMoreCoresThanMaskBits)
+{
+    GpuConfig cfg;
+    cfg.numApps = 1;
+    cfg.numCores = 64; // one bit per core: the widest allowed
+    EXPECT_TRUE(cfg.check().empty());
+
+    cfg.numCores = 65;
+    cfg.l1.lineBytes = 64; // a second, unrelated problem
+    EXPECT_EQ(cfg.check().size(), 2u)
+        << "check() reports the width problem alongside the others";
+    EXPECT_EBM_FATAL(cfg.validate(), "numCores (65) must be in [1, 64]");
+    EXPECT_EBM_FATAL(cfg.validate(), "line sizes");
+
+    cfg.l1.lineBytes = cfg.l2Slice.lineBytes;
+    cfg.numCores = 0;
+    EXPECT_EBM_FATAL(cfg.validate(), "numCores (0) must be in [1, 64]");
+}
+
 TEST(ParseUint, AcceptsOnlyWholeBase10Numbers)
 {
     std::uint64_t v = 0;

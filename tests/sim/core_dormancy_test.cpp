@@ -1,17 +1,26 @@
 /**
  * @file
- * Lockstep check of core dormancy. Machine A runs normally, so cores
- * whose issue cycle provably repeats replay only its counter adds
- * (SimtCore::dormantTick). Machine B restore()s its own snapshot
- * before every cycle; restore() clears dormancy, so B always takes
- * the full issue path. After every cycle, every core's counters must
- * match. A core left dormant across a state change it should have
- * seen (an L1 fill, a drained crossbar VOQ, a knob flip) shows up as
- * a counter diverging on the cycle it happens.
+ * Lockstep check of parked cores and the response wheel. Machine A
+ * runs normally, so a core whose issue cycle provably repeats parks
+ * and only a fill, an L1-hit completion, a knob, reset() or restore()
+ * wakes it; its counters are settled whenever a public call returns.
+ * Machine B restore()s its own snapshot before every cycle, which
+ * wakes every core and rebuilds the response wheel from the queues,
+ * so B always takes the full issue path and visits every due
+ * response. After every public call, every core's counters must
+ * match. A core left parked across a state change it should have
+ * seen (an L1 fill, a drained crossbar VOQ, a knob flip), or a
+ * response the wheel never marked, shows up as a counter diverging.
+ *
+ * Each test also floors how often the wake or settle source it
+ * exercises fired on A, so a case that stopped reaching it fails
+ * instead of passing vacuously.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -26,12 +35,21 @@ namespace {
 
 constexpr Cycle kCycles = 5000;
 
-/** Machine A's dormant core-cycles, out of all its core-cycles. */
+/** What machine A did, counted in core-cycles or core wake-ups. */
 struct Lockstep
 {
-    std::uint64_t dormantCoreCycles = 0;
+    std::uint64_t parkedCoreCycles = 0; ///< Parked at a cycle's start.
     std::uint64_t coreCycles = 0;
+    std::uint64_t fillWakes = 0; ///< Parked, then a fill arrived.
+    std::uint64_t hitWakes = 0;  ///< Parked, then an L1 hit completed.
+    std::uint64_t restoreWakes = 0; ///< Parked cores B's restore woke.
 };
+
+unsigned
+count(std::uint64_t mask)
+{
+    return static_cast<unsigned>(std::popcount(mask));
+}
 
 void
 expectSameCounters(const Gpu &a, const Gpu &b)
@@ -53,6 +71,17 @@ expectSameCounters(const Gpu &a, const Gpu &b)
     }
 }
 
+/** B's step: restore its own snapshot (waking every core), tick. */
+void
+tickAwake(Gpu &b, Lockstep &seen)
+{
+    const Gpu::Snapshot snap = b.snapshot();
+    seen.restoreWakes += count(b.parkedCores());
+    b.restore(snap);
+    EXPECT_EQ(b.parkedCores(), 0u) << "parked after restore";
+    b.tick();
+}
+
 /**
  * Tick A and B @p cycles times in lockstep, calling @p knobs(gpu,
  * cycle) on both before each cycle, and compare after every cycle.
@@ -67,23 +96,51 @@ runLockstep(Gpu &a, Gpu &b, Cycle cycles,
             knobs(a, i);
             knobs(b, i);
         }
-        b.restore(b.snapshot());
-        for (CoreId c = 0; c < a.numCores(); ++c) {
-            if (b.core(c).dormant()) {
-                ADD_FAILURE() << "core " << c << " dormant after restore";
-                return seen;
-            }
-            seen.dormantCoreCycles += a.core(c).dormant() ? 1 : 0;
-        }
+        // B's snapshot is A's state too: it says what is due at the
+        // next cycle for each core A has parked.
+        const Gpu::Snapshot due = b.snapshot();
+        const std::uint64_t parked = a.parkedCores();
+        seen.parkedCoreCycles += count(parked);
         seen.coreCycles += a.numCores();
         a.tick();
-        b.tick();
+        tickAwake(b, seen);
         expectSameCounters(a, b);
-        if (::testing::Test::HasFatalFailure())
+        if (::testing::Test::HasFailure())
             return seen;
+        for (std::uint64_t m = parked & ~a.parkedCores(); m != 0;
+             m &= m - 1) {
+            const auto c = static_cast<CoreId>(std::countr_zero(m));
+            const auto &hits = due.cores[c].localPending;
+            if (!hits.empty() && hits.top().readyAt <= a.now())
+                ++seen.hitWakes;
+            const auto &fills = due.xbar.response.outputReady[c];
+            if (!fills.empty() && fills.front().readyAt <= a.now())
+                ++seen.fillWakes;
+        }
     }
     EXPECT_EQ(goldenDigest(a), goldenDigest(b));
     return seen;
+}
+
+/** Call @p knob; return how many of @p gpu's parked cores it woke. */
+unsigned
+wakesOf(Gpu &gpu, const std::function<void()> &knob)
+{
+    const std::uint64_t before = gpu.parkedCores();
+    knob();
+    return count(before & ~gpu.parkedCores());
+}
+
+/** The standard two-app machine with both apps at @p tlp. */
+std::unique_ptr<Gpu>
+pairMachine(const char *first, const char *second, std::uint32_t tlp)
+{
+    auto gpu = std::make_unique<Gpu>(
+        Experiment::standardConfig(2),
+        std::vector<AppProfile>{findApp(first), findApp(second)});
+    gpu->setAppTlp(0, tlp);
+    gpu->setAppTlp(1, tlp);
+    return gpu;
 }
 
 struct PairCase
@@ -107,17 +164,17 @@ class CoreDormancyLockstep : public ::testing::TestWithParam<PairCase>
 TEST_P(CoreDormancyLockstep, CountersMatchTheFullIssuePathEveryCycle)
 {
     const PairCase &pc = GetParam();
-    const std::vector<AppProfile> apps{findApp(pc.a), findApp(pc.b)};
-    Gpu a(Experiment::standardConfig(2), apps);
-    Gpu b(Experiment::standardConfig(2), apps);
-    for (Gpu *gpu : {&a, &b}) {
-        gpu->setAppTlp(0, pc.tlp);
-        gpu->setAppTlp(1, pc.tlp);
-    }
-    const Lockstep seen = runLockstep(a, b, kCycles);
-    // The comparison only means something if A's cores really slept.
-    EXPECT_GT(seen.dormantCoreCycles, seen.coreCycles / 2)
-        << seen.dormantCoreCycles << " of " << seen.coreCycles;
+    const auto a = pairMachine(pc.a, pc.b, pc.tlp);
+    const auto b = pairMachine(pc.a, pc.b, pc.tlp);
+    const Lockstep seen = runLockstep(*a, *b, kCycles);
+    // The comparison only means something if A's cores really parked
+    // and woke through the response wheel (each case sees about 1,700
+    // to 3,200 fill wakes and 75 to 520 L1-hit wakes).
+    EXPECT_GT(seen.parkedCoreCycles, seen.coreCycles / 2)
+        << seen.parkedCoreCycles << " of " << seen.coreCycles;
+    EXPECT_GT(seen.fillWakes, 1000u);
+    EXPECT_GT(seen.hitWakes, 50u);
+    EXPECT_GT(seen.restoreWakes, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,27 +190,115 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CoreDormancy, KnobStormKeepsLockstep)
 {
-    // TLP and L1-bypass flips end dormancy through setTlpLimit and the
-    // L1 generation; reset(false) through refreshWarp. Each lands on
-    // both machines before the same cycle.
-    const std::vector<AppProfile> apps{findApp("BFS"), findApp("FFT")};
-    Gpu a(Experiment::standardConfig(2), apps);
-    Gpu b(Experiment::standardConfig(2), apps);
-    const auto knobs = [](Gpu &gpu, Cycle i) {
+    // TLP and L1-bypass flips wake the app's cores through Gpu, and
+    // reset(false) wakes every core. Each lands on both machines
+    // before the same cycle; wakes are counted on A.
+    const auto pa = pairMachine("BFS", "FFT", 24);
+    const auto pb = pairMachine("BFS", "FFT", 24);
+    Gpu &a = *pa;
+    Gpu &b = *pb;
+    unsigned tlp_wakes = 0;
+    unsigned bypass_wakes = 0;
+    unsigned reset_wakes = 0;
+    const auto knobs = [&](Gpu &gpu, Cycle i) {
+        unsigned ignored = 0;
+        unsigned &tlp = &gpu == &a ? tlp_wakes : ignored;
+        unsigned &bypass = &gpu == &a ? bypass_wakes : ignored;
+        unsigned &reset = &gpu == &a ? reset_wakes : ignored;
         if (i % 700 == 0)
-            gpu.setAppTlp(0, 1 + static_cast<std::uint32_t>(i / 700) % 24);
+            tlp += wakesOf(gpu, [&] {
+                gpu.setAppTlp(0,
+                              1 + static_cast<std::uint32_t>(i / 700) % 24);
+            });
         if (i % 450 == 0)
-            gpu.setAppTlp(1, 24 - static_cast<std::uint32_t>(i / 450) % 24);
+            tlp += wakesOf(gpu, [&] {
+                gpu.setAppTlp(1,
+                              24 - static_cast<std::uint32_t>(i / 450) % 24);
+            });
         if (i % 900 == 300)
-            gpu.setAppL1Bypass(0, (i / 900) % 2 == 0);
+            bypass += wakesOf(gpu, [&] {
+                gpu.setAppL1Bypass(0, (i / 900) % 2 == 0);
+            });
         if (i % 1100 == 500)
-            gpu.setAppL1Bypass(1, (i / 1100) % 2 == 1);
+            bypass += wakesOf(gpu, [&] {
+                gpu.setAppL1Bypass(1, (i / 1100) % 2 == 1);
+            });
         if (i == 2600)
-            gpu.reset(false);
+            reset += wakesOf(gpu, [&] { gpu.reset(false); });
     };
     const Lockstep seen = runLockstep(a, b, kCycles, knobs);
-    EXPECT_GT(seen.dormantCoreCycles, seen.coreCycles / 2)
-        << seen.dormantCoreCycles << " of " << seen.coreCycles;
+    EXPECT_GT(seen.parkedCoreCycles, seen.coreCycles / 2)
+        << seen.parkedCoreCycles << " of " << seen.coreCycles;
+    EXPECT_GT(tlp_wakes, 50u);
+    EXPECT_GT(bypass_wakes, 20u);
+    EXPECT_GT(reset_wakes, 5u);
+}
+
+TEST(CoreDormancy, RestoredMachineMatchesItsSource)
+{
+    // A fresh machine restored from a mid-run snapshot wakes every
+    // core and marks only each core's earliest pending response; the
+    // later ones are found by re-marking after each visit. It must
+    // then tick in step with the machine it was restored from.
+    const auto source = pairMachine("BFS", "FFT", 24);
+    source->run(kCycles / 2);
+    const auto copy = pairMachine("BFS", "FFT", 24);
+    copy->restore(source->snapshot());
+    std::uint64_t parked = 0;
+    for (Cycle i = 0; i < kCycles / 2; ++i) {
+        source->tick();
+        copy->tick();
+        expectSameCounters(*source, *copy);
+        ASSERT_FALSE(HasFailure());
+        parked += count(copy->parkedCores());
+    }
+    EXPECT_EQ(goldenDigest(*source), goldenDigest(*copy));
+    EXPECT_GT(parked, kCycles / 2 * source->numCores() / 2);
+}
+
+TEST(CoreDormancy, RunSettlesParkedCoresOnReturn)
+{
+    // A advances by run() in chunks of 1, 7 and 64 cycles, with and
+    // without the quiescence fast-forward; B ticks the same cycles on
+    // the full path. A fast-forward span must settle the cores parked
+    // before it and count its cycles for them exactly once. The standard
+    // machine's DRAM is never quiet long enough to skip, so this runs
+    // the tiny one, where a streaming app at TLP 1 leaves gaps.
+    for (const bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "serial");
+        const std::vector<AppProfile> apps{test::streamingApp(),
+                                           test::cacheApp()};
+        Gpu a(test::tinyConfig(2), apps);
+        Gpu b(test::tinyConfig(2), apps);
+        for (Gpu *gpu : {&a, &b}) {
+            gpu->setAppTlp(0, 1);
+            gpu->setAppTlp(1, 1);
+        }
+        a.setFastForward(fast_forward);
+        Lockstep seen;
+        unsigned parked_spans = 0;
+        unsigned parked_returns = 0;
+        const Cycle chunks[] = {1, 7, 64};
+        for (unsigned i = 0; a.now() < kCycles; ++i) {
+            const Cycle n = chunks[i % 3];
+            const std::uint64_t parked = a.parkedCores();
+            const std::uint64_t skipped = a.fastForwardedCycles();
+            a.run(n);
+            if (parked != 0 && a.fastForwardedCycles() > skipped)
+                ++parked_spans;
+            parked_returns += a.parkedCores() != 0 ? 1 : 0;
+            for (Cycle t = 0; t < n; ++t)
+                tickAwake(b, seen);
+            expectSameCounters(a, b);
+            ASSERT_FALSE(HasFailure());
+        }
+        EXPECT_EQ(goldenDigest(a), goldenDigest(b));
+        if (fast_forward)
+            EXPECT_GT(parked_spans, 10u); // 25 seen
+        else
+            EXPECT_EQ(a.fastForwardedCycles(), 0u);
+        EXPECT_GT(parked_returns, 100u); // 208 seen
+    }
 }
 
 } // namespace

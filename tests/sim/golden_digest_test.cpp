@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "../test_util.hpp"
 #include "sim/gpu.hpp"
 #include "workload/app_catalog.hpp"
@@ -28,6 +30,10 @@ constexpr std::uint64_t kDigestSyntheticPair = 0x4a837d282cc0168bull;
 constexpr std::uint64_t kDigestCatalogPair = 0xc8fb2e69828661dfull;
 constexpr std::uint64_t kDigestKnobStorm = 0x77eee4c0631abd0cull;
 constexpr std::uint64_t kDigestResetRoundTrip = 0xef24cbfbc38e5c39ull;
+// Recorded on the default 16-core machine before the per-core loops of
+// Gpu::tick learned to skip parked cores. Do not update.
+constexpr std::uint64_t kDigestStandardTlp1 = 0x8ffcbc5dc8938feaull;
+constexpr std::uint64_t kDigestStandardTlp24 = 0x538611094cc4c4ecull;
 
 TEST(GoldenDigest, SyntheticPairLocked)
 {
@@ -81,6 +87,31 @@ TEST(GoldenDigest, ResetRoundTripLocked)
     gpu.checkpoint();
     gpu.run(8000);
     EXPECT_EQ(goldenDigest(gpu), kDigestResetRoundTrip);
+}
+
+TEST(GoldenDigest, StandardMachineLocked)
+{
+    // The default GpuConfig (16 cores, 8 per app) that every figure
+    // runs on, where most core-cycles wait on memory: at TLP 1 few
+    // warps keep the cores idle, at TLP 24 the MSHRs fill and loads
+    // park on structural stalls. Each case runs with and without the
+    // quiescence fast-forward.
+    GpuConfig cfg;
+    cfg.numApps = 2;
+    for (const auto &[tlp, digest] :
+         {std::pair{1u, kDigestStandardTlp1},
+          std::pair{24u, kDigestStandardTlp24}}) {
+        for (const bool fast_forward : {true, false}) {
+            Gpu gpu(cfg, {findApp("BFS"), findApp("FFT")});
+            gpu.setFastForward(fast_forward);
+            gpu.setAppTlp(0, tlp);
+            gpu.setAppTlp(1, tlp);
+            gpu.run(20000);
+            EXPECT_EQ(goldenDigest(gpu), digest)
+                << "TLP " << tlp << " fast-forward " << fast_forward
+                << ": 0x" << std::hex << goldenDigest(gpu);
+        }
+    }
 }
 
 TEST(GoldenDigest, DigestDetectsBehaviouralDifferences)
