@@ -6,6 +6,7 @@
  * (windows spent at probe combinations), measured on a live run.
  */
 #include <cstdio>
+#include <memory>
 
 #include "core/eb_monitor.hpp"
 #include "core/pbs_policy.hpp"
@@ -40,12 +41,18 @@ main()
     std::printf("\nRuntime search overhead (live PBS-WS runs):\n\n");
     TextTable rt({"Workload", "samples", "search windows",
                   "search cycles", "fraction of run"});
-    for (const Workload &wl : representativeWorkloads()) {
+    const std::vector<Workload> workloads = representativeWorkloads();
+    std::vector<OnlineJob> batch;
+    for (const Workload &wl : workloads) {
         PbsPolicy::Params params;
         params.objective = EbObjective::WS;
-        PbsPolicy policy(params);
-        const RunResult r =
-            exp.onlineRunner().run(resolveApps(wl), policy);
+        batch.push_back({&exp.onlineRunner(), resolveApps(wl),
+                         std::make_unique<PbsPolicy>(params)});
+    }
+    const std::vector<RunResult> runs = exp.runOnline(batch);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const Workload &wl = workloads[w];
+        const RunResult &r = runs[w];
         const RunOptions &opts = exp.onlineRunner().options();
         const Cycle search_cycles =
             static_cast<Cycle>(r.samplesTaken) * opts.windowCycles;
@@ -64,5 +71,6 @@ main()
     std::printf("\nPaper shape: a few dozen bytes of state per unit, "
                 "~hundred bits relayed per window, and a search that "
                 "visits ~16 of 64 combinations before settling.\n");
+    std::printf("%s\n", exp.status().summaryLine().c_str());
     return 0;
 }

@@ -6,6 +6,7 @@
  *  (3) sampling-window length sweep for the online PBS mechanism.
  */
 #include <cstdio>
+#include <memory>
 
 #include "common/log.hpp"
 #include "core/dyncta.hpp"
@@ -29,21 +30,44 @@ wsOf(const RunResult &result, const std::vector<double> &alone)
     return ws;
 }
 
+/** A PBS-WS policy with default parameters. */
+std::unique_ptr<TlpPolicy>
+pbsWs()
+{
+    PbsPolicy::Params params;
+    params.objective = EbObjective::WS;
+    return std::make_unique<PbsPolicy>(params);
+}
+
 } // namespace
 
 int
 run()
 {
     std::printf("Section VI-D: sensitivity studies\n");
+    // Each section collects its online runs into one batch, then
+    // scores them.
+    Experiment exp3(3);
+    Experiment exp(2);
 
     // ---- (1) Three-application workloads -----------------------------
     {
         std::printf("\n(1) Three-application workloads (WS normalized "
                     "to ++bestTLP)\n\n");
-        Experiment exp3(3);
+        const std::vector<Workload> workloads = threeAppWorkloads();
+        std::vector<OnlineJob> batch;
+        for (const Workload &wl : workloads) {
+            batch.push_back({&exp3.onlineRunner(), resolveApps(wl),
+                             std::make_unique<DynCta>()});
+            batch.push_back(
+                {&exp3.onlineRunner(), resolveApps(wl), pbsWs()});
+        }
+        const std::vector<RunResult> runs = exp3.runOnline(batch);
+
         TextTable out({"Workload", "++DynCTA", "PBS-WS",
                        "PBS-WS samples"});
-        for (const Workload &wl : threeAppWorkloads()) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            const Workload &wl = workloads[w];
             const std::vector<AppProfile> apps = resolveApps(wl);
             const std::vector<double> alone = exp3.aloneIpcs(wl);
             const TlpCombo best = exp3.bestTlpCombo(wl);
@@ -52,13 +76,8 @@ run()
                 exp3.runner().runStatic(apps, best);
             const double ws_base = wsOf(base, alone);
 
-            DynCta dyn;
-            const RunResult dyn_r = exp3.onlineRunner().run(apps, dyn);
-
-            PbsPolicy::Params params;
-            params.objective = EbObjective::WS;
-            PbsPolicy pbs(params);
-            const RunResult pbs_r = exp3.onlineRunner().run(apps, pbs);
+            const RunResult &dyn_r = runs[2 * w];
+            const RunResult &pbs_r = runs[2 * w + 1];
 
             out.addRow({wl.name,
                         TextTable::num(wsOf(dyn_r, alone) / ws_base),
@@ -75,28 +94,29 @@ run()
     {
         std::printf("\n(2) Core-partitioning sensitivity for BLK_BFS "
                     "(WS normalized to the equal split)\n\n");
-        Experiment exp(2);
         const Workload wl = makePair("BLK", "BFS");
         const std::vector<AppProfile> apps = resolveApps(wl);
         const std::vector<double> alone = exp.aloneIpcs(wl);
         const TlpCombo best = exp.bestTlpCombo(wl);
         const std::uint32_t n =
             exp.runner().config().numCores;
+        const std::vector<std::vector<std::uint32_t>> splits = {
+            {n / 2, n / 2}, {n * 5 / 8, n * 3 / 8}, {n * 3 / 8, n * 5 / 8}};
+
+        std::vector<OnlineJob> batch;
+        for (const std::vector<std::uint32_t> &split : splits)
+            batch.push_back({&exp.onlineRunner(), apps, pbsWs(), split});
+        const std::vector<RunResult> runs = exp.runOnline(batch);
 
         double base_ws = 0.0;
         TextTable out({"Cores (BLK/BFS)", "++bestTLP WS",
                        "PBS-WS WS", "PBS gain"});
-        for (const auto &[c0, c1] :
-             std::vector<std::pair<std::uint32_t, std::uint32_t>>{
-                 {n / 2, n / 2}, {n * 5 / 8, n * 3 / 8},
-                 {n * 3 / 8, n * 5 / 8}}) {
+        for (std::size_t i = 0; i < splits.size(); ++i) {
+            const std::uint32_t c0 = splits[i][0];
+            const std::uint32_t c1 = splits[i][1];
             const RunResult base =
                 exp.runner().runStatic(apps, best, {c0, c1});
-            PbsPolicy::Params params;
-            params.objective = EbObjective::WS;
-            PbsPolicy pbs(params);
-            const RunResult tuned =
-                exp.onlineRunner().run(apps, pbs, {c0, c1});
+            const RunResult &tuned = runs[i];
             const double ws_b = wsOf(base, alone);
             const double ws_p = wsOf(tuned, alone);
             if (base_ws == 0.0)
@@ -116,7 +136,6 @@ run()
     {
         std::printf("\n(3) L2 way-partitioning for BLK_BFS under "
                     "++bestTLP (shared vs 50/50 ways)\n\n");
-        Experiment exp(2);
         const Workload wl = makePair("BLK", "BFS");
         const std::vector<AppProfile> apps = resolveApps(wl);
         const std::vector<double> alone = exp.aloneIpcs(wl);
@@ -168,7 +187,6 @@ run()
     {
         std::printf("\n(4) Sampling-window length sweep for PBS-WS on "
                     "BLK_TRD (WS normalized to ++bestTLP)\n\n");
-        Experiment exp(2);
         const Workload wl = makePair("BLK", "TRD");
         const std::vector<AppProfile> apps = resolveApps(wl);
         const std::vector<double> alone = exp.aloneIpcs(wl);
@@ -176,16 +194,23 @@ run()
         const RunResult base = exp.runner().runStatic(apps, best);
         const double ws_base = wsOf(base, alone);
 
-        TextTable out({"Window (cycles)", "PBS-WS (norm WS)",
-                       "samples"});
-        for (Cycle window : {500u, 1000u, 1500u, 3000u}) {
+        const std::vector<Cycle> windows = {500, 1000, 1500, 3000};
+        std::vector<Runner> runners;
+        for (const Cycle window : windows) {
             RunOptions opts = Experiment::onlineOptions();
             opts.windowCycles = window;
-            Runner runner(exp.runner().config(), opts);
-            PbsPolicy::Params params;
-            params.objective = EbObjective::WS;
-            PbsPolicy pbs(params);
-            const RunResult r = runner.run(apps, pbs);
+            runners.emplace_back(exp.runner().config(), opts);
+        }
+        std::vector<OnlineJob> batch;
+        for (const Runner &runner : runners)
+            batch.push_back({&runner, apps, pbsWs()});
+        const std::vector<RunResult> runs = exp.runOnline(batch);
+
+        TextTable out({"Window (cycles)", "PBS-WS (norm WS)",
+                       "samples"});
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+            const Cycle window = windows[i];
+            const RunResult &r = runs[i];
             out.addRow({std::to_string(window),
                         TextTable::num(wsOf(r, alone) / ws_base),
                         std::to_string(r.samplesTaken)});
@@ -196,6 +221,8 @@ run()
                     "(the paper found ~10k cycles sufficient; the "
                     "scaled machine settles faster).\n");
     }
+    std::printf("%s\n%s\n", exp3.status().summaryLine().c_str(),
+                exp.status().summaryLine().c_str());
     return 0;
 }
 

@@ -27,6 +27,16 @@ Ccws::Ccws() : Ccws(Params{}) {}
 
 Ccws::Ccws(const Params &params) : params_(params) {}
 
+std::uint64_t
+Ccws::fingerprint() const
+{
+    return PolicyFingerprint(*this)
+        .add(params_.llkiHigh)
+        .add(params_.llkiLow)
+        .add(params_.initialTlp)
+        .value();
+}
+
 void
 Ccws::onRunStart(Gpu &gpu)
 {

@@ -44,6 +44,8 @@ class Ccws : public TlpPolicy
 
     std::string name() const override { return "++CCWS"; }
 
+    std::uint64_t fingerprint() const override;
+
     /** Last windowed lost-locality-per-kilo-instruction per app. */
     double lastLlki(AppId app) const { return llki_[app]; }
 

@@ -8,6 +8,17 @@ DynCta::DynCta() : DynCta(Params{}) {}
 
 DynCta::DynCta(const Params &params) : params_(params) {}
 
+std::uint64_t
+DynCta::fingerprint() const
+{
+    return PolicyFingerprint(*this)
+        .add(params_.stallHigh)
+        .add(params_.stallLow)
+        .add(params_.memWaitHigh)
+        .add(params_.initialTlp)
+        .value();
+}
+
 void
 DynCta::onRunStart(Gpu &gpu)
 {

@@ -50,6 +50,8 @@ class DynCta : public TlpPolicy
 
     std::string name() const override { return "++DynCTA"; }
 
+    std::uint64_t fingerprint() const override;
+
   private:
     /** Move one step along the level ladder. @return new level. */
     static std::uint32_t stepLevel(std::uint32_t level, int direction);

@@ -9,6 +9,20 @@ ModBypass::ModBypass(const Params &params)
 {
 }
 
+std::uint64_t
+ModBypass::fingerprint() const
+{
+    // The modulator is built from params_.modulation, so its
+    // fingerprint covers those fields.
+    return PolicyFingerprint(*this)
+        .add(modulator_.fingerprint())
+        .add(params_.bypassL1MrThreshold)
+        .add(params_.bypassL2MrThreshold)
+        .add(params_.confirmWindows)
+        .add(params_.probePeriod)
+        .value();
+}
+
 void
 ModBypass::onRunStart(Gpu &gpu)
 {

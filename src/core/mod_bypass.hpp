@@ -55,6 +55,8 @@ class ModBypass : public TlpPolicy
 
     std::string name() const override { return "Mod+Bypass"; }
 
+    std::uint64_t fingerprint() const override;
+
     /** Whether @p app currently bypasses the caches. */
     bool bypassing(AppId app) const { return bypass_[app]; }
 

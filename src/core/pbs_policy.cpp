@@ -18,6 +18,21 @@ PbsPolicy::name() const
     return "PBS-?";
 }
 
+std::uint64_t
+PbsPolicy::fingerprint() const
+{
+    return PolicyFingerprint(*this)
+        .add(params_.objective)
+        .add(params_.scaling)
+        .add(params_.userScale)
+        .add(params_.reverifyWindows)
+        .add(params_.settleWindows)
+        .add(params_.measureWindows)
+        .add(params_.searchBudgetWindows)
+        .add(params_.fallbackCombo)
+        .value();
+}
+
 TlpCombo
 PbsPolicy::fallbackFor(const Gpu &gpu) const
 {

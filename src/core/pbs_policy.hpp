@@ -83,6 +83,8 @@ class PbsPolicy : public TlpPolicy
 
     std::string name() const override;
 
+    std::uint64_t fingerprint() const override;
+
     /** Sampling windows consumed by searching (overhead accounting). */
     std::uint32_t samplesTaken() const override { return samples_; }
 
@@ -102,7 +104,8 @@ class PbsPolicy : public TlpPolicy
     const TlpCombo &currentCombo() const { return applied_; }
 
     /** (cycle, combo) trace of every TLP change (paper Figure 11). */
-    const std::vector<std::pair<Cycle, TlpCombo>> &timeline() const
+    const std::vector<std::pair<Cycle, TlpCombo>> &
+    timeline() const override
     {
         return timeline_;
     }

@@ -10,14 +10,73 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/eb_sample.hpp"
 #include "sim/gpu.hpp"
 
 namespace ebm {
+
+/**
+ * Builder for TlpPolicy::fingerprint(): the policy's dynamic type
+ * name, then every parameter in declaration order. The dynamic type
+ * gives a subclass that inherits fingerprint() keys of its own.
+ * Doubles hash by bit pattern and vectors by length then elements, so
+ * no two parameter sets alias by concatenation.
+ */
+class PolicyFingerprint
+{
+  public:
+    template <typename Policy>
+    explicit PolicyFingerprint(const Policy &policy)
+    {
+        addText(typeid(policy).name());
+    }
+
+    PolicyFingerprint &
+    addText(std::string_view text)
+    {
+        for (const char c : text)
+            add(static_cast<unsigned char>(c));
+        return add(text.size());
+    }
+
+    template <typename T>
+    PolicyFingerprint &
+    add(const T &value)
+    {
+        if constexpr (std::is_floating_point_v<T>)
+            h_ = hashIds(h_, std::bit_cast<std::uint64_t>(
+                                 static_cast<double>(value)));
+        else
+            h_ = hashIds(h_, static_cast<std::uint64_t>(value));
+        return *this;
+    }
+
+    template <typename T>
+    PolicyFingerprint &
+    add(const std::vector<T> &values)
+    {
+        add(values.size());
+        for (const T &v : values)
+            add(v);
+        return *this;
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0x7f4a'7c15'0b1e'5eedull;
+};
 
 /** Base class of every runtime TLP-management scheme. */
 class TlpPolicy
@@ -55,6 +114,26 @@ class TlpPolicy
 
     /** Samples consumed by searching (0 for static schemes). */
     virtual std::uint32_t samplesTaken() const { return 0; }
+
+    /**
+     * Hash of the policy's type and every parameter that can change
+     * what it does: part of an online run's store key, so two
+     * policies that could act differently never share a record.
+     * Build it with PolicyFingerprint.
+     */
+    virtual std::uint64_t fingerprint() const = 0;
+
+    /**
+     * (cycle, combo) trace of every TLP change the policy made during
+     * the last run (paper Figure 11); empty for policies that keep
+     * none.
+     */
+    virtual const std::vector<std::pair<Cycle, TlpCombo>> &
+    timeline() const
+    {
+        static const std::vector<std::pair<Cycle, TlpCombo>> kNone;
+        return kNone;
+    }
 
     /**
      * A policy returning true has its onRunStart deferred to the start
@@ -104,6 +183,15 @@ class StaticTlpPolicy : public TlpPolicy
     bool defersToMeasureStart() const override { return true; }
 
     std::string name() const override { return name_; }
+
+    std::uint64_t
+    fingerprint() const override
+    {
+        return PolicyFingerprint(*this)
+            .addText(name_)
+            .add(combo_)
+            .value();
+    }
 
     const TlpCombo &combo() const { return combo_; }
 

@@ -689,8 +689,7 @@ DiskCache::get(const std::string &key) const
 }
 
 std::optional<std::vector<double>>
-DiskCache::getValidated(const std::string &key,
-                        std::size_t expected_size) const
+DiskCache::getValidated(const std::string &key, RecordShape shape) const
 {
     std::vector<double> values;
     {
@@ -702,10 +701,10 @@ DiskCache::getValidated(const std::string &key,
         }
         values = it->second;
     }
-    if (values.size() != expected_size) {
+    if (!shape.fits(values)) {
         warn("DiskCache: entry " + key + " has " +
              std::to_string(values.size()) + " values, expected " +
-             std::to_string(expected_size) + "; recomputing");
+             shape.describe() + "; recomputing");
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }

@@ -55,6 +55,7 @@
 #include "common/error.hpp"
 #include "common/fault_injector.hpp"
 #include "common/io_fault.hpp"
+#include "harness/store_format.hpp"
 
 namespace ebm {
 
@@ -101,14 +102,15 @@ class DiskCache
     std::optional<std::vector<double>> get(const std::string &key) const;
 
     /**
-     * Look up @p key, requiring exactly @p expected_size values, all
-     * of them finite: a present-but-wrong-shape entry (a stale or
-     * corrupt record) or one holding NaN/Inf (written by a pre-guard
-     * version — well-shaped and checksummed, but garbage) is treated
-     * as a miss so the caller recomputes instead of consuming it.
+     * Look up @p key, requiring values of @p shape (a fixed width, or
+     * a counted tail), all of them finite: a present-but-wrong-shape
+     * entry (a stale or corrupt record) or one holding NaN/Inf
+     * (written by a pre-guard version — well-shaped and checksummed,
+     * but garbage) is treated as a miss so the caller recomputes
+     * instead of consuming it.
      */
     std::optional<std::vector<double>>
-    getValidated(const std::string &key, std::size_t expected_size) const;
+    getValidated(const std::string &key, RecordShape shape) const;
 
     /**
      * Insert @p key -> @p values and append it durably (group

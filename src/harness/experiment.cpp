@@ -74,6 +74,20 @@ Experiment::jobs() const
     return exhaustive_.jobs();
 }
 
+std::vector<RunResult>
+Experiment::runOnline(const std::vector<OnlineJob> &batch)
+{
+    return runOnlineJobs(cache_, jobs(), batch, online_);
+}
+
+SweepStatus
+Experiment::status() const
+{
+    SweepStatus total = exhaustive_.status();
+    total.add(online_);
+    return total;
+}
+
 std::vector<double>
 Experiment::aloneIpcs(const Workload &wl)
 {

@@ -12,6 +12,7 @@
 
 #include "core/pbs_search.hpp"
 #include "harness/exhaustive.hpp"
+#include "harness/online_runs.hpp"
 #include "harness/profile_db.hpp"
 #include "harness/run_result.hpp"
 #include "harness/runner.hpp"
@@ -73,6 +74,17 @@ class Experiment
      */
     Runner &onlineRunner() { return onlineRunner_; }
 
+    /**
+     * Every run of @p batch, in job order: read from the store, or
+     * simulated on jobs() workers through the row-fill engine and
+     * persisted (runOnlineJobs). Benches collect all of a figure's
+     * online runs into one batch, then score them.
+     */
+    std::vector<RunResult> runOnline(const std::vector<OnlineJob> &batch);
+
+    /** Rows requested so far: sweeps plus online runs. */
+    SweepStatus status() const;
+
     /** Alone IPC at bestTLP for each app of @p wl. */
     std::vector<double> aloneIpcs(const Workload &wl);
 
@@ -106,6 +118,7 @@ class Experiment
     Runner onlineRunner_;
     ProfileDb profiles_;
     Exhaustive exhaustive_;
+    SweepStatus online_; ///< Online-run rows across runOnline calls.
 };
 
 /** Geometric mean of positive values. */

@@ -304,11 +304,11 @@ NetLeaseProvider::publish(const std::string &key,
 }
 
 std::optional<std::vector<double>>
-NetLeaseProvider::fetch(const std::string &key, std::size_t expected)
+NetLeaseProvider::fetch(const std::string &key, RecordShape shape)
 {
     if (store_ != nullptr) {
         store_->refresh();
-        return store_->getValidated(key, expected);
+        return store_->getValidated(key, shape);
     }
     std::lock_guard<std::mutex> lk(mu_);
     const auto reply = rpc("GET " + key);
@@ -323,7 +323,7 @@ NetLeaseProvider::fetch(const std::string &key, std::size_t expected)
     // Same validation contract as DiskCache::getValidated: exactly
     // the expected shape, every value finite — anything else is a
     // miss (recompute), never a crash.
-    if (frame.values.size() != expected)
+    if (!shape.fits(frame.values))
         return std::nullopt;
     for (const double v : frame.values) {
         if (!std::isfinite(v))

@@ -88,7 +88,7 @@ class NetLeaseProvider final : public LeaseProvider
     bool publish(const std::string &key,
                  const std::vector<double> &values) override;
     std::optional<std::vector<double>>
-    fetch(const std::string &key, std::size_t expected) override;
+    fetch(const std::string &key, RecordShape shape) override;
     const char *kind() const override
     {
         return store_ != nullptr ? "local" : "net";

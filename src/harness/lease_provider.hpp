@@ -58,6 +58,8 @@
 #include <thread>
 #include <vector>
 
+#include "harness/store_format.hpp"
+
 namespace ebm {
 
 class DiskCache;
@@ -120,11 +122,11 @@ class LeaseProvider
     /**
      * Probe for a peer's durable result for @p key: the shared store
      * (after folding in peer appends) or the coordinator. Validated
-     * like DiskCache::getValidated — exactly @p expected finite
-     * doubles, anything else is a miss.
+     * like DiskCache::getValidated — finite doubles of @p shape,
+     * anything else is a miss.
      */
     virtual std::optional<std::vector<double>>
-    fetch(const std::string &key, std::size_t expected) = 0;
+    fetch(const std::string &key, RecordShape shape) = 0;
 
     /** Transport tag for logs/diagnostics ("local", "net"). */
     virtual const char *kind() const = 0;

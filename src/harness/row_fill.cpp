@@ -69,7 +69,7 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
     // "never started" — the authoritative store can (the shared file
     // for same-host peers, the coordinator's store over TCP).
     auto probePeer = [&](std::size_t i) {
-        auto v = lease->fetch(rows[i].key, options.width);
+        auto v = lease->fetch(rows[i].key, options.shape);
         if (!v)
             return false;
         filled[i] = {RowSource::Peer, std::move(*v)};

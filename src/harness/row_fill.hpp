@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "harness/store_format.hpp"
 
 namespace ebm {
 
@@ -80,8 +81,9 @@ struct RowFillOptions
     LeaseProvider *lease = nullptr;
     /** Worker threads; at most 1 runs every row inline. */
     std::uint32_t jobs = 1;
-    /** Values per row: a peer's result of any other shape is a miss. */
-    std::size_t width = 0;
+    /** Each row's record shape: a peer's result of any other shape
+     * is a miss. */
+    RecordShape shape;
 };
 
 /**
@@ -104,10 +106,9 @@ std::vector<FilledRow> fillRows(DiskCache &cache,
 
 /**
  * Sort key for a row simulating @p combo: 1 + the sum of its TLP
- * levels. More ready warps fill more issue slots, make more memory
- * traffic and leave fewer idle stretches to fast-forward, so a row's
- * cost grows with its total TLP; the +1 keeps an all-ones combo above
- * zero.
+ * levels. More ready warps fill more issue slots and make more memory
+ * traffic, so a row's cost grows with its total TLP; the +1 keeps an
+ * all-ones combo above zero.
  */
 std::uint64_t tlpSortKey(const TlpCombo &combo);
 

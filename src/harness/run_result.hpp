@@ -59,7 +59,8 @@ struct RunResult
     Cycle measuredCycles = 0;
     TlpCombo finalTlp;             ///< Combination in force at the end.
     std::uint32_t samplesTaken = 0;///< Search overhead (policies).
-    /** TLP changes over time (online policies; paper Fig. 11). */
+    /** TLP changes over time (paper Fig. 11): the policy's
+     * TlpPolicy::timeline() at the end of the run. */
     std::vector<std::pair<Cycle, TlpCombo>> tlpTimeline;
 
     /** Per-app effective bandwidths. */

@@ -294,6 +294,7 @@ Runner::run(const std::vector<AppProfile> &apps, TlpPolicy &policy,
     const CounterTotals end = takeSnapshot(gpu);
     RunResult result = diffSnapshots(gpu, start, end);
     result.samplesTaken = policy.samplesTaken();
+    result.tlpTimeline = policy.timeline();
     return result;
 }
 
@@ -365,6 +366,35 @@ Runner::aloneKey(const std::string &app_name, std::uint32_t tlp) const
 {
     return "alone/" + fingerprint() + "/" + app_name + "/" +
            std::to_string(tlp);
+}
+
+std::string
+Runner::onlineKey(const std::vector<AppProfile> &apps,
+                  const TlpPolicy &policy,
+                  const std::vector<std::uint32_t> &core_share) const
+{
+    // Lengths go in before elements, so (apps, share) pairs of
+    // different sizes cannot alias.
+    std::uint64_t h = hashIds(policy.fingerprint(), apps.size(),
+                              core_share.size(), 0x0a71e);
+    for (const AppProfile &p : apps)
+        h = hashIds(h, profileContentHash(p));
+    for (const std::uint32_t s : core_share)
+        h = hashIds(h, s);
+    std::ostringstream tail;
+    tail << std::hex << h;
+
+    std::string key = "online/";
+    key += fingerprint();
+    key += '/';
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        if (a > 0)
+            key += '_';
+        key += apps[a].name;
+    }
+    key += '/';
+    key += tail.str();
+    return key;
 }
 
 } // namespace ebm

@@ -67,6 +67,16 @@ class Runner
     std::string aloneKey(const std::string &app_name,
                          std::uint32_t tlp) const;
 
+    /**
+     * Disk-cache key for one run(@p apps, @p policy, @p core_share):
+     * the app names for readers, then a hash of each app's profile
+     * content, the core share and the policy's fingerprint.
+     */
+    std::string onlineKey(const std::vector<AppProfile> &apps,
+                          const TlpPolicy &policy,
+                          const std::vector<std::uint32_t> &core_share)
+        const;
+
   private:
     GpuConfig cfg_;
     RunOptions opts_;

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -224,3 +225,53 @@ parseHeader(const char *data)
 }
 
 } // namespace ebm::storefmt
+
+namespace ebm {
+
+/**
+ * The shape a record's values must have for a reader to use them:
+ * `head` values, then, when `stride` is nonzero, a counted tail of
+ * `stride`-value entries whose count is the last head value. A sweep
+ * row or alone level is a fixed width (no tail); an online-policy run
+ * ends in its counted TLP timeline. Any other shape is a miss.
+ */
+struct RecordShape
+{
+    std::size_t head = 0;
+    std::size_t stride = 0;
+
+    /** A fixed-width record (implicit: a width is a shape). */
+    RecordShape(std::size_t width = 0) : head(width) {}
+    RecordShape(std::size_t head_values, std::size_t tail_stride)
+        : head(head_values), stride(tail_stride)
+    {
+    }
+
+    /** Do @p values have this shape? */
+    bool
+    fits(const std::vector<double> &values) const
+    {
+        if (stride == 0)
+            return values.size() == head;
+        if (head == 0 || values.size() < head)
+            return false;
+        const double count = values[head - 1];
+        const std::size_t tail = values.size() - head;
+        // A NaN, negative or fractional count fails the first test.
+        return count >= 0.0 && count == std::floor(count) &&
+               tail % stride == 0 &&
+               count == static_cast<double>(tail / stride);
+    }
+
+    /** "9", or "14 + 3 per entry", for diagnostics. */
+    std::string
+    describe() const
+    {
+        std::string out = std::to_string(head);
+        if (stride != 0)
+            out += " + " + std::to_string(stride) + " per entry";
+        return out;
+    }
+};
+
+} // namespace ebm

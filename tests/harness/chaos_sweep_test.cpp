@@ -4,10 +4,11 @@
  * at seeded crash points — lease held (nothing durable), post-put
  * pre-release (result durable, lease orphaned), and mid-way through a
  * store append (torn bytes on disk) — across {2, 4} processes x jobs
- * {1, 8}. A kill-loop re-forks every victim once, clean; the lease
- * protocol re-homes the victims' rows (a dropped connection orphans
- * its leases), torn tails are truncated by the next writer, and the
- * compacted shared store is byte-identical to a crash-free
+ * {1, 8}. Each peer fills a sweep and a batch of online-policy rows,
+ * in either order. A kill-loop re-forks every victim once, clean;
+ * the lease protocol re-homes the victims' rows (a dropped connection
+ * orphans its leases), torn tails are truncated by the next writer,
+ * and the compacted shared store is byte-identical to a crash-free
  * single-process run. fsck agrees the survivor is clean before
  * compaction touches it.
  */
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,8 +29,11 @@
 
 #include "../test_util.hpp"
 #include "common/fault_injector.hpp"
+#include "core/dyncta.hpp"
+#include "core/pbs_policy.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
+#include "harness/online_runs.hpp"
 #include "harness/store_fsck.hpp"
 
 namespace ebm {
@@ -71,6 +76,36 @@ tablesBitIdentical(const ComboTable &a, const ComboTable &b)
                             sizeof(double)) != 0)
                 return false;
         }
+    }
+    return true;
+}
+
+/** The online rows every peer fills beside its sweep: ++DynCTA and
+ * PBS-WS on the swept pair. */
+std::vector<OnlineJob>
+onlineBatch(const Runner &runner)
+{
+    const std::vector<AppProfile> apps = resolveApps(makePair("BLK", "TRD"));
+    std::vector<OnlineJob> batch;
+    batch.push_back({&runner, apps, std::make_unique<DynCta>()});
+    batch.push_back(
+        {&runner, apps, std::make_unique<PbsPolicy>(PbsPolicy::Params{})});
+    return batch;
+}
+
+/** Bit-exact equality of two runs' online records. */
+bool
+onlineRunsBitIdentical(const std::vector<RunResult> &a,
+                       const std::vector<RunResult> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::vector<double> x = encodeOnlineRecord(a[i]);
+        const std::vector<double> y = encodeOnlineRecord(b[i]);
+        if (x.size() != y.size() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)
+            return false;
     }
     return true;
 }
@@ -123,17 +158,24 @@ class ChaosSweepTest : public ::testing::Test
     std::string shared_path_;
 };
 
+/** A crash-free fill's sweep table and online runs. */
+struct Reference
+{
+    ComboTable table;
+    std::vector<RunResult> online;
+};
+
 /**
- * One cooperating peer: sweep the shared store and exit 0 only when
- * its table is bit-identical to @p ref. A first life (@p life 0) has
- * every crash-point draw firing, so it dies at @p slot's designated
- * point on the first row it actually computes; a later life runs
- * clean.
+ * One cooperating peer: sweep the shared store and fill the online
+ * batch, in the order @p online_first picks, and exit 0 only when both
+ * are bit-identical to @p ref. A first life (@p life 0) has every
+ * crash-point draw firing, so it dies at @p slot's designated point on
+ * the first row it actually computes; a later life runs clean.
  */
 int
 chaosPeer(std::uint32_t slot, std::uint32_t life, std::uint32_t jobs,
-          const std::string &shared_path, const ComboTable &ref,
-          const std::vector<std::uint32_t> &ladder)
+          const std::string &shared_path, const Reference &ref,
+          const std::vector<std::uint32_t> &ladder, bool online_first)
 {
     RunOptions opts = test::tinyOptions();
     std::optional<FaultInjector> fi;
@@ -146,8 +188,17 @@ chaosPeer(std::uint32_t slot, std::uint32_t life, std::uint32_t jobs,
     DiskCache cache(shared_path, fi ? &*fi : nullptr);
     Exhaustive ex(runner, cache);
     ex.setJobs(jobs);
+    SweepStatus status;
+    std::vector<RunResult> online;
+    if (online_first)
+        online = runOnlineJobs(cache, jobs, onlineBatch(runner), status);
     const ComboTable mine = ex.sweep(makePair("BLK", "TRD"), ladder);
-    return tablesBitIdentical(ref, mine) ? 0 : 2;
+    if (!online_first)
+        online = runOnlineJobs(cache, jobs, onlineBatch(runner), status);
+    return tablesBitIdentical(ref.table, mine) &&
+                   onlineRunsBitIdentical(ref.online, online)
+               ? 0
+               : 2;
 }
 
 /**
@@ -158,12 +209,12 @@ chaosPeer(std::uint32_t slot, std::uint32_t life, std::uint32_t jobs,
  */
 void
 runChaosCell(int procs, std::uint32_t jobs,
-             const std::string &shared_path, const ComboTable &ref,
+             const std::string &shared_path, const Reference &ref,
              const std::string &ref_bytes,
-             const std::vector<std::uint32_t> &ladder)
+             const std::vector<std::uint32_t> &ladder, bool online_first)
 {
     SCOPED_TRACE(std::to_string(procs) + "p/" + std::to_string(jobs) +
-                 "j");
+                 "j" + (online_first ? "/online first" : ""));
 
     struct Peer
     {
@@ -173,7 +224,8 @@ runChaosCell(int procs, std::uint32_t jobs,
     };
     auto spawn = [&](std::uint32_t slot, std::uint32_t life) {
         const pid_t pid = test::forkPeer([&] {
-            return chaosPeer(slot, life, jobs, shared_path, ref, ladder);
+            return chaosPeer(slot, life, jobs, shared_path, ref, ladder,
+                             online_first);
         });
         EXPECT_GE(pid, 0);
         return Peer{slot, life, pid};
@@ -209,7 +261,7 @@ runChaosCell(int procs, std::uint32_t jobs,
     // ...and compacts to the crash-free single-process bytes.
     DiskCache merged(shared_path);
     EXPECT_FALSE(merged.loadReport().quarantined);
-    EXPECT_EQ(merged.size(), ref.combos.size());
+    EXPECT_EQ(merged.size(), ref.table.combos.size() + ref.online.size());
     ASSERT_TRUE(merged.compact());
     EXPECT_EQ(slurp(shared_path), ref_bytes)
         << "chaos must not change the canonical store bytes";
@@ -220,15 +272,18 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
     const std::vector<std::uint32_t> ladder = {1, 2, 4};
 
     // Crash-free single-process reference, compacted.
-    ComboTable ref;
+    Reference ref;
     std::string ref_bytes;
     {
         Runner runner(test::tinyConfig(2), test::tinyOptions());
         DiskCache cache(ref_path_);
         Exhaustive ex(runner, cache);
         ex.setJobs(1);
-        ref = ex.sweep(makePair("BLK", "TRD"), ladder);
+        ref.table = ex.sweep(makePair("BLK", "TRD"), ladder);
         ASSERT_EQ(ex.status().simulated, 9u);
+        SweepStatus status;
+        ref.online = runOnlineJobs(cache, 1, onlineBatch(runner), status);
+        ASSERT_EQ(status.simulated, 2u);
         ASSERT_TRUE(cache.compact());
         ref_bytes = slurp(ref_path_);
         ASSERT_FALSE(ref_bytes.empty());
@@ -242,10 +297,14 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
         int procs;
         std::uint32_t jobs;
     } grid[] = {{2, 1}, {2, 8}, {4, 1}, {4, 8}};
-    for (const auto &cfg : grid) {
-        std::remove(shared_path_.c_str());
-        runChaosCell(cfg.procs, cfg.jobs, shared_path_, ref, ref_bytes,
-                     ladder);
+    // Online rows first puts the crash points on them: a first life
+    // dies on the first row it computes.
+    for (const bool online_first : {false, true}) {
+        for (const auto &cfg : grid) {
+            std::remove(shared_path_.c_str());
+            runChaosCell(cfg.procs, cfg.jobs, shared_path_, ref, ref_bytes,
+                         ladder, online_first);
+        }
     }
 }
 

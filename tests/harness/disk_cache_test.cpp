@@ -21,6 +21,7 @@
 #include "../test_util.hpp"
 #include "common/rng.hpp"
 #include "harness/lease_provider.hpp"
+#include "harness/online_runs.hpp"
 #include "harness/store_format.hpp"
 #include "harness/store_fsck.hpp"
 
@@ -893,6 +894,16 @@ TEST_F(DiskCacheTest, SeededMutationsKeepTheLoaderSafe)
             values.push_back(i * 10.0 + v + 0.25);
         original["mut/key" + std::to_string(i)] = values;
     }
+    // One online-policy record: a counted TLP timeline ends it.
+    RunResult online;
+    online.apps = {{0.5, 0.25, 0.75, 0.125}, {1.5, 0.0625, 1.0, 0.5}};
+    online.totalBw = 0.3125;
+    online.measuredCycles = 200'000;
+    online.finalTlp = {4, 8};
+    online.samplesTaken = 12;
+    online.tlpTimeline = {{6000, {1, 24}}, {7000, {4, 8}}, {40000, {2, 2}}};
+    const std::string online_key = "online/mut/BLK_BFS/1";
+    original[online_key] = encodeOnlineRecord(online);
     {
         DiskCache cache(path_);
         for (const auto &[key, values] : original)
@@ -971,13 +982,19 @@ TEST_F(DiskCacheTest, SeededMutationsKeepTheLoaderSafe)
             ASSERT_TRUE(cache.has_value());
             const DiskCache::LoadReport &report = cache->loadReport();
 
-            // (b) Every key served carries exactly its values.
+            // (b) Every key served carries exactly its values, and a
+            // served online record still has its shape.
             for (const auto &[key, values] : original) {
                 const auto got = cache->get(key);
                 if (got.has_value()) {
                     EXPECT_EQ(*got, values) << key;
                     ++served;
                 }
+            }
+            if (cache->get(online_key).has_value()) {
+                EXPECT_TRUE(cache->getValidated(online_key,
+                                                onlineRecordShape(2))
+                                .has_value());
             }
             EXPECT_EQ(cache->size(), served) << "no foreign keys";
 

@@ -139,13 +139,13 @@ class ScriptedLease : public LeaseProvider
     }
 
     std::optional<std::vector<double>>
-    fetch(const std::string &key, std::size_t expected) override
+    fetch(const std::string &key, RecordShape shape) override
     {
         const auto it = peerResults.find(key);
         const bool landed = landOnAcquire.count(key) != 0
                                 ? owned_.count(key) != 0
                                 : peeks_[key] >= activePeeks;
-        if (it == peerResults.end() || it->second.size() != expected ||
+        if (it == peerResults.end() || !shape.fits(it->second) ||
             !landed)
             return std::nullopt;
         return it->second;

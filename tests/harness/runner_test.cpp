@@ -4,6 +4,7 @@
 
 #include "../test_util.hpp"
 #include "core/dyncta.hpp"
+#include "core/pbs_policy.hpp"
 #include "core/tlp_policy.hpp"
 
 namespace ebm {
@@ -86,6 +87,20 @@ TEST_F(RunnerTest, PolicyRunInvokesWindows)
     const RunResult r = runner_.run(apps_, policy);
     ASSERT_EQ(r.apps.size(), 2u);
     EXPECT_GT(r.apps[0].ipc, 0.0);
+}
+
+TEST_F(RunnerTest, PbsRunCarriesThePolicyTimeline)
+{
+    RunOptions opts = test::tinyOptions();
+    opts.relaunchInterval = 2500;
+    Runner runner(test::tinyConfig(2), opts);
+    PbsPolicy policy(PbsPolicy::Params{});
+    const RunResult r = runner.run(apps_, policy);
+    EXPECT_GT(r.tlpTimeline.size(), 3u) << "searches after relaunches";
+    EXPECT_EQ(r.tlpTimeline, policy.timeline());
+
+    DynCta untraced;
+    EXPECT_TRUE(runner.run(apps_, untraced).tlpTimeline.empty());
 }
 
 TEST_F(RunnerTest, RelaunchIntervalTriggersPolicyCallback)
