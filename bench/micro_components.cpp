@@ -172,46 +172,22 @@ BENCHMARK(BM_GpuCycleTwoApps);
 /**
  * Whole-GPU simulation loop via Gpu::run() — the path every sweep and
  * harness drive takes. Items/sec = simulated cycles per wall second.
- * The memory-bound BFS+FFT pair spends most cycles waiting on DRAM,
- * the case the quiescence fast-forward was built for. On the standard
- * machine, though, some core always has an event pending: perfbench's
- * simloop workload measures ff_skipped_frac = 0 on all six of its
- * cases (BFS+FFT and BLK+RAY at TLP 1/4/24), and skipped_frac below
- * reports the share this pair actually skips. The Serial variant pins
- * the pre-optimization baseline for comparison.
+ * The memory-bound BFS+FFT pair spends most core-cycles waiting on
+ * DRAM. Fixed iterations, so every run times the same cycle range
+ * (cost varies along the workload).
  */
 void
-gpuRunMemBoundPair(benchmark::State &state, bool fast_forward)
+BM_GpuRunMemBoundPair(benchmark::State &state)
 {
     GpuConfig cfg = benchConfig(2);
     Gpu gpu(cfg, {findApp("BFS"), findApp("FFT")});
-    gpu.setFastForward(fast_forward);
     constexpr Cycle kChunk = 10'000;
     for (auto _ : state)
         gpu.run(kChunk);
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * kChunk);
-    state.counters["skipped_frac"] =
-        static_cast<double>(gpu.fastForwardedCycles()) /
-        static_cast<double>(gpu.now());
 }
-
-// Fixed iteration counts so both variants simulate the *same* cycle
-// range (cost varies along the workload; floating iteration counts
-// would compare different phases).
-void
-BM_GpuRunMemBoundPairSerial(benchmark::State &state)
-{
-    gpuRunMemBoundPair(state, false);
-}
-BENCHMARK(BM_GpuRunMemBoundPairSerial)->Iterations(30);
-
-void
-BM_GpuRunMemBoundPairFast(benchmark::State &state)
-{
-    gpuRunMemBoundPair(state, true);
-}
-BENCHMARK(BM_GpuRunMemBoundPairFast)->Iterations(30);
+BENCHMARK(BM_GpuRunMemBoundPair)->Iterations(30);
 
 /**
  * Warm re-run of the memory-bound pair: the same machine after
@@ -244,9 +220,9 @@ BM_GpuRunWarmPair(benchmark::State &state)
 }
 BENCHMARK(BM_GpuRunWarmPair)->Iterations(10);
 
-/** Compute-heavy co-run: the fast-forward gate must not cost here. */
+/** Compute-heavy co-run: most cycles issue on every core. */
 void
-BM_GpuRunBusyPairFast(benchmark::State &state)
+BM_GpuRunBusyPair(benchmark::State &state)
 {
     GpuConfig cfg = benchConfig(2);
     Gpu gpu(cfg, {findApp("BLK"), findApp("RAY")});
@@ -255,11 +231,8 @@ BM_GpuRunBusyPairFast(benchmark::State &state)
         gpu.run(kChunk);
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * kChunk);
-    state.counters["skipped_frac"] =
-        static_cast<double>(gpu.fastForwardedCycles()) /
-        static_cast<double>(gpu.now());
 }
-BENCHMARK(BM_GpuRunBusyPairFast);
+BENCHMARK(BM_GpuRunBusyPair);
 
 } // namespace
 

@@ -3,7 +3,11 @@
  * Section VI-D sensitivity studies:
  *  (1) three-application workloads — PBS-WS vs ++bestTLP and ++DynCTA,
  *  (2) core-partitioning sensitivity — unequal core splits,
- *  (3) sampling-window length sweep for the online PBS mechanism.
+ *  (3) L2 way-partitioning under ++bestTLP,
+ *  (4) sampling-window length sweep for the online PBS mechanism.
+ *
+ * Every run, the static ++bestTLP baselines included, is a store row
+ * (Experiment::runOnline), so a warm run simulates nothing.
  */
 #include <cstdio>
 #include <memory>
@@ -39,14 +43,21 @@ pbsWs()
     return std::make_unique<PbsPolicy>(params);
 }
 
+/** The fixed-combo run Runner::runStatic makes, as a batch job's policy. */
+std::unique_ptr<TlpPolicy>
+staticTlp(const TlpCombo &combo)
+{
+    return std::make_unique<StaticTlpPolicy>("static", combo);
+}
+
 } // namespace
 
 int
 run()
 {
     std::printf("Section VI-D: sensitivity studies\n");
-    // Each section collects its online runs into one batch, then
-    // scores them.
+    // Each section collects its runs, the static baselines included,
+    // into one batch, then scores them.
     Experiment exp3(3);
     Experiment exp(2);
 
@@ -57,10 +68,12 @@ run()
         const std::vector<Workload> workloads = threeAppWorkloads();
         std::vector<OnlineJob> batch;
         for (const Workload &wl : workloads) {
-            batch.push_back({&exp3.onlineRunner(), resolveApps(wl),
+            const std::vector<AppProfile> apps = resolveApps(wl);
+            batch.push_back({&exp3.onlineRunner(), apps,
                              std::make_unique<DynCta>()});
+            batch.push_back({&exp3.onlineRunner(), apps, pbsWs()});
             batch.push_back(
-                {&exp3.onlineRunner(), resolveApps(wl), pbsWs()});
+                {&exp3.runner(), apps, staticTlp(exp3.bestTlpCombo(wl))});
         }
         const std::vector<RunResult> runs = exp3.runOnline(batch);
 
@@ -68,16 +81,10 @@ run()
                        "PBS-WS samples"});
         for (std::size_t w = 0; w < workloads.size(); ++w) {
             const Workload &wl = workloads[w];
-            const std::vector<AppProfile> apps = resolveApps(wl);
             const std::vector<double> alone = exp3.aloneIpcs(wl);
-            const TlpCombo best = exp3.bestTlpCombo(wl);
-
-            const RunResult base =
-                exp3.runner().runStatic(apps, best);
-            const double ws_base = wsOf(base, alone);
-
-            const RunResult &dyn_r = runs[2 * w];
-            const RunResult &pbs_r = runs[2 * w + 1];
+            const RunResult &dyn_r = runs[3 * w];
+            const RunResult &pbs_r = runs[3 * w + 1];
+            const double ws_base = wsOf(runs[3 * w + 2], alone);
 
             out.addRow({wl.name,
                         TextTable::num(wsOf(dyn_r, alone) / ws_base),
@@ -104,8 +111,10 @@ run()
             {n / 2, n / 2}, {n * 5 / 8, n * 3 / 8}, {n * 3 / 8, n * 5 / 8}};
 
         std::vector<OnlineJob> batch;
-        for (const std::vector<std::uint32_t> &split : splits)
+        for (const std::vector<std::uint32_t> &split : splits) {
             batch.push_back({&exp.onlineRunner(), apps, pbsWs(), split});
+            batch.push_back({&exp.runner(), apps, staticTlp(best), split});
+        }
         const std::vector<RunResult> runs = exp.runOnline(batch);
 
         double base_ws = 0.0;
@@ -114,9 +123,8 @@ run()
         for (std::size_t i = 0; i < splits.size(); ++i) {
             const std::uint32_t c0 = splits[i][0];
             const std::uint32_t c1 = splits[i][1];
-            const RunResult base =
-                exp.runner().runStatic(apps, best, {c0, c1});
-            const RunResult &tuned = runs[i];
+            const RunResult &tuned = runs[2 * i];
+            const RunResult &base = runs[2 * i + 1];
             const double ws_b = wsOf(base, alone);
             const double ws_p = wsOf(tuned, alone);
             if (base_ws == 0.0)
@@ -159,14 +167,28 @@ run()
                 gpu.setAppL2WayPartition(0, 0, half);
                 gpu.setAppL2WayPartition(1, half, ways_ - half);
             }
+            std::uint64_t
+            fingerprint() const override
+            {
+                return PolicyFingerprint(*this)
+                    .addText(name())
+                    .add(combo())
+                    .add(ways_)
+                    .value();
+            }
 
           private:
             std::uint32_t ways_;
         };
 
-        const RunResult shared = exp.runner().runStatic(apps, best);
-        SplitPolicy split_policy(best, cfg.l2Slice.assoc);
-        const RunResult split = exp.runner().run(apps, split_policy);
+        std::vector<OnlineJob> batch;
+        batch.push_back({&exp.runner(), apps, staticTlp(best)});
+        batch.push_back({&exp.runner(), apps,
+                         std::make_unique<SplitPolicy>(
+                             best, cfg.l2Slice.assoc)});
+        const std::vector<RunResult> runs = exp.runOnline(batch);
+        const RunResult &shared = runs[0];
+        const RunResult &split = runs[1];
 
         TextTable out({"L2 policy", "WS", "L2MR-BLK", "L2MR-BFS"});
         out.addRow({"shared (baseline)",
@@ -191,8 +213,6 @@ run()
         const std::vector<AppProfile> apps = resolveApps(wl);
         const std::vector<double> alone = exp.aloneIpcs(wl);
         const TlpCombo best = exp.bestTlpCombo(wl);
-        const RunResult base = exp.runner().runStatic(apps, best);
-        const double ws_base = wsOf(base, alone);
 
         const std::vector<Cycle> windows = {500, 1000, 1500, 3000};
         std::vector<Runner> runners;
@@ -202,15 +222,17 @@ run()
             runners.emplace_back(exp.runner().config(), opts);
         }
         std::vector<OnlineJob> batch;
+        batch.push_back({&exp.runner(), apps, staticTlp(best)});
         for (const Runner &runner : runners)
             batch.push_back({&runner, apps, pbsWs()});
         const std::vector<RunResult> runs = exp.runOnline(batch);
+        const double ws_base = wsOf(runs[0], alone);
 
         TextTable out({"Window (cycles)", "PBS-WS (norm WS)",
                        "samples"});
         for (std::size_t i = 0; i < windows.size(); ++i) {
             const Cycle window = windows[i];
-            const RunResult &r = runs[i];
+            const RunResult &r = runs[i + 1];
             out.addRow({std::to_string(window),
                         TextTable::num(wsOf(r, alone) / ws_base),
                         std::to_string(r.samplesTaken)});

@@ -71,7 +71,6 @@ GpuPool::acquire(const GpuConfig &cfg,
             // previous run's policy left behind.
             gpu->reset(/*flush_caches=*/true);
             gpu->restoreKnobDefaults();
-            gpu->setFastForward(true);
             ++stats_.hits;
             return Lease(this, std::move(key), std::move(gpu));
         }

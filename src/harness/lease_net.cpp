@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -306,30 +305,29 @@ NetLeaseProvider::publish(const std::string &key,
 std::optional<std::vector<double>>
 NetLeaseProvider::fetch(const std::string &key, RecordShape shape)
 {
+    std::optional<std::vector<double>> values;
     if (store_ != nullptr) {
         store_->refresh();
-        return store_->getValidated(key, shape);
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto reply = rpc("GET " + key);
-    if (!reply || reply->rfind("HIT\n", 0) != 0)
-        return std::nullopt;
-    constexpr std::size_t kVerbBytes = 4; // "HIT\n"
-    storefmt::Frame frame;
-    const auto parsed = storefmt::parseFrameAt(
-        reply->data(), kVerbBytes, reply->size(), frame);
-    if (parsed != storefmt::FrameParse::Ok || frame.key != key)
-        return std::nullopt;
-    // Same validation contract as DiskCache::getValidated: exactly
-    // the expected shape, every value finite — anything else is a
-    // miss (recompute), never a crash.
-    if (!shape.fits(frame.values))
-        return std::nullopt;
-    for (const double v : frame.values) {
-        if (!std::isfinite(v))
+        values = store_->get(key);
+    } else {
+        std::lock_guard<std::mutex> lk(mu_);
+        const auto reply = rpc("GET " + key);
+        if (!reply || reply->rfind("HIT\n", 0) != 0)
             return std::nullopt;
+        constexpr std::size_t kVerbBytes = 4; // "HIT\n"
+        storefmt::Frame frame;
+        const auto parsed = storefmt::parseFrameAt(
+            reply->data(), kVerbBytes, reply->size(), frame);
+        if (parsed != storefmt::FrameParse::Ok || frame.key != key)
+            return std::nullopt;
+        values = std::move(frame.values);
     }
-    return std::move(frame.values);
+    // DiskCache::getValidated's contract, without its warning: the
+    // caller's own probe already reported a bad record, so a re-probe
+    // just misses (recompute), never crashes.
+    if (!values || !shape.accepts(*values))
+        return std::nullopt;
+    return values;
 }
 
 bool

@@ -123,7 +123,8 @@ class LeaseProvider
      * Probe for a peer's durable result for @p key: the shared store
      * (after folding in peer appends) or the coordinator. Validated
      * like DiskCache::getValidated — finite doubles of @p shape,
-     * anything else is a miss.
+     * anything else is a miss — but silently: a re-probe of the
+     * caller's row, whose first probe already warned.
      */
     virtual std::optional<std::vector<double>>
     fetch(const std::string &key, RecordShape shape) = 0;

@@ -263,6 +263,19 @@ struct RecordShape
                count == static_cast<double>(tail / stride);
     }
 
+    /** fits(@p values), every one of them finite: a usable record. */
+    bool
+    accepts(const std::vector<double> &values) const
+    {
+        if (!fits(values))
+            return false;
+        for (const double v : values) {
+            if (!std::isfinite(v))
+                return false;
+        }
+        return true;
+    }
+
     /** "9", or "14 + 3 per entry", for diagnostics. */
     std::string
     describe() const

@@ -13,9 +13,8 @@
  * state allocation) and each output keeps an occupancy bitmask of its
  * non-empty input VOQs, so the allocator's round-robin scan is a
  * find-first-set over the mask instead of a walk over every input.
- * Each network also reports the next cycle at which it can possibly
- * act (nextEventCycle), which the GPU's quiescence fast-forward uses
- * to skip fully drained stretches.
+ * Each network reports the earliest in-flight arrival per output
+ * (nextArrival), which the GPU's response timing wheel reads.
  */
 #pragma once
 
@@ -136,24 +135,6 @@ class CrossbarNetwork
         flit = std::move(q.front().payload);
         q.pop();
         return true;
-    }
-
-    /**
-     * Earliest cycle after @p now at which this network can change
-     * state: immediately if any VOQ holds a flit (the allocator will
-     * move it), else the first in-flight arrival, else never.
-     */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        if (voqFlits_ > 0)
-            return now + 1;
-        Cycle next = kNeverCycle;
-        for (std::uint32_t out = 0; out < outputReady_.size(); ++out)
-            next = std::min(next, nextArrival(out));
-        if (next == kNeverCycle)
-            return kNeverCycle;
-        return next > now ? next : now + 1;
     }
 
     /** Total flits buffered anywhere in this network. */
@@ -350,15 +331,6 @@ class Crossbar
     tick(Cycle now)
     {
         tick(now, [](std::uint32_t) {});
-    }
-
-    /** Earliest cycle after @p now either network can change state. */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        const Cycle req = request_.nextEventCycle(now);
-        const Cycle resp = response_.nextEventCycle(now);
-        return req < resp ? req : resp;
     }
 
     void

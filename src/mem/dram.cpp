@@ -302,14 +302,6 @@ DramChannel::tick(DramCompletion &out)
 }
 
 void
-DramChannel::advanceIdle(std::uint64_t cycles)
-{
-    if (!queue_.empty())
-        panic("DramChannel: idle advance with queued requests");
-    now_ += cycles;
-}
-
-void
 DramChannel::checkpoint()
 {
     for (auto &c : dataCycles_)

@@ -73,14 +73,6 @@ class DramChannel
      */
     bool tick(DramCompletion &out);
 
-    /**
-     * Batch-advance @p cycles command cycles with an empty queue:
-     * identical to @p cycles tick() calls that find nothing to do
-     * (the cycle counter still advances — it feeds the
-     * bandwidth-normalization denominator). Panics if work is queued.
-     */
-    void advanceIdle(std::uint64_t cycles);
-
     /** Current DRAM cycle count. */
     Cycle now() const { return now_; }
 

@@ -88,37 +88,6 @@ MemoryPartition::tick(Cycle now, std::vector<MemResponse> &out)
     }
 }
 
-Cycle
-MemoryPartition::nextEventCycle(Cycle now) const
-{
-    if (!inputQueue_.empty() || dram_.queueDepth() != 0)
-        return now + 1;
-    if (!pending_.empty()) {
-        const Cycle ready = pending_.top().readyAt;
-        return ready > now ? ready : now + 1;
-    }
-    return kNeverCycle;
-}
-
-void
-MemoryPartition::fastForward(Cycle cycles)
-{
-    if (!inputQueue_.empty() || dram_.queueDepth() != 0)
-        panic("MemoryPartition: fast-forward with queued work");
-    // Step the phase accumulator exactly as `cycles` serial ticks
-    // would: the same float additions in the same order, so the DRAM
-    // command clock lands on the same core cycles afterwards.
-    std::uint64_t dram_ticks = 0;
-    for (Cycle c = 0; c < cycles; ++c) {
-        dramPhase_ += cfg_.dramClockRatio;
-        while (dramPhase_ >= 1.0) {
-            dramPhase_ -= 1.0;
-            ++dram_ticks;
-        }
-    }
-    dram_.advanceIdle(dram_ticks);
-}
-
 void
 MemoryPartition::checkpoint()
 {

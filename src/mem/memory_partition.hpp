@@ -43,24 +43,6 @@ class MemoryPartition
      */
     void tick(Cycle now, std::vector<MemResponse> &out);
 
-    /**
-     * Earliest cycle after @p now at which this partition can change
-     * state: now+1 while any request is queued at the L2 or the DRAM
-     * controller, else the first scheduled response release, else
-     * never.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Batch-advance @p cycles core cycles with no queued work. The
-     * DRAM phase accumulator is stepped cycle by cycle so the command
-     * clock advances on exactly the same core cycles as the serial
-     * loop (float accumulation order is part of the observable
-     * behaviour). Scheduled responses are untouched — the caller
-     * never skips past their release cycle.
-     */
-    void fastForward(Cycle cycles);
-
     /** Per-app attained data-bus cycles (cumulative). */
     std::uint64_t dataCycles(AppId app) const { return dram_.dataCycles(app); }
 

@@ -81,6 +81,15 @@ Gpu::tick()
 }
 
 void
+Gpu::run(Cycle cycles)
+{
+    const Cycle end = now_ + cycles;
+    while (now_ < end)
+        step();
+    settleParked();
+}
+
+void
 Gpu::step()
 {
     ++now_;
@@ -189,78 +198,6 @@ Gpu::markNextDue(CoreId id)
                  xbar_.responseNet().nextArrival(id));
     if (next != kNeverCycle)
         markDue(id, std::max(next, now_ + 1));
-}
-
-Cycle
-Gpu::nextEventCycle() const
-{
-    if (!holdover_.empty())
-        return now_ + 1;
-    Cycle next = kNeverCycle;
-    // Cores first: a ready warp is the common case, and the reduction
-    // can stop as soon as anything wants the very next cycle.
-    for (const auto &core : cores_) {
-        const Cycle c = core->nextEventCycle(now_);
-        if (c < next)
-            next = c;
-        if (next <= now_ + 1)
-            return now_ + 1;
-    }
-    const Cycle x = xbar_.nextEventCycle(now_);
-    if (x < next)
-        next = x;
-    if (next <= now_ + 1)
-        return now_ + 1;
-    for (const auto &part : partitions_) {
-        const Cycle p = part->nextEventCycle(now_);
-        if (p < next)
-            next = p;
-        if (next <= now_ + 1)
-            return now_ + 1;
-    }
-    return next;
-}
-
-void
-Gpu::fastForwardTo(Cycle target)
-{
-    const Cycle n = target - now_;
-    settleParked();
-    for (auto &core : cores_)
-        core->fastForward(n);
-    // The crossbar holds no per-cycle state while its VOQs are empty
-    // (in-flight arrivals are timestamped), so only the cores' idle
-    // accounting and the partitions' DRAM clock need to move.
-    for (auto &part : partitions_)
-        part->fastForward(n);
-    now_ = target;
-    fastForwardedCycles_ += n;
-    // The batch counted the skipped cycles of parked cores too.
-    for (std::uint64_t m = allCores_ & ~awake_; m != 0; m &= m - 1)
-        parkedAt_[static_cast<CoreId>(std::countr_zero(m))] = now_;
-}
-
-void
-Gpu::run(Cycle cycles)
-{
-    const Cycle end = now_ + cycles;
-    while (now_ < end) {
-        if (fastForward_) {
-            const Cycle next = nextEventCycle();
-            // Every cycle strictly before `next` is provably a no-op
-            // apart from idle accounting: skip to next-1, then
-            // simulate the event cycle itself normally.
-            Cycle target = next == kNeverCycle ? end : next - 1;
-            if (target > end)
-                target = end;
-            if (target > now_)
-                fastForwardTo(target);
-            if (now_ == end)
-                break;
-        }
-        step();
-    }
-    settleParked();
 }
 
 void
@@ -423,8 +360,6 @@ Gpu::snapshot() const
 {
     Snapshot snap;
     snap.now = now_;
-    snap.fastForward = fastForward_;
-    snap.fastForwardedCycles = fastForwardedCycles_;
     snap.cores.reserve(cores_.size());
     for (const auto &core : cores_)
         snap.cores.push_back(core->snapshot());
@@ -443,8 +378,6 @@ Gpu::restore(const Snapshot &snap)
         snap.partitions.size() != partitions_.size())
         fatal("Gpu: snapshot shape mismatch");
     now_ = snap.now;
-    fastForward_ = snap.fastForward;
-    fastForwardedCycles_ = snap.fastForwardedCycles;
     for (std::size_t i = 0; i < cores_.size(); ++i)
         cores_[i]->restore(snap.cores[i]);
     xbar_.restore(snap.xbar);
@@ -464,7 +397,6 @@ void
 Gpu::reset(bool flush_caches)
 {
     now_ = 0;
-    fastForwardedCycles_ = 0;
     for (auto &core : cores_)
         core->reset(flush_caches);
     xbar_.clear();

@@ -6,16 +6,16 @@
  * setTlpLimit()/setL1Bypass() and the statistics accessors, mirroring
  * the narrow hardware interface of the paper's Figure 8.
  *
+ * Every cycle is simulated; run() is a loop over the one-cycle step.
  * Each cycle visits only the cores that have work. The issue stage
  * walks a mask of awake cores: a core whose issue cycle provably
  * repeats parks, and its idle/stall/mem-wait counters are added as
  * one span when it wakes (a fill or L1-hit completion, a knob, reset,
- * restore) or when tick(), run() or a fast-forward batch returns, so
- * every reader between calls sees exact counts. The response stage
- * reads a timing wheel of core masks keyed by due cycle, marked when
- * the crossbar grants a response flit or an L1 hit queues its
- * completion. Both sets are single 64-bit masks, so GpuConfig::check
- * caps numCores at 64.
+ * restore) or when tick() or run() returns, so every reader between
+ * calls sees exact counts. The response stage reads a timing wheel of
+ * core masks keyed by due cycle, marked when the crossbar grants a
+ * response flit or an L1 hit queues its completion. Both sets are
+ * single 64-bit masks, so GpuConfig::check caps numCores at 64.
  */
 #pragma once
 
@@ -51,24 +51,18 @@ class Gpu
     void tick();
 
     /**
-     * Run for @p cycles core cycles. When fast-forward is enabled
-     * (the default), stretches in which no component can do anything
-     * — no warp ready, networks drained, memory quiet — are
-     * batch-advanced to the next event instead of ticked one by one.
-     * All counters advance exactly as the serial loop would; results
-     * are bit-identical either way (the golden-digest tests pin this).
+     * Run for @p cycles core cycles, every one simulated: the same
+     * counts as that many tick() calls, with parked cores settled
+     * once, at the end.
      */
     void run(Cycle cycles);
 
-    /** Enable/disable quiescence fast-forward inside run(). */
-    void setFastForward(bool enabled) { fastForward_ = enabled; }
-    bool fastForwardEnabled() const { return fastForward_; }
-
-    /** Cycles skipped (not ticked serially) by run() so far. */
-    std::uint64_t fastForwardedCycles() const
-    {
-        return fastForwardedCycles_;
-    }
+    /**
+     * Always 0: the model ticks every cycle. Kept only for
+     * perfbench/ebm_bench.cpp, whose simloop workload reports it as
+     * ff_skipped_frac.
+     */
+    std::uint64_t fastForwardedCycles() const { return 0; }
 
     Cycle now() const { return now_; }
 
@@ -189,13 +183,13 @@ class Gpu
     };
 
     /**
-     * The complete mutable machine state: cycle counter, fast-forward
-     * accounting, every core, both crossbar networks, every memory
-     * partition, and the response holdover. Value-semantic and
-     * heap-compact — a pooled worker can hold several. Capturing and
-     * restoring is only valid between instances built from the same
-     * (config, apps, core_share); restore() shape-checks and fatals on
-     * mismatch. After restore(const Snapshot&), the machine replays
+     * The complete mutable machine state: cycle counter, every core,
+     * both crossbar networks, every memory partition, and the
+     * response holdover. Value-semantic and heap-compact — a pooled
+     * worker can hold several. Capturing and restoring is only valid
+     * between instances built from the same (config, apps,
+     * core_share); restore() shape-checks and fatals on mismatch.
+     * After restore(const Snapshot&), the machine replays
      * bit-identically to the machine the snapshot was taken from —
      * unlike reset(), which rewinds to cycle 0 and (always, for the
      * L2) flushes in-flight and cached state.
@@ -203,8 +197,6 @@ class Gpu
     struct Snapshot
     {
         Cycle now = 0;
-        bool fastForward = true;
-        std::uint64_t fastForwardedCycles = 0;
         std::vector<SimtCore::Snapshot> cores;
         Crossbar::Snapshot xbar;
         std::vector<MemoryPartition::Snapshot> partitions;
@@ -217,19 +209,6 @@ class Gpu
     void restore(const Snapshot &snap);
 
   private:
-    /**
-     * Earliest cycle after now_ at which any component can change
-     * state, min-reduced over cores, both crossbar networks, memory
-     * partitions, and the response holdover. kNeverCycle means the
-     * machine is fully drained with nothing ready (only possible if
-     * every warp is blocked forever — a deadlock; run() then burns
-     * idle cycles to the horizon exactly like the serial loop).
-     */
-    Cycle nextEventCycle() const;
-
-    /** Batch-advance now_ and all idle accounting to @p target. */
-    void fastForwardTo(Cycle target);
-
     /** One cycle; tick() and run() settle parked cores after it. */
     void step();
 
@@ -270,8 +249,6 @@ class Gpu
     std::vector<HeldResponse> holdover_;
     /** Swap partner of holdover_ (no per-cycle vector allocation). */
     std::vector<HeldResponse> holdoverScratch_;
-    bool fastForward_ = true;
-    std::uint64_t fastForwardedCycles_ = 0;
 
     /** Cores whose issue stage runs; the others are parked. */
     std::uint64_t awake_ = 0;

@@ -240,38 +240,6 @@ SimtCore::anyActiveMemBlocked() const
     return false;
 }
 
-Cycle
-SimtCore::nextEventCycle(Cycle now) const
-{
-    for (const WarpScheduler &sched : schedulers_) {
-        if (sched.anyActiveReady())
-            return now + 1;
-    }
-    // Else the first L1-hit completion. With none, the core is blocked
-    // on off-chip responses (or fully drained): the crossbar or a
-    // memory partition owns the next event.
-    const Cycle ready = nextCompletionAt();
-    if (ready == kNeverCycle)
-        return kNeverCycle;
-    return ready > now ? ready : now + 1;
-}
-
-void
-SimtCore::fastForward(Cycle cycles)
-{
-    for (const WarpScheduler &sched : schedulers_) {
-        if (sched.anyActiveReady())
-            panic("SimtCore: fast-forward with a ready warp");
-    }
-    // Exactly what `cycles` idle tickIssue calls would do: no issue,
-    // no structural stall (that needs a ready warp), idle every cycle,
-    // memory-wait iff an active warp is blocked off-chip — and that
-    // predicate cannot change while the whole GPU is quiescent.
-    idleCycles_.add(cycles);
-    if (anyActiveMemBlocked())
-        memWaitCycles_.add(cycles);
-}
-
 bool
 SimtCore::tickResponses(Cycle now, Crossbar &xbar)
 {

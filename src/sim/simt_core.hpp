@@ -10,9 +10,7 @@
  * hash cascade, so re-decoding per readiness probe is the dominant
  * issue-stage cost), and warp readiness is pushed into the
  * schedulers' ready masks on every transition instead of re-derived
- * per pick. The core also reports the next cycle at which it can
- * possibly act (nextEventCycle) and supports batch-advancing its
- * idle accounting (fastForward) for the GPU's quiescence skip.
+ * per pick.
  *
  * A core whose issue cycle provably repeats (nothing issued, every
  * pick a load parked on an MSHR stall at the current L1 generation)
@@ -103,23 +101,6 @@ class SimtCore
         return localPending_.empty() ? kNeverCycle
                                      : localPending_.top().readyAt;
     }
-
-    /**
-     * Earliest cycle after @p now at which this core can possibly do
-     * work: now+1 if any SWL-active warp can issue, else the first
-     * L1-hit completion that will unblock one, else never (an
-     * off-chip response must arrive first — the interconnect or
-     * memory partition owns that event).
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Batch-advance @p cycles fully idle cycles: every counter moves
-     * exactly as @p cycles serial tickIssue calls with no ready warp
-     * would have moved it. The caller (Gpu::run fast-forward)
-     * guarantees quiescence; this panics if a warp is in fact ready.
-     */
-    void fastForward(Cycle cycles);
 
     /** Apply a new per-scheduler TLP limit (the SWL knob). */
     void setTlpLimit(std::uint32_t warps_per_scheduler);

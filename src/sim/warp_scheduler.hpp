@@ -12,10 +12,9 @@
  * ready/blocked transitions as they happen (issue, fill, wakeup) via
  * setReady(), and the scheduler keeps them in a bitmask ordered by
  * age position. pickReady() is then a masked find-first-set instead
- * of a per-pick rescan of every warp context, and anyActiveReady()
- * (the quiescence-fast-forward gate) is a single mask test. A second
- * mask, of warps waiting on off-chip loads, makes the idle-cycle
- * memory-wait test (anyActiveOffchip) one mask test as well.
+ * of a per-pick rescan of every warp context. A second mask, of warps
+ * waiting on off-chip loads, makes the idle-cycle memory-wait test
+ * (anyActiveOffchip) one mask test as well.
  */
 #pragma once
 
@@ -67,13 +66,6 @@ class WarpScheduler
             readyMask_ |= 1ull << pos;
         else
             readyMask_ &= ~(1ull << pos);
-    }
-
-    /** Any warp inside the SWL window ready to issue? */
-    bool
-    anyActiveReady() const
-    {
-        return (readyMask_ & windowMask()) != 0;
     }
 
     /**

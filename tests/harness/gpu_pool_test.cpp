@@ -3,10 +3,10 @@
  * The pool-is-an-accelerator contract: a Gpu leased from the pool —
  * i.e. a reused instance that went through reset(true) +
  * restoreKnobDefaults() — must be indistinguishable, digest for
- * digest, from a freshly constructed one, across the whole TLP ladder
- * and both fast-forward modes. Plus the poisoning semantics: any run
- * that throws while holding a lease (including an injected RunFail)
- * discards the instance instead of returning it. The pool holds
+ * digest, from a freshly constructed one, across the whole TLP
+ * ladder. Plus the poisoning semantics: any run that throws while
+ * holding a lease (including an injected RunFail) discards the
+ * instance instead of returning it. The pool holds
  * machines only; warm checkpoints come from the WarmStateCache.
  */
 #include <cstring>
@@ -60,9 +60,8 @@ class GpuPoolTest : public ::testing::Test
 
 /** A measurement-shaped scenario: knobs, windows, a digest. */
 std::uint64_t
-runScenario(Gpu &gpu, std::uint32_t tlp, bool fast_forward)
+runScenario(Gpu &gpu, std::uint32_t tlp)
 {
-    gpu.setFastForward(fast_forward);
     gpu.setAppTlp(0, tlp);
     gpu.setAppTlp(1, 6);
     gpu.run(6000);
@@ -81,15 +80,14 @@ dirty(Gpu &gpu)
     gpu.setAppL2Bypass(1, true);
     gpu.setAppL2WayPartition(0, 0, 4);
     gpu.setAppL2WayPartition(1, 4, 4);
-    gpu.setFastForward(false);
     gpu.run(5000);
 }
 
 /**
- * The core reuse guarantee, swept across the full standard TLP ladder
- * and both fast-forward modes: a pooled instance that just finished a
- * maximally dirty run produces the exact digest of a never-used
- * machine.
+ * The core reuse guarantee, swept across the full standard TLP
+ * ladder: a pooled instance that just finished a maximally dirty run
+ * produces the exact digest of a never-used machine. (The name's
+ * "FfModes" is historical: the model has one tick path now.)
  */
 TEST_F(GpuPoolTest, PooledReuseMatchesFreshAcrossLadderAndFfModes)
 {
@@ -98,31 +96,25 @@ TEST_F(GpuPoolTest, PooledReuseMatchesFreshAcrossLadderAndFfModes)
                                           test::cacheApp()};
 
     for (const std::uint32_t tlp : GpuConfig::tlpLevels()) {
-        for (const bool ff : {true, false}) {
-            // Reference: a machine that has never run anything.
-            std::uint64_t fresh = 0;
-            {
-                Gpu gpu(cfg, apps);
-                fresh = runScenario(gpu, tlp, ff);
-            }
+        // Reference: a machine that has never run anything.
+        std::uint64_t fresh = 0;
+        {
+            Gpu gpu(cfg, apps);
+            fresh = runScenario(gpu, tlp);
+        }
 
-            GpuPool pool;
-            {
-                GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-                dirty(lease.gpu());
-            }
-            ASSERT_EQ(pool.idleCount(), 1u);
-            {
-                GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-                EXPECT_EQ(pool.stats().hits, 1u)
-                    << "second acquire of the same key must reuse";
-                EXPECT_TRUE(lease.gpu().fastForwardEnabled())
-                    << "leases hand out the construction default";
-                const std::uint64_t pooled =
-                    runScenario(lease.gpu(), tlp, ff);
-                EXPECT_EQ(pooled, fresh)
-                    << "tlp=" << tlp << " ff=" << ff;
-            }
+        GpuPool pool;
+        {
+            GpuPool::Lease lease = pool.acquire(cfg, apps, {});
+            dirty(lease.gpu());
+        }
+        ASSERT_EQ(pool.idleCount(), 1u);
+        {
+            GpuPool::Lease lease = pool.acquire(cfg, apps, {});
+            EXPECT_EQ(pool.stats().hits, 1u)
+                << "second acquire of the same key must reuse";
+            EXPECT_EQ(runScenario(lease.gpu(), tlp), fresh)
+                << "tlp=" << tlp;
         }
     }
 }
@@ -287,7 +279,7 @@ TEST_F(GpuPoolTest, DisabledPoolConstructsAndDiscardsEveryLease)
     std::uint64_t off = 0;
     {
         GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-        off = runScenario(lease.gpu(), 4, true);
+        off = runScenario(lease.gpu(), 4);
     }
     EXPECT_EQ(pool.idleCount(), 0u)
         << "disabled leases never enter the idle list";
@@ -296,7 +288,7 @@ TEST_F(GpuPoolTest, DisabledPoolConstructsAndDiscardsEveryLease)
     std::uint64_t on = 0;
     {
         GpuPool::Lease lease = pool.acquire(cfg, apps, {});
-        on = runScenario(lease.gpu(), 4, true);
+        on = runScenario(lease.gpu(), 4);
     }
     EXPECT_EQ(off, on) << "the switch must not change results";
 }

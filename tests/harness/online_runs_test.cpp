@@ -35,6 +35,17 @@ slurp(const std::string &path)
     return ss.str();
 }
 
+/** Lines of @p text that contain @p needle. */
+std::size_t
+linesWith(const std::string &text, const std::string &needle)
+{
+    std::istringstream in(text);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        n += line.find(needle) != std::string::npos ? 1 : 0;
+    return n;
+}
+
 std::vector<AppProfile>
 pairApps()
 {
@@ -278,6 +289,7 @@ TEST(OnlineRecord, AnyOtherShapeIsAMiss)
     const std::string path = ::testing::TempDir() + "ebm_online_bad.cache";
     std::remove(path.c_str());
     DiskCache cache(path);
+    ::testing::internal::CaptureStderr();
     for (std::size_t i = 0; i < bad.size(); ++i) {
         SCOPED_TRACE(bad[i].first);
         EXPECT_FALSE(onlineRecordShape(2).fits(bad[i].second));
@@ -286,15 +298,28 @@ TEST(OnlineRecord, AnyOtherShapeIsAMiss)
         EXPECT_FALSE(cache.getValidated(key, onlineRecordShape(2))
                          .has_value());
     }
+    const std::string probes = ::testing::internal::GetCapturedStderr();
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_EQ(linesWith(probes, "online/bad/" + std::to_string(i) +
+                                        " has "),
+                  1u)
+            << bad[i].first;
+    }
 
-    // A batch whose row holds a wrong-shape record recomputes it.
+    // A batch whose row holds a wrong-shape record recomputes it, and
+    // says so once: the fill's lease re-probes stay quiet.
     const Runner runner(test::tinyConfig(2), test::tinyOptions());
     std::vector<OnlineJob> batch;
     batch.push_back({&runner, pairApps(), std::make_unique<DynCta>()});
-    cache.put(runner.onlineKey(pairApps(), *batch[0].policy, {}),
-              bad[2].second);
+    const std::string key =
+        runner.onlineKey(pairApps(), *batch[0].policy, {});
+    cache.put(key, bad[2].second);
     SweepStatus status;
+    ::testing::internal::CaptureStderr();
     const std::vector<RunResult> got = runOnlineJobs(cache, 1, batch, status);
+    EXPECT_EQ(linesWith(::testing::internal::GetCapturedStderr(),
+                        key + " has "),
+              1u);
     EXPECT_EQ(status.simulated, 1u);
     DynCta direct;
     expectSameRun(got[0], runner.run(pairApps(), direct));

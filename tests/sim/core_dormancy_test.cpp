@@ -258,47 +258,31 @@ TEST(CoreDormancy, RestoredMachineMatchesItsSource)
 
 TEST(CoreDormancy, RunSettlesParkedCoresOnReturn)
 {
-    // A advances by run() in chunks of 1, 7 and 64 cycles, with and
-    // without the quiescence fast-forward; B ticks the same cycles on
-    // the full path. A fast-forward span must settle the cores parked
-    // before it and count its cycles for them exactly once. The standard
-    // machine's DRAM is never quiet long enough to skip, so this runs
-    // the tiny one, where a streaming app at TLP 1 leaves gaps.
-    for (const bool fast_forward : {true, false}) {
-        SCOPED_TRACE(fast_forward ? "fast-forward" : "serial");
-        const std::vector<AppProfile> apps{test::streamingApp(),
-                                           test::cacheApp()};
-        Gpu a(test::tinyConfig(2), apps);
-        Gpu b(test::tinyConfig(2), apps);
-        for (Gpu *gpu : {&a, &b}) {
-            gpu->setAppTlp(0, 1);
-            gpu->setAppTlp(1, 1);
-        }
-        a.setFastForward(fast_forward);
-        Lockstep seen;
-        unsigned parked_spans = 0;
-        unsigned parked_returns = 0;
-        const Cycle chunks[] = {1, 7, 64};
-        for (unsigned i = 0; a.now() < kCycles; ++i) {
-            const Cycle n = chunks[i % 3];
-            const std::uint64_t parked = a.parkedCores();
-            const std::uint64_t skipped = a.fastForwardedCycles();
-            a.run(n);
-            if (parked != 0 && a.fastForwardedCycles() > skipped)
-                ++parked_spans;
-            parked_returns += a.parkedCores() != 0 ? 1 : 0;
-            for (Cycle t = 0; t < n; ++t)
-                tickAwake(b, seen);
-            expectSameCounters(a, b);
-            ASSERT_FALSE(HasFailure());
-        }
-        EXPECT_EQ(goldenDigest(a), goldenDigest(b));
-        if (fast_forward)
-            EXPECT_GT(parked_spans, 10u); // 25 seen
-        else
-            EXPECT_EQ(a.fastForwardedCycles(), 0u);
-        EXPECT_GT(parked_returns, 100u); // 208 seen
+    // A advances by run() in chunks of 1, 7 and 64 cycles; B ticks the
+    // same cycles on the full path. Every return from run() must
+    // settle the cores still parked, so both read the same counters.
+    const std::vector<AppProfile> apps{test::streamingApp(),
+                                       test::cacheApp()};
+    Gpu a(test::tinyConfig(2), apps);
+    Gpu b(test::tinyConfig(2), apps);
+    for (Gpu *gpu : {&a, &b}) {
+        gpu->setAppTlp(0, 1);
+        gpu->setAppTlp(1, 1);
     }
+    Lockstep seen;
+    unsigned parked_returns = 0;
+    const Cycle chunks[] = {1, 7, 64};
+    for (unsigned i = 0; a.now() < kCycles; ++i) {
+        const Cycle n = chunks[i % 3];
+        a.run(n);
+        parked_returns += a.parkedCores() != 0 ? 1 : 0;
+        for (Cycle t = 0; t < n; ++t)
+            tickAwake(b, seen);
+        expectSameCounters(a, b);
+        ASSERT_FALSE(HasFailure());
+    }
+    EXPECT_EQ(goldenDigest(a), goldenDigest(b));
+    EXPECT_GT(parked_returns, 100u); // 208 seen
 }
 
 } // namespace

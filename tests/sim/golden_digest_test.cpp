@@ -94,23 +94,18 @@ TEST(GoldenDigest, StandardMachineLocked)
     // The default GpuConfig (16 cores, 8 per app) that every figure
     // runs on, where most core-cycles wait on memory: at TLP 1 few
     // warps keep the cores idle, at TLP 24 the MSHRs fill and loads
-    // park on structural stalls. Each case runs with and without the
-    // quiescence fast-forward.
+    // park on structural stalls.
     GpuConfig cfg;
     cfg.numApps = 2;
     for (const auto &[tlp, digest] :
          {std::pair{1u, kDigestStandardTlp1},
           std::pair{24u, kDigestStandardTlp24}}) {
-        for (const bool fast_forward : {true, false}) {
-            Gpu gpu(cfg, {findApp("BFS"), findApp("FFT")});
-            gpu.setFastForward(fast_forward);
-            gpu.setAppTlp(0, tlp);
-            gpu.setAppTlp(1, tlp);
-            gpu.run(20000);
-            EXPECT_EQ(goldenDigest(gpu), digest)
-                << "TLP " << tlp << " fast-forward " << fast_forward
-                << ": 0x" << std::hex << goldenDigest(gpu);
-        }
+        Gpu gpu(cfg, {findApp("BFS"), findApp("FFT")});
+        gpu.setAppTlp(0, tlp);
+        gpu.setAppTlp(1, tlp);
+        gpu.run(20000);
+        EXPECT_EQ(goldenDigest(gpu), digest)
+            << "TLP " << tlp << ": 0x" << std::hex << goldenDigest(gpu);
     }
 }
 

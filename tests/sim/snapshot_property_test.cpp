@@ -2,11 +2,10 @@
  * @file
  * Snapshot/restore property sweeps: a run forked from a mid-run
  * capture must be bit-identical to the cold run it forked from, at
- * every TLP ladder level, in both fast-forward modes, across
- * reset(flush_caches=false) reuse, and when forks are chained. The
- * golden digest (FNV-1a over every end-of-run counter) is the oracle;
- * any divergence means snapshot() missed state or restore() failed to
- * reinstate it.
+ * every TLP ladder level, across reset(flush_caches=false) reuse, and
+ * when forks are chained. The golden digest (FNV-1a over every
+ * end-of-run counter) is the oracle; any divergence means snapshot()
+ * missed state or restore() failed to reinstate it.
  */
 #include <gtest/gtest.h>
 
@@ -23,10 +22,9 @@ constexpr Cycle kTail = 7000;
 /** Digest of a cold two-app run of @p prefix + @p tail cycles. */
 std::uint64_t
 coldDigest(const GpuConfig &cfg, const std::vector<AppProfile> &apps,
-           std::uint32_t tlp0, std::uint32_t tlp1, bool fast_forward)
+           std::uint32_t tlp0, std::uint32_t tlp1)
 {
     Gpu gpu(cfg, apps);
-    gpu.setFastForward(fast_forward);
     gpu.setAppTlp(0, tlp0);
     gpu.setAppTlp(1, tlp1);
     gpu.run(kPrefix);
@@ -44,7 +42,7 @@ TEST_P(SnapshotLadder, RestoredRunMatchesColdRunAtEveryLevel)
     const GpuConfig cfg = test::tinyConfig(2);
     const std::vector<AppProfile> apps{test::streamingApp(),
                                        test::cacheApp()};
-    const std::uint64_t cold = coldDigest(cfg, apps, tlp, 8, true);
+    const std::uint64_t cold = coldDigest(cfg, apps, tlp, 8);
 
     // Capture mid-run, keep running on the original instance: the
     // snapshot() call itself must not perturb the machine.
@@ -67,26 +65,6 @@ TEST_P(SnapshotLadder, RestoredRunMatchesColdRunAtEveryLevel)
 
 INSTANTIATE_TEST_SUITE_P(Levels, SnapshotLadder,
                          ::testing::ValuesIn(GpuConfig::tlpLevels()));
-
-TEST(SnapshotProperty, BothFastForwardModesRoundTrip)
-{
-    const GpuConfig cfg = test::tinyConfig(2);
-    const std::vector<AppProfile> apps{test::streamingApp(),
-                                       test::cacheApp()};
-    for (const bool ff : {true, false}) {
-        const std::uint64_t cold = coldDigest(cfg, apps, 4, 8, ff);
-        Gpu warm(cfg, apps);
-        warm.setFastForward(ff);
-        warm.setAppTlp(0, 4);
-        warm.setAppTlp(1, 8);
-        warm.run(kPrefix);
-        Gpu fork(cfg, apps);
-        fork.restore(warm.snapshot());
-        fork.run(kTail);
-        EXPECT_EQ(goldenDigest(fork), cold)
-            << "fastForward=" << ff;
-    }
-}
 
 TEST(SnapshotProperty, RoundTripAfterSoftResetReuse)
 {
@@ -150,7 +128,7 @@ TEST(SnapshotProperty, RestoreRewindsADivergedInstance)
     const GpuConfig cfg = test::tinyConfig(2);
     const std::vector<AppProfile> apps{test::streamingApp(),
                                        test::cacheApp()};
-    const std::uint64_t cold = coldDigest(cfg, apps, 4, 8, true);
+    const std::uint64_t cold = coldDigest(cfg, apps, 4, 8);
 
     Gpu gpu(cfg, apps);
     gpu.setAppTlp(0, 4);

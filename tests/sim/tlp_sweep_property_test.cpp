@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
-#include "sim/golden_digest.hpp"
 #include "sim/gpu.hpp"
 
 namespace ebm {
@@ -103,50 +102,6 @@ TEST(TlpSweepShapes, ComputeAppIpcMonotoneUntilIssueBound)
         EXPECT_GE(ipc, prev * 0.98) << "tlp " << tlp;
         prev = ipc;
     }
-}
-
-// Quiescence fast-forwarding is a pure optimization: every skipped
-// cycle is provably a no-op (SimtCore::fastForward aborts the process
-// if a warp is ready when asked to skip, so a single passing run of
-// these sweeps is also a proof that the skip never fires while any
-// warp could issue). The end-of-run digests must therefore be
-// bit-identical with and without it, at every TLP level.
-TEST(TlpSweepFastForward, DigestMatchesSerialAcrossLadder)
-{
-    GpuConfig cfg = test::tinyConfig(1);
-    for (const AppProfile &app :
-         {test::streamingApp(), test::cacheApp(), test::computeApp()}) {
-        for (std::uint32_t tlp : GpuConfig::tlpLevels()) {
-            Gpu fast(cfg, {app});
-            fast.setAppTlp(0, tlp);
-            fast.run(6000);
-
-            Gpu serial(cfg, {app});
-            serial.setFastForward(false);
-            serial.setAppTlp(0, tlp);
-            serial.run(6000);
-
-            EXPECT_EQ(serial.now(), fast.now())
-                << app.name << " tlp " << tlp;
-            EXPECT_EQ(goldenDigest(serial), goldenDigest(fast))
-                << app.name << " tlp " << tlp;
-            EXPECT_EQ(serial.fastForwardedCycles(), 0u);
-        }
-    }
-}
-
-TEST(TlpSweepFastForward, EngagesWhenDemandIsLow)
-{
-    // A single warp of a compute-heavy app leaves long stretches with
-    // no event anywhere in the machine; the fast path must actually
-    // take them (a regression to cycle-by-cycle ticking would pass the
-    // digest test above while silently losing the speedup).
-    GpuConfig cfg = test::tinyConfig(1);
-    Gpu gpu(cfg, {test::computeApp()});
-    gpu.setAppTlp(0, 1);
-    gpu.run(6000);
-    EXPECT_GT(gpu.fastForwardedCycles(), 0u);
-    EXPECT_LT(gpu.fastForwardedCycles(), 6000u);
 }
 
 } // namespace

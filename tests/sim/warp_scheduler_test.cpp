@@ -61,7 +61,6 @@ TEST(WarpScheduler, ReturnsNoWarpWhenNothingReady)
     WarpScheduler sched(ids, 2);
     setReadyWhere(sched, ids, [](WarpId) { return false; });
     EXPECT_EQ(sched.pickReady(), WarpScheduler::kNoWarp);
-    EXPECT_FALSE(sched.anyActiveReady());
 }
 
 TEST(WarpScheduler, SwlHidesWarpsBeyondLimit)
@@ -71,7 +70,6 @@ TEST(WarpScheduler, SwlHidesWarpsBeyondLimit)
     // Only warps 0 and 2 are exposed; 4 is ready but invisible.
     setReadyWhere(sched, ids, [](WarpId id) { return id >= 4; });
     EXPECT_EQ(sched.pickReady(), WarpScheduler::kNoWarp);
-    EXPECT_FALSE(sched.anyActiveReady());
 }
 
 TEST(WarpScheduler, SwlLimitChangeTakesEffect)
