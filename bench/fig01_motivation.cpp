@@ -58,8 +58,7 @@ run()
 
     std::printf("\nPaper shape: optWS/optFI clearly above ++bestTLP; "
                 "++maxTLP at or below it.\n");
-    std::printf("\n%s\n",
-                exp.exhaustive().status().summaryLine().c_str());
+    std::printf("\n%s\n", exp.status().summaryLine().c_str());
     std::printf("%s\n", exp.cache().persistSummaryLine().c_str());
     return 0;
 }

@@ -6,11 +6,10 @@
  * of a *warm* ProfileDb pass (every alone-run level already cached).
  *
  * The cold case is the harness's dominant workload and the target of
- * the reuse work: simulator pooling (BM_SweepEndToEnd/pool=1 vs 0),
- * shared trace artifacts, cost-ordered dispatch, and the sharded
- * cache all land here. Worker count follows EBM_JOBS, like every
- * sweep (the recorded BENCH_sweep.json procedure pins EBM_JOBS=8;
- * see EXPERIMENTS.md). Not a paper figure.
+ * the reuse work: shared trace artifacts, cost-ordered dispatch, and
+ * the sharded cache all land here. Worker count follows EBM_JOBS,
+ * like every sweep (the recorded BENCH_sweep.json procedure pins
+ * EBM_JOBS=8; see EXPERIMENTS.md). Not a paper figure.
  */
 #include <benchmark/benchmark.h>
 
@@ -29,7 +28,6 @@
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
-#include "harness/gpu_pool.hpp"
 #include "harness/profile_db.hpp"
 #include "harness/runner.hpp"
 #include "harness/warm_state.hpp"
@@ -71,17 +69,11 @@ benchOptions()
 
 /**
  * One cold 64-combination sweep per iteration: fresh cache file,
- * fresh Exhaustive, the full standard ladder for BFS_FFT. range(0)
- * toggles the simulator pool so its contribution is visible in one
- * run of the binary.
+ * fresh Exhaustive, the full standard ladder for BFS_FFT.
  */
 void
 BM_SweepEndToEnd(benchmark::State &state)
 {
-    const bool pool_on = state.range(0) != 0;
-    const bool pool_was = GpuPool::enabled();
-    GpuPool::setEnabled(pool_on);
-
     const std::string path = "bench_sweep_cold.cache";
     Runner runner(benchConfig(), benchOptions());
     const Workload wl = makePair("BFS", "FFT");
@@ -100,7 +92,6 @@ BM_SweepEndToEnd(benchmark::State &state)
         batches += cache.appendBatches();
         appended += cache.entriesAppended();
     }
-    state.SetLabel(pool_on ? "pool=on" : "pool=off");
     state.SetItemsProcessed(
         static_cast<std::int64_t>(simulated));
     // Persist amplification: append-only v3 should write O(new
@@ -114,11 +105,8 @@ BM_SweepEndToEnd(benchmark::State &state)
     }
 
     std::remove(path.c_str());
-    GpuPool::setEnabled(pool_was);
 }
 BENCHMARK(BM_SweepEndToEnd)
-    ->Arg(1)
-    ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

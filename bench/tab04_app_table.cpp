@@ -54,5 +54,6 @@ main()
     std::printf("\nPaper shape: a wide spread of EB values from "
                 "compute-bound (G1) to cache-amplified (G4) apps, "
                 "with bestTLP varying across applications.\n");
+    std::printf("%s\n", exp.status().summaryLine().c_str());
     return 0;
 }

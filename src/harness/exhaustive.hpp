@@ -20,7 +20,6 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/profile_db.hpp"
 #include "harness/runner.hpp"
 #include "workload/workload_suite.hpp"
 

@@ -84,6 +84,7 @@ SweepStatus
 Experiment::status() const
 {
     SweepStatus total = exhaustive_.status();
+    total.add(profiles_.status());
     total.add(online_);
     return total;
 }

@@ -82,7 +82,7 @@ class Experiment
      */
     std::vector<RunResult> runOnline(const std::vector<OnlineJob> &batch);
 
-    /** Rows requested so far: sweeps plus online runs. */
+    /** Rows requested so far: sweeps, alone profiles and online runs. */
     SweepStatus status() const;
 
     /** Alone IPC at bestTLP for each app of @p wl. */

@@ -1,10 +1,10 @@
 /**
  * @file
  * The lease layer the row-fill engine (harness/row_fill.hpp, behind
- * Exhaustive::sweep and ProfileDb::profile) coordinates through when
- * several workers fill one cold store: who owns a row, how ownership
- * is kept alive, how a dead owner's row is taken over, and how the
- * row's result travels.
+ * Exhaustive::sweep, ProfileDb::profile and runOnlineJobs) coordinates
+ * through when several workers fill one cold store: who owns a row,
+ * how ownership is kept alive, how a dead owner's row is taken over,
+ * and how the row's result travels.
  *
  * One implementation holds the lease semantics: the Coordinator
  * (harness/coordinator.hpp), spoken to by a NetLeaseProvider

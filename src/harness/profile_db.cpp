@@ -84,6 +84,7 @@ ProfileDb::profile(const AppProfile &app)
     prof.name = app.name;
     prof.levels = GpuConfig::tlpLevels();
     prof.perLevel.resize(prof.levels.size());
+    status_.combos += prof.levels.size();
 
     // An armed fault injector keeps the pass serial, unleased and in
     // level order — its query order is part of the documented fault
@@ -103,6 +104,7 @@ ProfileDb::profile(const AppProfile &app)
         // never a point of failure.
         if (const auto cached = cache_.getValidated(key, 4)) {
             prof.perLevel[i] = decodeStats(*cached);
+            ++status_.fromCache;
             continue;
         }
         FillRow miss;
@@ -134,6 +136,10 @@ ProfileDb::profile(const AppProfile &app)
         if (filled[i].source == RowSource::Skipped)
             fatal("ProfileDb: " + fill[i].key +
                   " was marked skipped by a peer");
+        if (filled[i].source == RowSource::Peer)
+            ++status_.fromPeers;
+        else
+            ++status_.simulated;
         prof.perLevel[fill_level[i]] = decodeStats(filled[i].values);
     }
 

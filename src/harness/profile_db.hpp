@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "harness/disk_cache.hpp"
+#include "harness/exhaustive.hpp"
 #include "harness/runner.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/app_profile.hpp"
@@ -67,6 +68,10 @@ class ProfileDb
     std::optional<AppAloneProfile>
     profileCached(const AppProfile &app) const;
 
+    /** Ladder levels profile() requested, one row each: from cache,
+     * simulated, or from peers. A memoized profile requests none. */
+    const SweepStatus &status() const { return status_; }
+
     /** Worker threads per profile (0 = JobPool::defaultJobs()). */
     std::uint32_t jobs() const;
     void setJobs(std::uint32_t jobs) { jobs_ = jobs; }
@@ -86,6 +91,7 @@ class ProfileDb
     DiskCache &cache_;
     std::map<std::string, AppAloneProfile> profiles_;
     std::vector<double> groupMeans_; ///< [1..4].
+    SweepStatus status_;
     std::uint32_t jobs_ = 0; ///< 0 = resolve JobPool::defaultJobs().
 };
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * The row-fill engine: everything between "this key missed the store"
- * and "this slot holds a value", shared by every table and profile
- * fill (Exhaustive::sweep, ProfileDb::profile, and through them the
- * advisor's cold fills).
+ * and "this slot holds a value", shared by every table, profile and
+ * online-run fill (Exhaustive::sweep, ProfileDb::profile,
+ * runOnlineJobs, and through the first two the advisor's cold fills).
  *
  * A caller probes the store itself, in its own row order, and hands
  * the misses to fillRows() together with a simulate callback. The

@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/runtime_config.hpp"
-#include "harness/gpu_pool.hpp"
 #include "harness/warm_state.hpp"
 #include "sim/gpu.hpp"
 #include "workload/app_catalog.hpp"
@@ -168,19 +167,11 @@ Runner::run(const std::vector<AppProfile> &apps, TlpPolicy &policy,
     const Cycle win = opts_.windowCycles;
     const std::uint64_t base_key =
         warmBaseKey(cfg, apps, core_share, win);
-    // Lease the machine from this worker's pool: a repeat of the same
-    // (config, apps, core share) reuses a reset instance instead of
-    // reconstructing one. If this run throws, the lease destructor
-    // sees the unwinding and discards the instance (poisoning).
-    GpuPool::Lease lease = GpuPool::threadLocal().acquire(
-        cfg, apps, std::move(core_share));
-    Gpu &gpu = lease.gpu();
+    // Every run builds its own machine, which dies with the run.
+    Gpu gpu(cfg, apps, std::move(core_share));
 
     // Injected run failure (robustness tests): the run dies without
-    // producing a result, as a crashed/killed simulation would. It
-    // fires with the machine leased, so the unwinding also exercises
-    // the pool's poisoning path — exactly what a genuine mid-run
-    // crash would do.
+    // producing a result, as a crashed/killed simulation would.
     if (opts_.faultInjector != nullptr &&
         opts_.faultInjector->shouldFire(FaultInjector::Point::RunFail)) {
         fatal(Error{Errc::RunFailed, "Runner: injected run failure"});

@@ -16,15 +16,15 @@
  * and warms only the remainder, so a PBS run (fork at one window) and
  * a static sweep (fork at the warmup boundary) share work. Concurrent
  * requests for the same key are single-flighted: one thread computes
- * on its own leased machine while the others wait on the result.
+ * on its own machine while the others wait on the result.
  *
  * The cache is an accelerator, never a semantic: EBM_SNAPSHOT=0
  * (RuntimeConfig::snapshot) disables capture and reuse entirely, and the
  * byte-compare tests pin that both modes produce identical results.
  * Retained bytes are bounded by an LRU budget (kSnapshotBudgetBytes,
  * 256 MiB). This is the only checkpoint cache: every fork in
- * Runner::run comes from warmTo, and pooled machines (GpuPool) carry
- * no snapshots of their own. Fault-injecting runs never reach this
+ * Runner::run comes from warmTo, and the run restores it over the
+ * machine it built for itself. Fault-injecting runs never reach this
  * cache (the Runner disables forking whenever an injector is present).
  */
 #pragma once
@@ -93,7 +93,7 @@ class WarmStateCache
     /**
      * Return the checkpoint of the neutral prefix at exactly @p target
      * elapsed cycles, computing it on @p gpu on a miss. @p gpu must be
-     * construction-fresh (a pool lease guarantees this); after the
+     * construction-fresh (Runner::run builds one per run); after the
      * call its state is unspecified — the caller restores from the
      * returned checkpoint either way. Returns nullptr when the cache
      * is disabled. @p relay_latency is the monitor's relay model and

@@ -161,11 +161,4 @@ TagArray::setWayPartition(AppId app, std::uint32_t first,
     partitions_[app] = WayRange{first, count};
 }
 
-void
-TagArray::clearWayPartition(AppId app)
-{
-    if (app < partitions_.size())
-        partitions_[app] = WayRange{};
-}
-
 } // namespace ebm

@@ -70,9 +70,6 @@ class TagArray
     void setWayPartition(AppId app, std::uint32_t first,
                          std::uint32_t count);
 
-    /** Remove @p app's allocation restriction. */
-    void clearWayPartition(AppId app);
-
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t assoc() const { return assoc_; }
 

@@ -239,18 +239,6 @@ Gpu::setAppL2WayPartition(AppId app, std::uint32_t first,
         part->l2().tags().setWayPartition(app, first, count);
 }
 
-void
-Gpu::restoreKnobDefaults()
-{
-    for (AppId app = 0; app < numApps_; ++app) {
-        setAppTlp(app, cfg_.maxTlp());
-        setAppL1Bypass(app, false);
-        setAppL2Bypass(app, false);
-        for (auto &part : partitions_)
-            part->l2().tags().clearWayPartition(app);
-    }
-}
-
 std::uint64_t
 Gpu::appInstrs(AppId app) const
 {

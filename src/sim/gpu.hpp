@@ -163,16 +163,6 @@ class Gpu
      */
     void reset(bool flush_caches = true);
 
-    /**
-     * Return every runtime knob — per-app TLP limits, L1/L2 bypass
-     * flags, L2 way partitions — to its construction default.
-     * reset() deliberately preserves knobs (a policy's settings
-     * survive a measurement restart); the GpuPool reuse path calls
-     * this *plus* reset(true) so a recycled instance is
-     * indistinguishable from a freshly constructed one.
-     */
-    void restoreKnobDefaults();
-
     /** A held-over response plus its response-network input port,
      * captured at origin so retries never recompute the address
      * mapping (the port is a pure function of the line address). */
@@ -185,9 +175,9 @@ class Gpu
     /**
      * The complete mutable machine state: cycle counter, every core,
      * both crossbar networks, every memory partition, and the
-     * response holdover. Value-semantic and heap-compact — a pooled
-     * worker can hold several. Capturing and restoring is only valid
-     * between instances built from the same (config, apps,
+     * response holdover. Value-semantic and heap-compact — the warm
+     * state cache can hold several. Capturing and restoring is only
+     * valid between instances built from the same (config, apps,
      * core_share); restore() shape-checks and fatals on mismatch.
      * After restore(const Snapshot&), the machine replays
      * bit-identically to the machine the snapshot was taken from —

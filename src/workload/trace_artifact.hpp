@@ -9,8 +9,8 @@
  * rebuilding that state per run (or rehashing it per memory access) is
  * pure redundancy. A TraceArtifact is built once per distinct
  * (profile, line size) pair per process, held const behind a
- * shared_ptr, and shared by every TraceGen across all pooled Gpus and
- * worker threads.
+ * shared_ptr, and shared by every TraceGen across all Gpus and worker
+ * threads.
  *
  * The tables are *accelerators*, never the definition: instrAt and the
  * origin hashes are still computed from first principles past the

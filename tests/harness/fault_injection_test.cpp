@@ -7,6 +7,7 @@
  * documented recovery path, with the process alive and exit code 0.
  */
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -167,7 +168,11 @@ TEST_F(FaultInjectionTest, NanEbMidSearchFallsBackToDocumentedCombo)
     EXPECT_EQ(gpu.appTlp(1), 2u);
 }
 
-/** A transient run failure is retried and costs nothing but time. */
+/**
+ * A transient run failure is retried and costs nothing but time: the
+ * retried table is bit-identical to a clean sweep of the same ladder.
+ * Two workers share four rows, so each runs several on one thread.
+ */
 TEST_F(FaultInjectionTest, TransientRunFailureIsRetried)
 {
     RunOptions opts = test::tinyOptions();
@@ -178,6 +183,7 @@ TEST_F(FaultInjectionTest, TransientRunFailureIsRetried)
     Runner runner(test::tinyConfig(2), opts);
     DiskCache cache(cache_path_);
     Exhaustive ex(runner, cache);
+    ex.setJobs(2);
     const ComboTable t = ex.sweep(makePair("BLK", "TRD"), {1, 4});
 
     EXPECT_EQ(ex.status().retried, 1u);
@@ -185,6 +191,39 @@ TEST_F(FaultInjectionTest, TransientRunFailureIsRetried)
     for (std::size_t i = 0; i < t.results.size(); ++i) {
         EXPECT_FALSE(t.isSkipped(i));
         EXPECT_GT(t.results[i].apps[0].ipc, 0.0);
+    }
+
+    const std::string clean_path = cache_path_ + ".clean";
+    std::remove(clean_path.c_str());
+    ComboTable clean;
+    {
+        Runner clean_runner(test::tinyConfig(2), test::tinyOptions());
+        DiskCache clean_cache(clean_path);
+        Exhaustive clean_ex(clean_runner, clean_cache);
+        clean = clean_ex.sweep(makePair("BLK", "TRD"), {1, 4});
+    }
+    std::remove(clean_path.c_str());
+
+    ASSERT_EQ(t.results.size(), clean.results.size());
+    for (std::size_t i = 0; i < t.results.size(); ++i) {
+        const RunResult &got = t.results[i];
+        const RunResult &want = clean.results[i];
+        ASSERT_EQ(got.apps.size(), want.apps.size());
+        for (std::size_t a = 0; a < got.apps.size(); ++a) {
+            EXPECT_EQ(std::memcmp(&got.apps[a].ipc, &want.apps[a].ipc,
+                                  sizeof(double)), 0) << "row " << i;
+            EXPECT_EQ(std::memcmp(&got.apps[a].bw, &want.apps[a].bw,
+                                  sizeof(double)), 0) << "row " << i;
+            EXPECT_EQ(std::memcmp(&got.apps[a].l1Mr, &want.apps[a].l1Mr,
+                                  sizeof(double)), 0) << "row " << i;
+            EXPECT_EQ(std::memcmp(&got.apps[a].l2Mr, &want.apps[a].l2Mr,
+                                  sizeof(double)), 0) << "row " << i;
+        }
+        EXPECT_EQ(std::memcmp(&got.totalBw, &want.totalBw,
+                              sizeof(double)), 0) << "row " << i;
+        EXPECT_EQ(got.measuredCycles, want.measuredCycles) << "row " << i;
+        EXPECT_EQ(got.finalTlp, want.finalTlp) << "row " << i;
+        EXPECT_EQ(got.samplesTaken, want.samplesTaken) << "row " << i;
     }
 }
 

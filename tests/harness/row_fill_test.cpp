@@ -285,6 +285,28 @@ TEST_F(RowFillTest, ProfileRunsInLevelOrderUnderAnInjector)
     EXPECT_EQ(appendOrder(path_), expected);
 }
 
+/** Every ladder level a profile requests is a row of its status: a
+ * cold profile simulates them all, a warm one reads them all. */
+TEST_F(RowFillTest, ProfileCountsEveryLevelInItsStatus)
+{
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+    const AppProfile app = resolveApps(makePair("BLK", "TRD")).at(0);
+    const std::size_t levels = GpuConfig::tlpLevels().size();
+    ASSERT_EQ(levels, 8u);
+    for (const bool warm : {false, true}) {
+        DiskCache cache(path_);
+        ProfileDb profiles(runner, cache);
+        profiles.setJobs(2);
+        profiles.profile(app);
+        profiles.profile(app); // Memoized: requests no rows.
+        const SweepStatus &status = profiles.status();
+        EXPECT_EQ(status.combos, levels) << "warm=" << warm;
+        EXPECT_EQ(status.fromCache, warm ? levels : 0u) << "warm=" << warm;
+        EXPECT_EQ(status.simulated, warm ? 0u : levels) << "warm=" << warm;
+        EXPECT_EQ(status.fromPeers, 0u);
+    }
+}
+
 TEST_F(RowFillTest, LeaseGateFoldsInPeersReplicatesSkipsAndTakesOver)
 {
     ScriptedLease lease;

@@ -22,7 +22,6 @@
 #include "../test_util.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
-#include "harness/gpu_pool.hpp"
 #include "sim/golden_digest.hpp"
 #include "workload/workload_suite.hpp"
 
@@ -55,7 +54,6 @@ class WarmStateTest : public ::testing::Test
     SetUp() override
     {
         WarmStateCache::instance().clear();
-        GpuPool::threadLocal().clear();
         start_ = WarmStateCache::instance().stats();
     }
 
@@ -63,7 +61,6 @@ class WarmStateTest : public ::testing::Test
     TearDown() override
     {
         WarmStateCache::instance().clear();
-        GpuPool::threadLocal().clear();
     }
 
     /** Counter movement since SetUp. */

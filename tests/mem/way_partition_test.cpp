@@ -55,17 +55,6 @@ TEST(WayPartition, HitsAllowedInForeignWays)
     EXPECT_TRUE(tags.access(lineIn(g, 0, 1), 0, true).hit);
 }
 
-TEST(WayPartition, ClearRestoresFullAssociativity)
-{
-    const auto g = geom(1, 4);
-    TagArray tags(g);
-    tags.setWayPartition(0, 0, 1);
-    tags.clearWayPartition(0);
-    for (std::uint32_t t = 1; t <= 4; ++t)
-        tags.access(lineIn(g, 0, t), 0, true);
-    EXPECT_EQ(tags.linesOwnedBy(0), 4u);
-}
-
 TEST(WayPartition, UnpartitionedAppUsesAllWays)
 {
     const auto g = geom(1, 4);

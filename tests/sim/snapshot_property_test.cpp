@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(Levels, SnapshotLadder,
 
 TEST(SnapshotProperty, RoundTripAfterSoftResetReuse)
 {
-    // A pooled instance is reused via reset(); a snapshot taken after
+    // A machine reused via reset(): a snapshot taken after
     // a reset(flush_caches=false) round-trip must still fork
     // identically — the capture carries the retained cache contents.
     const GpuConfig cfg = test::tinyConfig(2);
