@@ -11,7 +11,7 @@
  * Jobs = 1 restores strictly serial behaviour; callers are expected
  * to run inline in that case rather than spawn a thread.
  *
- * The job queue is a BoundedQueue with explicit back-pressure: a
+ * The job queue is a RingBuffer with explicit back-pressure: a
  * submitter blocks once the queue is full, so a producer enumerating
  * millions of tasks never buffers more than a bounded window of them.
  * The first exception thrown by a job is captured and rethrown from
@@ -27,7 +27,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/runtime_config.hpp"
 
 namespace ebm {
@@ -139,7 +139,7 @@ class JobPool
     std::condition_variable notEmpty_;
     std::condition_variable notFull_;
     std::condition_variable allDone_;
-    BoundedQueue<Job> queue_;
+    RingBuffer<Job> queue_;
     std::size_t pending_ = 0;
     bool stopping_ = false;
     std::exception_ptr firstError_ = nullptr;

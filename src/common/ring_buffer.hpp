@@ -1,12 +1,17 @@
 /**
  * @file
- * Fixed-capacity ring buffer: the allocation-free FIFO for simulator
- * hot paths (crossbar virtual output queues, response scratch). All
- * storage is reserved at construction; push/pop are index arithmetic
- * on a flat array, so steady-state operation performs no allocation —
- * unlike BoundedQueue, whose std::deque allocates chunks as it grows.
- * Semantics mirror BoundedQueue (explicit back-pressure: callers
- * check full()/empty() first), minus mid-queue iteration/extraction.
+ * Ring buffer: the FIFO for every queue in the model (crossbar virtual
+ * output queues and output ports, partition input queues, L1-hit
+ * completions) and for the worker pool's job window. Storage is one
+ * flat array; push/pop are index arithmetic on it, so steady-state
+ * operation performs no allocation.
+ *
+ * Two disciplines share the type. A hardware queue with back-pressure
+ * calls push(), which panics when full(): producers check full() and
+ * stall. A queue with no structural bound (in-flight crossbar flits,
+ * which include fire-and-forget stores) calls pushGrow(), which
+ * doubles the array when full and keeps FIFO order; once a run reaches
+ * its high-water mark it allocates no more.
  */
 #pragma once
 
@@ -18,7 +23,7 @@
 
 namespace ebm {
 
-/** Fixed-capacity FIFO backed by one flat allocation. */
+/** FIFO backed by one flat allocation. */
 template <typename T>
 class RingBuffer
 {
@@ -41,6 +46,15 @@ class RingBuffer
     {
         if (full())
             panic("RingBuffer: push into a full queue");
+        pushGrow(std::move(item));
+    }
+
+    /** Enqueue, doubling the capacity first if the queue is full. */
+    void
+    pushGrow(T item)
+    {
+        if (full())
+            grow();
         buf_[wrap(head_ + count_)] = std::move(item);
         ++count_;
     }
@@ -85,6 +99,18 @@ class RingBuffer
     std::size_t wrap(std::size_t i) const
     {
         return i >= capacity_ ? i - capacity_ : i;
+    }
+
+    /** Double the array, unwrapping the queue to start at index 0. */
+    void
+    grow()
+    {
+        std::vector<T> bigger(2 * capacity_);
+        for (std::size_t i = 0; i < count_; ++i)
+            bigger[i] = std::move(buf_[wrap(head_ + i)]);
+        buf_.swap(bigger);
+        capacity_ = buf_.size();
+        head_ = 0;
     }
 
     std::vector<T> buf_;

@@ -9,10 +9,11 @@
  * inputs in round-robin order, and each input accepts one grant in
  * round-robin order. Accepted flits incur a fixed traversal latency.
  *
- * Hot-path layout: VOQs are fixed-capacity ring buffers (no steady
- * state allocation) and each output keeps an occupancy bitmask of its
- * non-empty input VOQs, so the allocator's round-robin scan is a
- * find-first-set over the mask instead of a walk over every input.
+ * Hot-path layout: VOQs are fixed-capacity ring buffers and output
+ * ports growing ones (no steady-state allocation), and each output
+ * keeps an occupancy bitmask of its non-empty input VOQs, so the
+ * allocator's round-robin scan is a find-first-set over the mask
+ * instead of a walk over every input.
  * Each network reports the earliest in-flight arrival per output
  * (nextArrival), which the GPU's response timing wheel reads.
  */
@@ -21,7 +22,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/config.hpp"
@@ -47,7 +47,7 @@ class CrossbarNetwork
           grantPointer_(num_outputs, 0),
           inputMask_(static_cast<std::size_t>(num_outputs) * maskWords_,
                      0),
-          outputReady_(num_outputs)
+          outputReady_(num_outputs, RingBuffer<InFlight>(latency + 1))
     {
         voqs_.reserve(static_cast<std::size_t>(num_inputs) *
                       num_outputs);
@@ -93,7 +93,7 @@ class CrossbarNetwork
             if (in == kNoInput)
                 continue;
             RingBuffer<T> &q = voq(in, out);
-            outputReady_[out].push(InFlight{now + latency_, q.pop()});
+            outputReady_[out].pushGrow(InFlight{now + latency_, q.pop()});
             on_grant(out);
             --voqFlits_;
             if (q.empty())
@@ -152,10 +152,8 @@ class CrossbarNetwork
     {
         for (auto &q : voqs_)
             q.clear();
-        for (auto &q : outputReady_) {
-            while (!q.empty())
-                q.pop();
-        }
+        for (auto &q : outputReady_)
+            q.clear();
         std::fill(grantPointer_.begin(), grantPointer_.end(), 0u);
         std::fill(inputMask_.begin(), inputMask_.end(), 0ull);
         voqFlits_ = 0;
@@ -178,7 +176,7 @@ class CrossbarNetwork
         std::vector<RingBuffer<T>> voqs;
         std::vector<std::uint32_t> grantPointer;
         std::vector<std::uint64_t> inputMask;
-        std::vector<std::queue<InFlight>> outputReady;
+        std::vector<RingBuffer<InFlight>> outputReady;
         std::size_t voqFlits = 0;
 
         std::size_t
@@ -188,11 +186,11 @@ class CrossbarNetwork
                             grantPointer.capacity() * sizeof(std::uint32_t) +
                             inputMask.capacity() * sizeof(std::uint64_t) +
                             outputReady.capacity() *
-                                sizeof(std::queue<InFlight>);
+                                sizeof(RingBuffer<InFlight>);
             for (const auto &q : voqs)
                 n += q.capacity() * sizeof(T);
             for (const auto &q : outputReady)
-                n += q.size() * sizeof(InFlight);
+                n += q.capacity() * sizeof(InFlight);
             return n;
         }
     };
@@ -287,7 +285,11 @@ class CrossbarNetwork
     std::vector<std::uint32_t> grantPointer_;
     /** Per-output bitmask of inputs with a non-empty VOQ. */
     std::vector<std::uint64_t> inputMask_;
-    std::vector<std::queue<InFlight>> outputReady_;
+    /**
+     * Per-output flits in flight, in grant order. Unbounded (stores
+     * need no credit), so the rings grow to the run's high-water mark.
+     */
+    std::vector<RingBuffer<InFlight>> outputReady_;
     std::size_t voqFlits_ = 0;
 };
 

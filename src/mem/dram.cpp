@@ -9,20 +9,52 @@ namespace ebm {
 
 DramChannel::DramChannel(const GpuConfig &cfg, std::uint32_t num_apps)
     : timing_(cfg.dram),
-      banksPerGroup_(cfg.banksPerChannel / cfg.bankGroups),
       capCycles_(cfg.frfcfsCapCycles),
       banks_(cfg.banksPerChannel),
+      groupOf_(cfg.banksPerChannel),
       lastColumnInGroup_(cfg.bankGroups, 0),
-      queueCap_(cfg.frfcfsQueueDepth),
       slots_(cfg.frfcfsQueueDepth),
       bankQueues_(cfg.banksPerChannel),
+      bankReadyAt_(cfg.banksPerChannel, 0),
       dataCycles_(num_apps)
 {
     if (banks_.size() > 64)
         fatal("DramChannel: at most 64 banks per channel "
               "(bank mask width)");
-    queue_.reserve(queueCap_);
-    rebuildIndex();
+    const std::uint32_t banks_per_group =
+        cfg.banksPerChannel / cfg.bankGroups;
+    for (std::uint32_t b = 0; b < groupOf_.size(); ++b)
+        groupOf_[b] = b / banks_per_group;
+    clearQueue();
+}
+
+void
+DramChannel::bankChanged(std::uint32_t b)
+{
+    const DramBank &bank = banks_[b];
+    const std::uint64_t bit = 1ull << b;
+    openMask_ = bank.rowOpen ? openMask_ | bit : openMask_ & ~bit;
+    // A closed bank's next ACT waits out tRP; an open bank's next PRE
+    // also waits out tRAS.
+    bankReadyAt_[b] = std::max(bank.readyForActivate,
+                               bank.rowOpen ? bank.rowOpenedAt + timing_.tRAS
+                                            : Cycle{0});
+}
+
+std::uint32_t
+DramChannel::oldestNonHit(std::uint64_t banks) const
+{
+    std::uint32_t oldest = kNil;
+    std::uint64_t oldest_seq = kNoSeq;
+    for (; banks != 0; banks &= banks - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(banks));
+        const BankQueue &q = bankQueues_[b];
+        if (q.nonHitSeq < oldest_seq) {
+            oldest = q.firstNonHit;
+            oldest_seq = q.nonHitSeq;
+        }
+    }
+    return oldest;
 }
 
 void
@@ -30,101 +62,117 @@ DramChannel::reindexBank(std::uint32_t b)
 {
     BankQueue &q = bankQueues_[b];
     const DramBank &bank = banks_[b];
-    q.firstHit = kNoSeq;
-    q.firstNonHit = kNoSeq;
-    for (std::uint32_t i = q.head; i != kNil; i = slots_[i].next) {
-        const BankEntry &e = slots_[i];
-        const bool hit = bank.rowOpen && bank.openRow == e.row;
-        std::uint64_t &first = hit ? q.firstHit : q.firstNonHit;
-        if (first == kNoSeq)
-            first = e.seq;
+    q.firstHit = kNil;
+    q.firstNonHit = kNil;
+    q.hitSeq = kNoSeq;
+    q.nonHitSeq = kNoSeq;
+    for (std::uint32_t i = q.head; i != kNil; i = slots_[i].bankNext) {
+        const DramCommand &cmd = slots_[i].cmd;
+        const bool hit = bank.rowOpen && bank.openRow == cmd.coord.row;
+        if (hit && q.firstHit == kNil) {
+            q.firstHit = i;
+            q.hitSeq = cmd.seq;
+        } else if (!hit && q.firstNonHit == kNil) {
+            q.firstNonHit = i;
+            q.nonHitSeq = cmd.seq;
+        }
     }
     const std::uint64_t bit = 1ull << b;
-    hitMask_ = q.firstHit != kNoSeq ? hitMask_ | bit : hitMask_ & ~bit;
+    hitMask_ = q.firstHit != kNil ? hitMask_ | bit : hitMask_ & ~bit;
     nonHitMask_ =
-        q.firstNonHit != kNoSeq ? nonHitMask_ | bit : nonHitMask_ & ~bit;
+        q.firstNonHit != kNil ? nonHitMask_ | bit : nonHitMask_ & ~bit;
 }
 
 void
-DramChannel::indexCommand(const DramCommand &cmd)
+DramChannel::place(const DramCommand &cmd)
 {
+    const std::uint32_t s = freeSlot_;
+    Slot &slot = slots_[s];
+    freeSlot_ = slot.bankNext;
+    slot.cmd = cmd;
+    slot.bankNext = kNil;
+    slot.ageNext = kNil;
+    slot.agePrev = ageTail_;
+    (ageTail_ == kNil ? ageHead_ : slots_[ageTail_].ageNext) = s;
+    ageTail_ = s;
+    ++count_;
+
     const std::uint32_t b = cmd.coord.bank;
     BankQueue &q = bankQueues_[b];
-    const std::uint32_t s = freeSlot_;
-    freeSlot_ = slots_[s].next;
-    slots_[s] = {cmd.seq, cmd.coord.row, kNil};
-    if (q.tail == kNil)
-        q.head = s;
-    else
-        slots_[q.tail].next = s;
+    (q.tail == kNil ? q.head : slots_[q.tail].bankNext) = s;
     q.tail = s;
     // The newest command only becomes a candidate if its bank has none
     // of its kind yet: every queued one is older.
     const DramBank &bank = banks_[b];
     const std::uint64_t bit = 1ull << b;
     if (bank.rowOpen && bank.openRow == cmd.coord.row) {
-        if (q.firstHit == kNoSeq) {
-            q.firstHit = cmd.seq;
+        if (q.firstHit == kNil) {
+            q.firstHit = s;
+            q.hitSeq = cmd.seq;
             hitMask_ |= bit;
         }
-    } else if (q.firstNonHit == kNoSeq) {
-        q.firstNonHit = cmd.seq;
+    } else if (q.firstNonHit == kNil) {
+        q.firstNonHit = s;
+        q.nonHitSeq = cmd.seq;
         nonHitMask_ |= bit;
     }
 }
 
 void
-DramChannel::unindexColumn(std::uint32_t b)
+DramChannel::removeColumn(std::uint32_t b)
 {
     BankQueue &q = bankQueues_[b];
+    const std::uint32_t s = q.firstHit;
+    Slot &slot = slots_[s];
+
+    (slot.agePrev == kNil ? ageHead_ : slots_[slot.agePrev].ageNext) =
+        slot.ageNext;
+    (slot.ageNext == kNil ? ageTail_ : slots_[slot.ageNext].agePrev) =
+        slot.agePrev;
+
     std::uint32_t prev = kNil;
-    std::uint32_t s = q.head;
-    while (slots_[s].seq != q.firstHit) {
-        prev = s;
-        s = slots_[s].next;
-    }
-    const std::uint32_t next = slots_[s].next;
-    (prev == kNil ? q.head : slots_[prev].next) = next;
+    for (std::uint32_t i = q.head; i != s; i = slots_[i].bankNext)
+        prev = i;
+    const std::uint32_t next = slot.bankNext;
+    (prev == kNil ? q.head : slots_[prev].bankNext) = next;
     if (q.tail == s)
         q.tail = prev;
-    slots_[s].next = freeSlot_;
+    slot.bankNext = freeSlot_;
     freeSlot_ = s;
+    --count_;
 
     // Every entry before the issued one was a non-hit (it was the
     // oldest hit), so the next hit, if any, follows it.
-    q.firstHit = kNoSeq;
-    for (std::uint32_t i = next; i != kNil; i = slots_[i].next) {
-        if (slots_[i].row == banks_[b].openRow) {
-            q.firstHit = slots_[i].seq;
+    for (std::uint32_t i = next; i != kNil; i = slots_[i].bankNext) {
+        if (slots_[i].cmd.coord.row == banks_[b].openRow) {
+            q.firstHit = i;
+            q.hitSeq = slots_[i].cmd.seq;
             return;
         }
     }
+    q.firstHit = kNil;
+    q.hitSeq = kNoSeq;
     hitMask_ &= ~(1ull << b);
 }
 
 void
-DramChannel::rebuildIndex()
+DramChannel::clearQueue()
 {
-    nextSeq_ = queue_.empty() ? 0 : queue_.back().seq + 1;
     freeSlot_ = kNil;
     for (std::size_t i = slots_.size(); i-- > 0;) {
-        slots_[i].next = freeSlot_;
+        slots_[i].bankNext = freeSlot_;
         freeSlot_ = static_cast<std::uint32_t>(i);
     }
+    ageHead_ = kNil;
+    ageTail_ = kNil;
+    count_ = 0;
     for (auto &q : bankQueues_)
         q = BankQueue{};
     hitMask_ = 0;
     nonHitMask_ = 0;
-    for (const DramCommand &cmd : queue_)
-        indexCommand(cmd);
-}
 
-std::vector<DramCommand>::iterator
-DramChannel::findQueued(std::uint64_t seq)
-{
-    return std::lower_bound(
-        queue_.begin(), queue_.end(), seq,
-        [](const DramCommand &c, std::uint64_t s) { return c.seq < s; });
+    for (std::uint32_t b = 0; b < banks_.size(); ++b)
+        bankChanged(b);
 }
 
 void
@@ -141,27 +189,21 @@ DramChannel::enqueue(const MemRequest &req, const DramCoord &coord)
     cmd.coord = coord;
     cmd.seq = nextSeq_++;
     cmd.enqueuedAt = now_;
-    queue_.push_back(cmd);
-    indexCommand(cmd);
+    place(cmd);
     scanSkipUntil_ = 0; // New work invalidates the fruitless-scan skip.
 }
 
 bool
-DramChannel::tick(DramCompletion &out)
+DramChannel::schedule(DramCompletion &out)
 {
-    ++now_;
-    if (queue_.empty())
-        return false;
-
-    // Scan-skipping: a scan that issues nothing mutates no state, so
-    // its outcome can only change once now_ crosses one of the fixed
-    // timing thresholds that blocked it (every condition below is a
-    // monotone `now_ >= threshold` test). A fruitless scan records a
-    // conservative minimum over those thresholds; until then — and as
-    // long as no enqueue changes the queue — scans are skipped.
-    if (now_ < scanSkipUntil_)
-        return false;
-
+    // Scan-skipping (tick() tests it inline): a scan that issues
+    // nothing mutates no state, so its outcome can only change once
+    // now_ crosses one of the fixed timing thresholds that blocked it
+    // (every condition below is a monotone `now_ >= threshold` test).
+    // A fruitless scan records a conservative minimum over those
+    // thresholds; until then — and as long as no enqueue changes the
+    // queue — scans are skipped.
+    //
     // FR-FCFS with a single command bus: each DRAM cycle issue the
     // highest-priority *serviceable* command — (1) the oldest
     // row-hitting column access, else (2) the oldest activate, else
@@ -178,9 +220,9 @@ DramChannel::tick(DramCompletion &out)
     // absolute priority — its bank may be precharged even under
     // younger row hits. Without this, one application's row-hit
     // stream can starve a co-runner's row misses indefinitely.
-    // The queue is age-ordered, so the front is the oldest request:
-    // it is past the cap iff any request is.
-    const DramCommand &front = queue_.front();
+    // The age list's head is the oldest request: it is past the cap
+    // iff any request is.
+    const DramCommand &front = slots_[ageHead_].cmd;
     const bool aged = now_ - front.enqueuedAt > capCycles_;
 
     // Earliest cycle at which some currently blocked command could
@@ -188,88 +230,74 @@ DramChannel::tick(DramCompletion &out)
     Cycle wake = kNeverCycle;
 
     // Pass 1 — the oldest serviceable row-hit column access. The
-    // data-bus condition is command-independent: hoisted.
-    const bool bus_ok = busFreeAt_ <= now_ + timing_.tCL;
-    const Cycle bus_wake =
+    // data-bus condition is command-independent: hoisted
+    // (busFreeAt_ <= now_ + tCL is now_ >= bus_ready). Both passes
+    // are branch-free: which banks are ready is data, not control
+    // flow.
+    const Cycle bus_ready =
         busFreeAt_ > timing_.tCL ? busFreeAt_ - timing_.tCL : 0;
     std::uint64_t col_seq = kNoSeq;
     std::uint32_t col_bank = 0;
     for (std::uint64_t m = hitMask_; m != 0; m &= m - 1) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(m));
-        const DramBank &bank = banks_[b];
-        const Cycle group_ready =
-            lastColumnInGroup_[b / banksPerGroup_] + timing_.tCCDl;
-        if (bus_ok && now_ >= bank.readyForColumn &&
-            now_ >= group_ready) {
-            if (bankQueues_[b].firstHit < col_seq) {
-                col_seq = bankQueues_[b].firstHit;
-                col_bank = b;
-            }
-            continue;
-        }
-        wake = std::min(
-            wake, std::max({bank.readyForColumn, bus_wake, group_ready}));
+        const Cycle ready = std::max(
+            {banks_[b].readyForColumn, bus_ready,
+             lastColumnInGroup_[groupOf_[b]] + timing_.tCCDl});
+        const bool ok = now_ >= ready;
+        const std::uint64_t seq = ok ? bankQueues_[b].hitSeq : kNoSeq;
+        col_bank = seq < col_seq ? b : col_bank;
+        col_seq = std::min(col_seq, seq);
+        wake = std::min(wake, ok ? kNeverCycle : ready);
     }
 
     if (col_seq != kNoSeq) {
         scanSkipUntil_ = 0; // State changes; re-scan next cycle.
-        const auto it = findQueued(col_seq);
+        const DramCommand &cmd = slots_[bankQueues_[col_bank].firstHit].cmd;
         const Cycle data_start =
             std::max(busFreeAt_, now_ + timing_.tCL);
         const Cycle data_end = data_start + timing_.burstCycles;
         busFreeAt_ = data_end;
-        lastColumnInGroup_[col_bank / banksPerGroup_] = now_;
+        lastColumnInGroup_[groupOf_[col_bank]] = now_;
 
-        if (!it->causedActivate)
+        if (!cmd.causedActivate)
             rowHits_.add();
         serviced_.add();
-        dataCycles_[it->req.app].add(timing_.burstCycles);
+        dataCycles_[cmd.req.app].add(timing_.burstCycles);
 
-        out.req = it->req;
+        out.req = cmd.req;
         out.readyAt = data_end;
-        queue_.erase(it);
-        unindexColumn(col_bank);
+        removeColumn(col_bank);
         return true;
     }
 
     // Pass 2 — the oldest activate, then the oldest precharge. Banks
     // with a pending row hit are shielded: they must not be
     // precharged/re-activated out from under those hits, unless the
-    // aged request's bank overrides.
+    // aged request's bank overrides. A bank's threshold is its
+    // bankReadyAt_ (an activate also waits out tRRD).
     std::uint64_t shield = hitMask_;
     if (aged)
         shield &= ~(1ull << front.coord.bank);
     const Cycle rrd_ready = lastActivateAt_ + timing_.tRRD;
-    std::uint64_t act_seq = kNoSeq;
-    std::uint64_t pre_seq = kNoSeq;
-    std::uint32_t act_bank = 0;
-    std::uint32_t pre_bank = 0;
+    std::uint64_t ready_banks = 0;
     for (std::uint64_t m = nonHitMask_ & ~shield; m != 0; m &= m - 1) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(m));
-        const DramBank &bank = banks_[b];
-        const std::uint64_t seq = bankQueues_[b].firstNonHit;
-        if (!bank.rowOpen) {
-            const Cycle ready = std::max(bank.readyForActivate, rrd_ready);
-            if (now_ >= ready && seq < act_seq) {
-                act_seq = seq;
-                act_bank = b;
-            }
-            wake = std::min(wake, ready);
-        } else {
-            const Cycle ready = std::max(bank.rowOpenedAt + timing_.tRAS,
-                                         bank.readyForActivate);
-            if (now_ >= ready && seq < pre_seq) {
-                pre_seq = seq;
-                pre_bank = b;
-            }
-            wake = std::min(wake, ready);
-        }
+        const bool open = ((openMask_ >> b) & 1) != 0;
+        const Cycle ready =
+            std::max(bankReadyAt_[b], open ? Cycle{0} : rrd_ready);
+        const bool ok = now_ >= ready;
+        ready_banks |= std::uint64_t{ok} << b;
+        wake = std::min(wake, ok ? kNeverCycle : ready);
     }
+    const std::uint64_t can_act = ready_banks & ~openMask_;
+    const std::uint64_t can_pre = ready_banks & openMask_;
 
-    if (act_seq != kNoSeq) {
+    const std::uint32_t act = oldestNonHit(can_act);
+    if (act != kNil) {
         scanSkipUntil_ = 0;
-        DramCommand &cmd = *findQueued(act_seq);
-        DramBank &bank = banks_[act_bank];
+        DramCommand &cmd = slots_[act].cmd;
+        const std::uint32_t b = cmd.coord.bank;
+        DramBank &bank = banks_[b];
         bank.rowOpen = true;
         bank.openRow = cmd.coord.row;
         bank.rowOpenedAt = now_;
@@ -277,16 +305,20 @@ DramChannel::tick(DramCompletion &out)
         lastActivateAt_ = now_;
         cmd.causedActivate = true;
         rowMisses_.add();
-        reindexBank(act_bank);
+        bankChanged(b);
+        reindexBank(b);
         return false;
     }
 
-    if (pre_seq != kNoSeq) {
+    const std::uint32_t pre = oldestNonHit(can_pre);
+    if (pre != kNil) {
         scanSkipUntil_ = 0;
-        DramBank &bank = banks_[pre_bank];
+        const std::uint32_t b = slots_[pre].cmd.coord.bank;
+        DramBank &bank = banks_[b];
         bank.rowOpen = false;
         bank.readyForActivate = now_ + timing_.tRP;
-        reindexBank(pre_bank);
+        bankChanged(b);
+        reindexBank(b);
         return false;
     }
 
@@ -321,8 +353,8 @@ DramChannel::reset()
         bank = DramBank{};
     std::fill(lastColumnInGroup_.begin(), lastColumnInGroup_.end(),
               Cycle{0});
-    queue_.clear();
-    rebuildIndex();
+    nextSeq_ = 0;
+    clearQueue();
     scanSkipUntil_ = 0;
     for (auto &c : dataCycles_)
         c.reset();
@@ -341,7 +373,9 @@ DramChannel::snapshot() const
     snap.scanSkipUntil = scanSkipUntil_;
     snap.banks = banks_;
     snap.lastColumnInGroup = lastColumnInGroup_;
-    snap.queue = queue_;
+    snap.queue.reserve(count_);
+    for (std::uint32_t i = ageHead_; i != kNil; i = slots_[i].ageNext)
+        snap.queue.push_back(slots_[i].cmd);
     snap.dataCycles = dataCycles_;
     snap.rowHits = rowHits_;
     snap.rowMisses = rowMisses_;
@@ -357,7 +391,7 @@ DramChannel::restore(const Snapshot &snap)
     bool ok = snap.banks.size() == banks_.size() &&
               snap.lastColumnInGroup.size() == lastColumnInGroup_.size() &&
               snap.dataCycles.size() == dataCycles_.size() &&
-              snap.queue.size() <= queueCap_;
+              snap.queue.size() <= slots_.size();
     for (std::size_t i = 0; ok && i < snap.queue.size(); ++i) {
         const DramCommand &cmd = snap.queue[i];
         ok = cmd.coord.bank < banks_.size() &&
@@ -372,12 +406,14 @@ DramChannel::restore(const Snapshot &snap)
     scanSkipUntil_ = snap.scanSkipUntil;
     banks_ = snap.banks;
     lastColumnInGroup_ = snap.lastColumnInGroup;
-    queue_ = snap.queue;
     dataCycles_ = snap.dataCycles;
     rowHits_ = snap.rowHits;
     rowMisses_ = snap.rowMisses;
     serviced_ = snap.serviced;
-    rebuildIndex();
+    clearQueue();
+    for (const DramCommand &cmd : snap.queue)
+        place(cmd);
+    nextSeq_ = snap.queue.empty() ? 0 : snap.queue.back().seq + 1;
 }
 
 } // namespace ebm

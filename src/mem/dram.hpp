@@ -5,9 +5,10 @@
  *
  * Each DRAM command cycle the controller prioritizes (1) column
  * accesses to already-open rows (row hits), then (2) the oldest
- * request. A per-bank index of the queued commands makes each
- * scheduling decision cost O(banks with work), not O(queue). Bank
- * state machines enforce
+ * request. Queued commands live in fixed entry slots threaded by an
+ * age list and by per-bank lists, so each scheduling decision costs
+ * O(banks with work), not O(queue), and issuing from mid-queue moves
+ * no data. Bank state machines enforce
  * tRCD/tRP/tRAS/tCCD/tRRD constraints; the shared data bus serializes
  * bursts. Per-application useful-data-cycle counters provide the
  * attained-bandwidth half of the paper's EB metric.
@@ -60,7 +61,7 @@ class DramChannel
     DramChannel(const GpuConfig &cfg, std::uint32_t num_apps);
 
     /** Can another request be accepted this cycle? */
-    bool queueFull() const { return queue_.size() >= queueCap_; }
+    bool queueFull() const { return count_ >= slots_.size(); }
 
     /** Enqueue a request (caller must check queueFull()). */
     void enqueue(const MemRequest &req, const DramCoord &coord);
@@ -71,13 +72,22 @@ class DramChannel
      * per cycle (the single data bus): if one did, it is written to
      * @p out and the call returns true.
      */
-    bool tick(DramCompletion &out);
+    bool
+    tick(DramCompletion &out)
+    {
+        ++now_;
+        // Nothing queued, or every queued command still sits out a
+        // fixed timing constraint (see scanSkipUntil_).
+        if (count_ == 0 || now_ < scanSkipUntil_)
+            return false;
+        return schedule(out);
+    }
 
     /** Current DRAM cycle count. */
     Cycle now() const { return now_; }
 
     /** Requests currently queued (for utilization heuristics). */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return count_; }
 
     // --- Statistics --------------------------------------------------
 
@@ -104,7 +114,7 @@ class DramChannel
 
     /**
      * Full controller state: the clock, bus/bank timing machines, the
-     * age-ordered FR-FCFS queue, the fruitless-scan skip mark, and
+     * FR-FCFS queue in age order, the fruitless-scan skip mark, and
      * all counters (totals + window checkpoints). Timing parameters
      * and capacities are immutable per instance.
      */
@@ -136,23 +146,19 @@ class DramChannel
     void restore(const Snapshot &snap);
 
   private:
+    /** One FR-FCFS command cycle past the inline checks in tick(). */
+    bool schedule(DramCompletion &out);
+
     const DramTiming timing_;
-    const std::uint32_t banksPerGroup_;
     const std::uint32_t capCycles_; ///< FR-FCFS starvation cap.
     Cycle now_ = 0;
     Cycle busFreeAt_ = 0;       ///< Data bus occupied until this cycle.
     Cycle lastActivateAt_ = 0;  ///< For the tRRD constraint.
     std::vector<DramBank> banks_;
+    /** Bank group of each bank (a table: no division per scan). */
+    std::vector<std::uint32_t> groupOf_;
     /** Last column access per bank group, for tCCDl vs tCCDs. */
     std::vector<Cycle> lastColumnInGroup_;
-    /**
-     * The FR-FCFS request queue, age-ordered front to back (strictly
-     * increasing seq). A flat vector, capacity reserved once and
-     * bounded by queueCap_; mid-queue removal shifts, preserving age
-     * order. Scans never walk it: they read the per-bank index below.
-     */
-    std::vector<DramCommand> queue_;
-    std::size_t queueCap_;
     std::uint64_t nextSeq_ = 0; ///< seq of the next enqueued command.
     /**
      * No command can become issuable before this cycle (set by a scan
@@ -162,56 +168,81 @@ class DramChannel
      */
     Cycle scanSkipUntil_ = 0;
 
-    // --- Per-bank FR-FCFS index (derived from queue_ and banks_) ----
+    // --- The queue: entry slots and the lists through them ---------
 
-    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
-    /** One queued command as its bank's list records it. */
-    struct BankEntry
+    /** One queued command, linked into the age list and its bank's. */
+    struct Slot
     {
-        std::uint64_t seq = 0;
-        std::uint64_t row = 0;
-        std::uint32_t next = kNil; ///< Younger entry of the bank (or free).
-    };
-
-    /** A bank's queued commands and its two scheduling candidates. */
-    struct BankQueue
-    {
-        std::uint32_t head = kNil;          ///< Oldest entry.
-        std::uint32_t tail = kNil;          ///< Youngest entry.
-        std::uint64_t firstHit = kNoSeq;    ///< Oldest open-row hit.
-        std::uint64_t firstNonHit = kNoSeq; ///< Oldest other command.
+        DramCommand cmd;
+        std::uint32_t bankNext = kNil; ///< Younger of the bank (or free).
+        std::uint32_t agePrev = kNil;  ///< Next older command.
+        std::uint32_t ageNext = kNil;  ///< Next younger command.
     };
 
     /**
-     * queueCap_ entry slots, sized once at construction: each bank's
-     * commands form an age-ordered list through `next`, and unused
-     * slots a free list from freeSlot_. The index never allocates.
+     * A bank's queued commands and its two scheduling candidates: each
+     * candidate's slot and its seq, so the scans compare ages without
+     * touching the slots.
      */
-    std::vector<BankEntry> slots_;
+    struct BankQueue
+    {
+        std::uint32_t head = kNil;        ///< Oldest entry.
+        std::uint32_t tail = kNil;        ///< Youngest entry.
+        std::uint32_t firstHit = kNil;    ///< Slot of oldest open-row hit.
+        std::uint32_t firstNonHit = kNil; ///< Slot of oldest other command.
+        std::uint64_t hitSeq = kNoSeq;    ///< seq of firstHit.
+        std::uint64_t nonHitSeq = kNoSeq; ///< seq of firstNonHit.
+    };
+
+    /**
+     * The FR-FCFS queue: frfcfsQueueDepth slots, sized once at
+     * construction. Queued commands form one age-ordered list (oldest
+     * at ageHead_, strictly increasing seq) and, per bank, an
+     * age-ordered list through `bankNext`; unused slots form a free
+     * list from freeSlot_. The queue never allocates.
+     */
+    std::vector<Slot> slots_;
     std::uint32_t freeSlot_ = kNil;
+    std::uint32_t ageHead_ = kNil;
+    std::uint32_t ageTail_ = kNil;
+    std::size_t count_ = 0;
     std::vector<BankQueue> bankQueues_;
     std::uint64_t hitMask_ = 0;    ///< Banks whose firstHit is set.
     std::uint64_t nonHitMask_ = 0; ///< Banks whose firstNonHit is set.
 
+    // --- Pass-2 readiness (derived from banks_; moves on ACT/PRE) ---
+
+    std::uint64_t openMask_ = 0; ///< Banks with an open row.
+    /**
+     * Per bank, the earliest cycle of its next ACT (closed bank; tRRD
+     * aside) or PRE (open bank). Changes only on ACT and PRE.
+     */
+    std::vector<Cycle> bankReadyAt_;
+
+    /** Re-derive bank @p b's open-mask bit and readiness cycle (after
+     *  an ACT or PRE, and when the queue is cleared). */
+    void bankChanged(std::uint32_t b);
+
+    /** Oldest firstNonHit among @p banks, or kNil. */
+    std::uint32_t oldestNonHit(std::uint64_t banks) const;
+
     /** Recompute bank @p b's candidates and mask bits from its list. */
     void reindexBank(std::uint32_t b);
 
-    /** Append @p cmd to its bank's list and update the candidates. */
-    void indexCommand(const DramCommand &cmd);
+    /** Put @p cmd in a free slot at the young end of both lists. */
+    void place(const DramCommand &cmd);
 
-    /** Remove bank @p b's firstHit entry: its column was issued. */
-    void unindexColumn(std::uint32_t b);
+    /** Remove bank @p b's firstHit command: its column was issued. */
+    void removeColumn(std::uint32_t b);
 
     /**
-     * Derive the index (and nextSeq_) from queue_ and banks_, in place:
-     * reset() and restore() allocate nothing.
+     * Empty the queue and re-derive the bank readiness from banks_,
+     * in place: reset() and restore() allocate nothing.
      */
-    void rebuildIndex();
-
-    /** The queued command with arrival number @p seq (must exist). */
-    std::vector<DramCommand>::iterator findQueued(std::uint64_t seq);
+    void clearQueue();
 
     std::vector<Counter> dataCycles_;
     Counter rowHits_;

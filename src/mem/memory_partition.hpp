@@ -13,8 +13,8 @@
 #include <queue>
 #include <vector>
 
-#include "common/bounded_queue.hpp"
 #include "common/config.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "mem/address_map.hpp"
 #include "mem/cache.hpp"
@@ -87,7 +87,7 @@ class MemoryPartition
     {
         Cache::Snapshot l2;
         DramChannel::Snapshot dram;
-        BoundedQueue<MemRequest> inputQueue{1};
+        RingBuffer<MemRequest> inputQueue{1};
         double dramPhase = 0.0;
         std::priority_queue<PendingResponse,
                             std::vector<PendingResponse>,
@@ -97,7 +97,7 @@ class MemoryPartition
         heapBytes() const
         {
             return l2.heapBytes() + dram.heapBytes() +
-                   inputQueue.size() * sizeof(MemRequest) +
+                   inputQueue.capacity() * sizeof(MemRequest) +
                    pending.size() * sizeof(PendingResponse);
         }
     };
@@ -113,10 +113,16 @@ class MemoryPartition
     const AddressMap &amap_;
     Cache l2_;
     DramChannel dram_;
-    BoundedQueue<MemRequest> inputQueue_;
+    RingBuffer<MemRequest> inputQueue_;
     double dramPhase_ = 0.0;
     /** Reused fill scratch: zero steady-state allocation per fill. */
     Cache::FillResult fillScratch_;
+    /**
+     * Responses waiting out the L2 latency. Due times never decrease,
+     * but this stays a heap: its pop order among equal readyAt values
+     * is not push order, and it decides the order responses enter the
+     * response network (a FIFO here breaks every locked golden digest).
+     */
     std::priority_queue<PendingResponse, std::vector<PendingResponse>,
                         std::greater<PendingResponse>> pending_;
 };

@@ -1,5 +1,6 @@
 #include "mem/tag_array.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -14,119 +15,115 @@ TagArray::TagArray(const CacheGeometry &geom)
                  std::has_single_bit(numSets_)),
       lineShift_(
           static_cast<std::uint32_t>(std::countr_zero(lineBytes_))),
-      ways_(static_cast<std::size_t>(geom.numSets()) * geom.assoc)
+      tags_(static_cast<std::size_t>(geom.numSets()) * geom.assoc,
+            kInvalidTag),
+      lastUse_(tags_.size(), 0),
+      owners_(tags_.size(), kInvalidApp)
 {
     if (numSets_ == 0 || assoc_ == 0)
         fatal("TagArray: degenerate geometry");
 }
 
-std::uint32_t
-TagArray::setIndex(Addr line_addr) const
+std::size_t
+TagArray::setBase(Addr line_addr) const
 {
-    if (fastIndex_) {
-        return static_cast<std::uint32_t>(line_addr >> lineShift_) &
-               (numSets_ - 1);
+    const std::uint32_t set =
+        fastIndex_
+            ? static_cast<std::uint32_t>(line_addr >> lineShift_) &
+                  (numSets_ - 1)
+            : static_cast<std::uint32_t>((line_addr / lineBytes_) %
+                                         numSets_);
+    return static_cast<std::size_t>(set) * assoc_;
+}
+
+std::size_t
+TagArray::find(std::size_t base, Addr line_addr) const
+{
+    const Addr *tags = &tags_[base];
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if (tags[w] == line_addr)
+            return base + w;
     }
-    return static_cast<std::uint32_t>((line_addr / lineBytes_) % numSets_);
+    return kAbsent;
 }
 
 TagLookup
 TagArray::access(Addr line_addr, AppId app, bool allocate)
 {
     TagLookup result;
-    const std::uint32_t set = setIndex(line_addr);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
+    const std::size_t base = setBase(line_addr);
     ++useClock_;
 
-    // Victim selection honours the app's way partition (if any);
-    // hits are permitted in any way.
-    std::uint32_t victim_first = 0;
-    std::uint32_t victim_end = assoc_;
-    if (app < partitions_.size() && partitions_[app].count != 0) {
-        victim_first = partitions_[app].first;
-        victim_end = victim_first + partitions_[app].count;
+    // Hits are permitted in any way.
+    const std::size_t way = find(base, line_addr);
+    if (way != kAbsent) {
+        lastUse_[way] = useClock_;
+        result.hit = true;
+        return result;
     }
-
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line_addr) {
-            way.lastUse = useClock_;
-            result.hit = true;
-            return result;
-        }
-        if (w < victim_first || w >= victim_end)
-            continue;
-        if (!way.valid) {
-            if (!victim || victim->valid)
-                victim = &way;
-        } else if (!victim || (victim->valid &&
-                               way.lastUse < victim->lastUse)) {
-            victim = &way;
-        }
-    }
-
-    if (!allocate || victim == nullptr)
+    if (!allocate)
         return result;
 
-    if (victim->valid) {
-        result.evictedValid = true;
-        result.evictedLine = victim->tag;
-        result.evictedApp = victim->app;
+    // Victim selection honours the app's way partition (if any): the
+    // first invalid way in range, else its first least-recently-used.
+    // Invalid ways carry stamp 0 and valid ones >= 1, so that is the
+    // first minimum stamp.
+    std::size_t first = base;
+    std::size_t end = base + assoc_;
+    if (app < partitions_.size() && partitions_[app].count != 0) {
+        first = base + partitions_[app].first;
+        end = first + partitions_[app].count;
     }
-    victim->valid = true;
-    victim->tag = line_addr;
-    victim->app = app;
-    victim->lastUse = useClock_;
+    std::size_t victim = first;
+    for (std::size_t w = first + 1; w < end; ++w) {
+        if (lastUse_[w] < lastUse_[victim])
+            victim = w;
+    }
+
+    if (tags_[victim] != kInvalidTag) {
+        result.evictedValid = true;
+        result.evictedLine = tags_[victim];
+        result.evictedApp = owners_[victim];
+    }
+    tags_[victim] = line_addr;
+    owners_[victim] = app;
+    lastUse_[victim] = useClock_;
     return result;
 }
 
 bool
 TagArray::probe(Addr line_addr) const
 {
-    const std::uint32_t set = setIndex(line_addr);
-    const Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == line_addr)
-            return true;
-    }
-    return false;
+    return find(setBase(line_addr), line_addr) != kAbsent;
 }
 
 bool
 TagArray::touch(Addr line_addr)
 {
-    const std::uint32_t set = setIndex(line_addr);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == line_addr) {
-            base[w].lastUse = ++useClock_;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t way = find(setBase(line_addr), line_addr);
+    if (way == kAbsent)
+        return false;
+    lastUse_[way] = ++useClock_;
+    return true;
 }
 
 bool
 TagArray::invalidate(Addr line_addr)
 {
-    const std::uint32_t set = setIndex(line_addr);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == line_addr) {
-            base[w].valid = false;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t way = find(setBase(line_addr), line_addr);
+    if (way == kAbsent)
+        return false;
+    tags_[way] = kInvalidTag;
+    lastUse_[way] = 0;
+    return true;
 }
 
 std::uint32_t
 TagArray::linesOwnedBy(AppId app) const
 {
     std::uint32_t count = 0;
-    for (const Way &way : ways_) {
-        if (way.valid && way.app == app)
+    for (std::size_t w = 0; w < tags_.size(); ++w) {
+        if (tags_[w] != kInvalidTag && owners_[w] == app)
             ++count;
     }
     return count;
@@ -135,18 +132,22 @@ TagArray::linesOwnedBy(AppId app) const
 void
 TagArray::flush()
 {
-    for (Way &way : ways_)
-        way.valid = false;
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
     useClock_ = 0;
 }
 
 void
 TagArray::restore(const Snapshot &snap)
 {
-    if (snap.ways.size() != ways_.size())
+    if (snap.tags.size() != tags_.size() ||
+        snap.lastUse.size() != tags_.size() ||
+        snap.owners.size() != tags_.size())
         fatal("TagArray: snapshot geometry mismatch");
     useClock_ = snap.useClock;
-    ways_ = snap.ways;
+    tags_ = snap.tags;
+    lastUse_ = snap.lastUse;
+    owners_ = snap.owners;
     partitions_ = snap.partitions;
 }
 

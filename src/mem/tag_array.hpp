@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -73,14 +74,6 @@ class TagArray
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t assoc() const { return assoc_; }
 
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        AppId app = kInvalidApp;
-        std::uint64_t lastUse = 0;
-    };
-
     /** Allocation way range of one app (whole array by default). */
     struct WayRange
     {
@@ -97,13 +90,17 @@ class TagArray
     struct Snapshot
     {
         std::uint64_t useClock = 0;
-        std::vector<Way> ways;
+        std::vector<Addr> tags;
+        std::vector<std::uint64_t> lastUse;
+        std::vector<AppId> owners;
         std::vector<WayRange> partitions;
 
         std::size_t
         heapBytes() const
         {
-            return ways.capacity() * sizeof(Way) +
+            return tags.capacity() * sizeof(Addr) +
+                   lastUse.capacity() * sizeof(std::uint64_t) +
+                   owners.capacity() * sizeof(AppId) +
                    partitions.capacity() * sizeof(WayRange);
         }
     };
@@ -111,13 +108,22 @@ class TagArray
     Snapshot
     snapshot() const
     {
-        return Snapshot{useClock_, ways_, partitions_};
+        return Snapshot{useClock_, tags_, lastUse_, owners_, partitions_};
     }
 
     void restore(const Snapshot &snap);
 
   private:
-    std::uint32_t setIndex(Addr line_addr) const;
+    /** Tag of an invalid way: no line-aligned address equals it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t setBase(Addr line_addr) const;
+
+    /** Index of the way holding @p line_addr, or kAbsent. */
+    std::size_t find(std::size_t base, Addr line_addr) const;
+
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
 
     std::uint32_t numSets_;
     std::uint32_t assoc_;
@@ -127,7 +133,14 @@ class TagArray
     bool fastIndex_;
     std::uint32_t lineShift_;
     std::uint64_t useClock_ = 0;
-    std::vector<Way> ways_; ///< numSets_ x assoc_, row-major.
+    /**
+     * Structure of arrays, numSets_ x assoc_ each, row-major: a hit
+     * check scans one set's tags contiguously.
+     */
+    std::vector<Addr> tags_; ///< kInvalidTag marks an invalid way.
+    /** LRU stamp: useClock_ at the last use (>= 1), 0 if invalid. */
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<AppId> owners_; ///< App that allocated the line.
     std::vector<WayRange> partitions_; ///< Indexed by AppId.
 };
 

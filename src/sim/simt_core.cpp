@@ -23,7 +23,9 @@ SimtCore::SimtCore(const GpuConfig &cfg, const AddressMap &amap,
           geom.sizeBytes = cfg.l1.sizeBytes * 2;
           geom.assoc = cfg.l1.assoc * 2;
           return geom;
-      }())
+      }()),
+      localPending_(static_cast<std::size_t>(cfg.schedulersPerCore) *
+                    cfg.maxIssuePerScheduler * (cfg.l1HitLatency + 1))
 {
     if (tracer_ == nullptr)
         fatal("SimtCore: null trace generator");
@@ -143,7 +145,7 @@ SimtCore::issueFrom(WarpId warp, Cycle now, Crossbar &xbar)
     const CacheOutcome outcome = l1_.access(req, bypassL1_);
     switch (outcome) {
       case CacheOutcome::Hit:
-        localPending_.push(
+        localPending_.pushGrow(
             LocalCompletion{now + cfg_.l1HitLatency, warp});
         break;
       case CacheOutcome::MissNew:
@@ -245,8 +247,9 @@ SimtCore::tickResponses(Cycle now, Crossbar &xbar)
 {
     bool absorbed = false;
     // L1-hit latency expirations.
-    while (!localPending_.empty() && localPending_.top().readyAt <= now) {
-        const WarpId warp = localPending_.top().warp;
+    while (!localPending_.empty() &&
+           localPending_.front().readyAt <= now) {
+        const WarpId warp = localPending_.front().warp;
         WarpState &w = warps_[warp];
         if (w.outstanding == 0)
             panic("SimtCore: completion for a warp with none pending");
@@ -293,8 +296,7 @@ SimtCore::reset(bool flush_l1)
         w.reset();
     for (WarpScheduler &sched : schedulers_)
         sched.resetGreedy();
-    while (!localPending_.empty())
-        localPending_.pop();
+    localPending_.clear();
     if (flush_l1)
         l1_.reset();
     instrsRetired_.reset();

@@ -25,10 +25,10 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "interconnect/crossbar.hpp"
@@ -99,7 +99,7 @@ class SimtCore
     nextCompletionAt() const
     {
         return localPending_.empty() ? kNeverCycle
-                                     : localPending_.top().readyAt;
+                                     : localPending_.front().readyAt;
     }
 
     /** Apply a new per-scheduler TLP limit (the SWL knob). */
@@ -174,10 +174,6 @@ class SimtCore
     {
         Cycle readyAt;
         WarpId warp;
-        bool operator>(const LocalCompletion &o) const
-        {
-            return readyAt > o.readyAt;
-        }
     };
 
     /**
@@ -198,9 +194,7 @@ class SimtCore
         std::vector<std::uint64_t> curInstrIdx;
         Cache::Snapshot l1;
         TagArray::Snapshot victimTags;
-        std::priority_queue<LocalCompletion,
-                            std::vector<LocalCompletion>,
-                            std::greater<LocalCompletion>> localPending;
+        RingBuffer<LocalCompletion> localPending{1};
         Counter instrsRetired;
         Counter idleCycles;
         Counter memWaitCycles;
@@ -216,7 +210,7 @@ class SimtCore
                    curInstr.capacity() * sizeof(InstrDesc) +
                    curInstrIdx.capacity() * sizeof(std::uint64_t) +
                    l1.heapBytes() + victimTags.heapBytes() +
-                   localPending.size() * sizeof(LocalCompletion);
+                   localPending.capacity() * sizeof(LocalCompletion);
         }
     };
 
@@ -274,9 +268,13 @@ class SimtCore
      * warps shared the cache — the CCWS-style throttle signal.
      */
     TagArray victimTags_;
-    /** L1-hit responses waiting out the hit latency. */
-    std::priority_queue<LocalCompletion, std::vector<LocalCompletion>,
-                        std::greater<LocalCompletion>> localPending_;
+    /**
+     * L1-hit responses waiting out the hit latency. Every push is due
+     * at now + l1HitLatency, so due times never decrease and the
+     * front is the earliest; tickResponses pops every due entry at
+     * once, so their order among equal due times is unobservable.
+     */
+    RingBuffer<LocalCompletion> localPending_;
     /** Reused fill scratch: zero steady-state allocation per fill. */
     Cache::FillResult fillScratch_;
 

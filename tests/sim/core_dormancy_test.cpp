@@ -111,7 +111,7 @@ runLockstep(Gpu &a, Gpu &b, Cycle cycles,
              m &= m - 1) {
             const auto c = static_cast<CoreId>(std::countr_zero(m));
             const auto &hits = due.cores[c].localPending;
-            if (!hits.empty() && hits.top().readyAt <= a.now())
+            if (!hits.empty() && hits.front().readyAt <= a.now())
                 ++seen.hitWakes;
             const auto &fills = due.xbar.response.outputReady[c];
             if (!fills.empty() && fills.front().readyAt <= a.now())
