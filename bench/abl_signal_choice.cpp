@@ -50,8 +50,11 @@ run()
                    "max EB-WS", "++bestTLP"});
     std::vector<double> it_norm, bw_norm, eb_norm, best_norm;
 
-    for (const Workload &wl : representativeWorkloads()) {
-        const ComboTable table = exp.exhaustive().sweep(wl);
+    const std::vector<Workload> workloads = representativeWorkloads();
+    const std::vector<ComboTable> tables = exp.fill(workloads);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const Workload &wl = workloads[w];
+        const ComboTable &table = tables[w];
         const std::vector<double> alone = exp.aloneIpcs(wl);
         const double opt_ws = Exhaustive::value(
             table, Exhaustive::argmax(table, OptTarget::SdWS, alone),

@@ -22,7 +22,7 @@ run()
                 "(normalized to ++bestTLP)\n\n",
                 wl.name.c_str());
 
-    const ComboTable table = exp.exhaustive().sweep(wl);
+    const ComboTable table = std::move(exp.fill({wl}).front());
     const std::vector<double> alone = exp.aloneIpcs(wl);
 
     const TlpCombo best = exp.bestTlpCombo(wl);

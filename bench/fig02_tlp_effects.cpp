@@ -46,5 +46,6 @@ main()
     std::printf("\nPaper shape: IPC and EB peak at bestTLP and track "
                 "each other; CMR rises with TLP and erodes the BW "
                 "gains past the knee.\n");
+    std::printf("%s\n", exp.status().summaryLine().c_str());
     return 0;
 }

@@ -24,16 +24,16 @@ main()
 
     TextTable out({"App", "bestTLP", "A: BW (DRAM)", "B: BW/L2MR (L2)",
                    "C: BW/CMR (core)", "amplification C/A"});
-    for (const char *name : {"BLK", "BFS", "FFT", "JPEG"}) {
-        const AppAloneProfile &prof =
-            exp.profiles().profile(findApp(name));
+    const std::vector<AppProfile> apps = {
+        findApp("BLK"), findApp("BFS"), findApp("FFT"), findApp("JPEG")};
+    for (const AppAloneProfile &prof : exp.profiles().profile(apps)) {
         std::size_t best_idx = 0;
         for (std::size_t i = 0; i < prof.levels.size(); ++i) {
             if (prof.levels[i] == prof.bestTlp)
                 best_idx = i;
         }
         const AppRunStats &s = prof.perLevel[best_idx];
-        out.addRow({name, std::to_string(prof.bestTlp),
+        out.addRow({prof.name, std::to_string(prof.bestTlp),
                     TextTable::num(s.bw), TextTable::num(s.ebAtL2()),
                     TextTable::num(s.eb()),
                     TextTable::num(s.eb() / s.bw, 2)});
@@ -43,5 +43,6 @@ main()
     std::printf("\nPaper shape: cache-insensitive BLK has C == A "
                 "(CMR == 1); cache-sensitive apps amplify DRAM "
                 "bandwidth through the caches (C > B > A).\n");
+    std::printf("%s\n", exp.status().summaryLine().c_str());
     return 0;
 }

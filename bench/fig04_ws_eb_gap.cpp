@@ -27,8 +27,11 @@ run()
                         "EB-WS (best)", "EB-1 (opt)", "EB-2 (opt)",
                         "EB-WS (opt)"});
 
-    for (const Workload &wl : representativeWorkloads()) {
-        const ComboTable table = exp.exhaustive().sweep(wl);
+    const std::vector<Workload> workloads = representativeWorkloads();
+    const std::vector<ComboTable> tables = exp.fill(workloads);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const Workload &wl = workloads[w];
+        const ComboTable &table = tables[w];
         const std::vector<double> alone = exp.aloneIpcs(wl);
         const TlpCombo best = exp.bestTlpCombo(wl);
         const TlpCombo opt =

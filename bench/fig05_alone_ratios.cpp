@@ -32,11 +32,17 @@ main()
                 "%zu-app pairings\n\n",
                 apps.size());
 
+    std::vector<AppProfile> profiles;
+    for (const std::string &name : apps)
+        profiles.push_back(findApp(name));
+    const std::vector<AppAloneProfile> alone =
+        exp.profiles().profile(profiles);
+
     std::vector<double> ipc_ars, eb_ars;
     for (std::size_t i = 0; i < apps.size(); ++i) {
         for (std::size_t j = i + 1; j < apps.size(); ++j) {
-            const auto &pa = exp.profiles().profile(findApp(apps[i]));
-            const auto &pb = exp.profiles().profile(findApp(apps[j]));
+            const AppAloneProfile &pa = alone[i];
+            const AppAloneProfile &pb = alone[j];
             ipc_ars.push_back(
                 aloneRatioBias(pa.ipcAtBest, pb.ipcAtBest));
             eb_ars.push_back(aloneRatioBias(pa.ebAtBest, pb.ebAtBest));
@@ -83,5 +89,6 @@ main()
     std::printf("\nPaper shape: EB_AR is on average much lower than "
                 "IPC_AR, so EB-based sums are less biased toward one "
                 "co-runner.\n");
+    std::printf("%s\n", exp.status().summaryLine().c_str());
     return 0;
 }

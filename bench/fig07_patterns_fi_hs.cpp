@@ -25,9 +25,10 @@ run()
     const ComboTable table = exp.exhaustive().sweep(wl);
 
     // Exact scaling: alone EB at bestTLP; group scaling: the group
-    // mean (Table IV's user-supplied option).
-    const std::vector<double> exact = exp.aloneEbs(wl);
+    // mean (Table IV's user-supplied option). Grouping profiles the
+    // whole catalog, BLK and TRD included, in one pass.
     exp.profiles().assignGroups(appCatalog());
+    const std::vector<double> exact = exp.aloneEbs(wl);
     const std::vector<double> group = {
         exp.profiles().groupScale("BLK"),
         exp.profiles().groupScale("TRD")};

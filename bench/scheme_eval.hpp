@@ -113,11 +113,15 @@ runComparison(Experiment &exp, Report report, const std::string &title)
     // sampled-alone approximation (the paper's dynamic variant).
     const bool scaled = report != Report::WS;
 
+    // Every alone profile and sweep the offline schemes score
+    // against, in two fill passes.
+    const std::vector<Workload> workloads = representativeWorkloads();
+    const std::vector<ComboTable> tables = exp.fill(workloads);
+
     // The online schemes, three runs per workload, go to the store as
     // one batch: ++DynCTA, Mod+Bypass, then PBS (online). Ratio
     // objectives (FI/HS) average multiple windows per probe:
     // single-window EB ratios are too noisy to search on.
-    const std::vector<Workload> workloads = representativeWorkloads();
     std::vector<OnlineJob> batch;
     for (const Workload &wl : workloads) {
         const std::vector<AppProfile> apps = resolveApps(wl);
@@ -140,7 +144,7 @@ runComparison(Experiment &exp, Report report, const std::string &title)
         const Workload &wl = workloads[w];
         const std::vector<double> alone = exp.aloneIpcs(wl);
         const std::vector<double> alone_ebs = exp.aloneEbs(wl);
-        const ComboTable table = exp.exhaustive().sweep(wl);
+        const ComboTable &table = tables[w];
 
         // Baseline: ++bestTLP.
         const TlpCombo best = exp.bestTlpCombo(wl);

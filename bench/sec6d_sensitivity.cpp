@@ -61,6 +61,19 @@ run()
     Experiment exp3(3);
     Experiment exp(2);
 
+    // Every alone profile the sections score against, one fill pass
+    // per machine: the three-app workloads' apps on exp3, and BLK,
+    // BFS and TRD on exp.
+    std::vector<AppProfile> apps3;
+    for (const Workload &wl : threeAppWorkloads()) {
+        for (AppProfile &app : resolveApps(wl))
+            apps3.push_back(std::move(app));
+    }
+    exp3.profiles().profile(apps3);
+    exp.profiles().profile(
+        std::vector<AppProfile>{findApp("BLK"), findApp("BFS"),
+                                findApp("TRD")});
+
     // ---- (1) Three-application workloads -----------------------------
     {
         std::printf("\n(1) Three-application workloads (WS normalized "

@@ -151,8 +151,11 @@ main(int argc, char **argv)
             ProfileDb profiles(runner, prefill_cache);
             Exhaustive exhaustive(runner, prefill_cache);
             const auto t0 = Clock::now();
+            std::vector<AppProfile> apps;
             for (const std::string &name : warm_apps)
-                profiles.profile(findApp(name));
+                apps.push_back(findApp(name));
+            profiles.profile(apps);
+            std::vector<Workload> pairs;
             for (std::size_t i = 0; i < warm_apps.size(); ++i) {
                 for (std::size_t j = i + 1; j < warm_apps.size();
                      ++j) {
@@ -163,11 +166,11 @@ main(int argc, char **argv)
                     std::string hi = warm_apps[j];
                     if (hi < lo)
                         std::swap(lo, hi);
-                    const Workload wl = makePair(lo, hi);
-                    exhaustive.sweep(wl, kLadder);
-                    warm_pairs.push_back(wl.name);
+                    pairs.push_back(makePair(lo, hi));
+                    warm_pairs.push_back(pairs.back().name);
                 }
             }
+            exhaustive.sweep(pairs, kLadder);
             const std::chrono::duration<double> dt =
                 Clock::now() - t0;
             std::printf("prefill: %zu pairs in %.1f s (%s)\n",

@@ -124,8 +124,7 @@ main(int argc, char **argv)
 
         ProfileDb profiles(runner, cache);
         Exhaustive exhaustive(runner, cache);
-        for (const AppProfile &app : resolveApps(wl))
-            profiles.profile(app);
+        profiles.profile(resolveApps(wl));
         const ComboTable table = exhaustive.sweep(wl);
         inform("ebm_sweep_worker: " + wl.name + " table has " +
                std::to_string(table.combos.size()) + " rows; " +

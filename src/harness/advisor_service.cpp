@@ -276,11 +276,8 @@ AdvisorService::fillLoop()
         const WarmStateCache::Stats warmBefore =
             WarmStateCache::instance().stats();
         try {
-            const std::vector<AppProfile> apps = resolveApps(wl);
-            std::vector<AppAloneProfile> profs;
-            profs.reserve(apps.size());
-            for (const AppProfile &app : apps)
-                profs.push_back(profiles_.profile(app));
+            const std::vector<AppAloneProfile> profs =
+                profiles_.profile(resolveApps(wl));
             const ComboTable table = exhaustive_.sweep(wl, opts_.levels);
             ans = assemble(wl, table, profs);
             ans.source = Source::Fresh;

@@ -153,74 +153,106 @@ Exhaustive::jobs() const
 ComboTable
 Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
 {
-    const std::vector<AppProfile> apps = resolveApps(wl);
-    const auto n = static_cast<std::uint32_t>(apps.size());
+    return std::move(
+        sweep(std::vector<Workload>{wl}, std::move(levels)).front());
+}
+
+std::vector<ComboTable>
+Exhaustive::sweep(const std::vector<Workload> &wls,
+                  std::vector<std::uint32_t> levels)
+{
     if (levels.empty())
         levels = GpuConfig::tlpLevels();
 
-    ComboTable table;
-    table.levels = levels;
-    SweepStatus sweep_status;
+    std::vector<std::vector<AppProfile>> apps;
+    for (const Workload &wl : wls) {
+        apps.push_back(resolveApps(wl));
+        if (apps.back().size() != apps.front().size())
+            fatal("Exhaustive: " + wl.name + " has " +
+                  std::to_string(apps.back().size()) +
+                  " apps; a sweep batch needs one app count");
+        for (std::size_t w = 0; w + 1 < apps.size(); ++w) {
+            if (wls[w].name == wl.name)
+                fatal("Exhaustive: " + wl.name +
+                      " is listed twice in one sweep batch");
+        }
+    }
+    const auto n = static_cast<std::uint32_t>(
+        apps.empty() ? 0 : apps.front().size());
+    const std::vector<TlpCombo> combos = enumerateCombos(levels, n);
 
-    table.combos = enumerateCombos(levels, n);
-    const std::size_t total = table.combos.size();
-    sweep_status.combos = total;
-    table.results.resize(total);
-    table.skipped.assign(total, 0);
+    std::vector<ComboTable> tables(wls.size());
+    std::vector<SweepStatus> statuses(wls.size());
 
-    // Serial pass in row order: cache probes and the injected
-    // run-failure pre-draw both consume ordered global state (the
-    // cache's warnings, the injector's query counter), so they happen
-    // here — in exactly the order the all-serial sweep used — no
-    // matter how many workers run the misses afterwards. Cooperating
-    // processes that start cold draw identical schedules (same seed,
-    // same row order), so each one's view of which attempts fail is
-    // the same no matter which process ends up running a row.
+    // Serial pass in (workload, row) order: cache probes and the
+    // injected run-failure pre-draw both consume ordered global state
+    // (the cache's warnings, the injector's query counter), so they
+    // happen here — in exactly the order one all-serial sweep per
+    // workload used — no matter how many workers run the misses
+    // afterwards. Cooperating processes that start cold draw
+    // identical schedules (same seed, same row order), so each one's
+    // view of which attempts fail is the same no matter which process
+    // ends up running a row.
     FaultInjector *injector = runner_.options().faultInjector;
-    // Per fill row: its table row, and how many leading attempts the
-    // pre-drawn fault schedule fails.
+    // Per fill row: its workload, its table row, and how many leading
+    // attempts the pre-drawn fault schedule fails.
     std::vector<FillRow> fill;
+    std::vector<std::size_t> fill_wl;
     std::vector<std::size_t> fill_row;
     std::vector<std::uint32_t> injected_fails;
-    for (std::size_t row = 0; row < total; ++row) {
-        const TlpCombo &combo = table.combos[row];
-        std::string key = runner_.comboKey(wl.name, combo);
+    for (std::size_t w = 0; w < wls.size(); ++w) {
+        ComboTable &table = tables[w];
+        table.levels = levels;
+        table.combos = combos;
+        const std::size_t total = combos.size();
+        statuses[w].combos = total;
+        table.results.resize(total);
+        table.skipped.assign(total, 0);
 
-        // A wrong-shape or non-finite cache entry (stale layout,
-        // survived-but-bogus line, pre-guard NaN) is a miss:
-        // recompute and overwrite rather than trust.
-        if (const auto cached = cache_.getValidated(key, 4u * n + 1)) {
-            table.results[row] = decodeComboRow(*cached, combo, n);
-            ++sweep_status.fromCache;
-            continue;
-        }
+        for (std::size_t row = 0; row < total; ++row) {
+            const TlpCombo &combo = combos[row];
+            std::string key = runner_.comboKey(wls[w].name, combo);
 
-        FillRow miss;
-        miss.key = std::move(key);
-        miss.sortKey = tlpSortKey(combo);
-        std::uint32_t fails = 0;
-        if (injector != nullptr) {
-            // Pre-draw this row's injected failures with the same
-            // query sequence the serial attempt loop performed: one
-            // query per attempt, stopping at the first non-firing
-            // (successful) attempt or when the retry budget is gone.
-            while (fails <= maxRetries_ &&
-                   injector->shouldFire(FaultInjector::Point::RunFail))
-                ++fails;
-            // Whole-process crash points are pre-drawn here too: the
-            // shared injector is only ever queried serially, and the
-            // draw order is row order regardless of worker count, so
-            // a seeded chaos schedule kills the same row at the same
-            // point on every run. Per-point counters are independent,
-            // so disarmed points leave existing schedules untouched.
-            miss.crashClaimHeld =
-                injector->shouldFire(FaultInjector::Point::CrashClaimHeld);
-            miss.crashPostPut =
-                injector->shouldFire(FaultInjector::Point::CrashPostPut);
+            // A wrong-shape or non-finite cache entry (stale layout,
+            // survived-but-bogus line, pre-guard NaN) is a miss:
+            // recompute and overwrite rather than trust.
+            if (const auto cached =
+                    cache_.getValidated(key, 4u * n + 1)) {
+                table.results[row] = decodeComboRow(*cached, combo, n);
+                ++statuses[w].fromCache;
+                continue;
+            }
+
+            FillRow miss;
+            miss.key = std::move(key);
+            miss.sortKey = tlpSortKey(combo);
+            std::uint32_t fails = 0;
+            if (injector != nullptr) {
+                // Pre-draw this row's injected failures with the same
+                // query sequence the serial attempt loop performed:
+                // one query per attempt, stopping at the first
+                // non-firing (successful) attempt or when the retry
+                // budget is gone.
+                while (fails <= maxRetries_ &&
+                       injector->shouldFire(FaultInjector::Point::RunFail))
+                    ++fails;
+                // Whole-process crash points are pre-drawn here too:
+                // the shared injector is only ever queried serially,
+                // and the draw order is row order regardless of
+                // worker count, so a seeded chaos schedule kills the
+                // same row at the same point on every run. Per-point
+                // counters are independent, so disarmed points leave
+                // existing schedules untouched.
+                miss.crashClaimHeld = injector->shouldFire(
+                    FaultInjector::Point::CrashClaimHeld);
+                miss.crashPostPut = injector->shouldFire(
+                    FaultInjector::Point::CrashPostPut);
+            }
+            fill.push_back(std::move(miss));
+            fill_wl.push_back(w);
+            fill_row.push_back(row);
+            injected_fails.push_back(fails);
         }
-        fill.push_back(std::move(miss));
-        fill_row.push_back(row);
-        injected_fails.push_back(fails);
     }
 
     // Simulate one miss: bounded retry — a failing run (pre-drawn
@@ -231,13 +263,14 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     std::vector<std::uint32_t> retried(fill.size(), 0);
     auto simulate =
         [&](std::size_t i) -> std::optional<std::vector<double>> {
+        const std::size_t w = fill_wl[i];
         const std::size_t row = fill_row[i];
         const std::string &key = fill[i].key;
 
         // Workers never touch the shared injector: the run-failure
         // schedule was pre-drawn above, and monitor-level points are
         // forked per row — deterministic in the row id, independent
-        // of worker interleaving.
+        // of worker interleaving and of the batch around the sweep.
         const Runner *runner = &runner_;
         std::optional<Runner> task_runner;
         std::optional<FaultInjector> task_injector;
@@ -263,9 +296,9 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
                 continue;
             }
             try {
-                table.results[row] =
-                    runner->runStatic(apps, table.combos[row]);
-                return encodeComboRow(table.results[row]);
+                tables[w].results[row] =
+                    runner->runStatic(apps[w], combos[row]);
+                return encodeComboRow(tables[w].results[row]);
             } catch (const FatalError &e) {
                 warn("Exhaustive: run failed for " + key + attempt_tag +
                      e.what());
@@ -289,6 +322,8 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     // Merge per-row outcomes in row order: totals are independent of
     // the workers' completion order.
     for (std::size_t i = 0; i < fill.size(); ++i) {
+        ComboTable &table = tables[fill_wl[i]];
+        SweepStatus &sweep_status = statuses[fill_wl[i]];
         const std::size_t row = fill_row[i];
         sweep_status.retried += retried[i];
         switch (filled[i].source) {
@@ -297,13 +332,13 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
             break;
           case RowSource::Peer:
             table.results[row] =
-                decodeComboRow(filled[i].values, table.combos[row], n);
+                decodeComboRow(filled[i].values, combos[row], n);
             ++sweep_status.fromPeers;
             break;
           case RowSource::Skipped: {
             RunResult result;
             result.apps.resize(n);
-            result.finalTlp = table.combos[row];
+            result.finalTlp = combos[row];
             table.results[row] = std::move(result);
             table.skipped[row] = 1;
             ++sweep_status.skipped;
@@ -312,12 +347,14 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         }
     }
 
-    status_.add(sweep_status);
-    if (sweep_status.retried > 0 || sweep_status.skipped > 0) {
-        warn("Exhaustive: " + wl.name + " " +
-             sweep_status.summaryLine());
+    for (std::size_t w = 0; w < wls.size(); ++w) {
+        status_.add(statuses[w]);
+        if (statuses[w].retried > 0 || statuses[w].skipped > 0) {
+            warn("Exhaustive: " + wls[w].name + " " +
+                 statuses[w].summaryLine());
+        }
     }
-    return table;
+    return tables;
 }
 
 double

@@ -130,16 +130,19 @@ class Exhaustive
     Exhaustive(const Runner &runner, DiskCache &cache);
 
     /**
-     * Simulate (or fetch) the full combination table for @p wl.
+     * Simulate (or fetch) the full combination tables of @p wls in
+     * one fill pass.
      *
-     * Cache probes run serially in odometer order; the misses go to
-     * the row-fill engine (row_fill.hpp), which dispatches them onto
+     * Cache probes run serially, workload by workload, each in
+     * odometer order; the misses of every workload go to one
+     * row-fill engine call (row_fill.hpp), which dispatches them onto
      * jobs() workers, submitted by descending 1 + sum of TLP levels
-     * (ties in row order) to shrink the straggler tail at the
-     * end-of-sweep barrier. Results are committed into pre-assigned
-     * rows (odometer order), making the table — and, because entries
-     * persist sorted, the compacted cache file — bit-identical to a
-     * serial sweep at any job count and any submission order.
+     * across the whole batch (ties in row order) to shrink the
+     * straggler tail at the end-of-fill barrier. Results are
+     * committed into pre-assigned rows, making every table — and,
+     * because entries persist sorted, the compacted cache file —
+     * bit-identical to one serial sweep per workload at any job count
+     * and any submission order.
      *
      * Every completed combination is persisted to the disk cache
      * as it finishes, so a killed or crashed sweep resumes from the
@@ -147,22 +150,32 @@ class Exhaustive
      * fails is retried up to maxRetries() times, then recorded as
      * skipped (zero result, flagged in the table) rather than
      * aborting the whole sweep. Injected run-failure schedules and
-     * chaos crash points are pre-drawn serially in row order at
-     * dispatch, so retry/skip accounting is also identical at any job
-     * count.
+     * chaos crash points are pre-drawn serially at dispatch, in the
+     * order one-at-a-time sweeps drew them (workload, then odometer
+     * row), so retry/skip accounting is identical at any job count
+     * and to one sweep(wl) call per workload.
      *
      * A sweep with a miss on a writable store leases its rows from
      * the store's same-host coordinator (or, with
      * EBM_COORDINATOR=host:port, over TCP), so N workers sharing
      * the store split a cold sweep through the engine's lease gate:
      * each worker leases a row before simulating it, rows leased
-     * elsewhere are assembled from the shared store in odometer
-     * order, and a killed peer's rows are taken over after its leases
-     * go stale — the table, fault accounting, and compacted store
+     * elsewhere are assembled from the shared store in row order,
+     * and a killed peer's rows are taken over after its leases go
+     * stale — the tables, fault accounting, and compacted store
      * bytes stay identical at any (process x EBM_JOBS) combination.
      *
+     * Every workload of a batch must have the same app count (one
+     * record shape per fill) and a distinct name.
+     *
      * @param levels TLP ladder per app; empty = the standard ladder
+     * @return one table per workload, in @p wls order
      */
+    std::vector<ComboTable>
+    sweep(const std::vector<Workload> &wls,
+          std::vector<std::uint32_t> levels = {});
+
+    /** The table of one workload: a one-workload batch. */
     ComboTable sweep(const Workload &wl,
                      std::vector<std::uint32_t> levels = {});
 

@@ -89,12 +89,24 @@ Experiment::status() const
     return total;
 }
 
+std::vector<ComboTable>
+Experiment::fill(const std::vector<Workload> &workloads)
+{
+    std::vector<AppProfile> apps;
+    for (const Workload &wl : workloads) {
+        for (AppProfile &app : resolveApps(wl))
+            apps.push_back(std::move(app));
+    }
+    profiles_.profile(apps);
+    return exhaustive_.sweep(workloads);
+}
+
 std::vector<double>
 Experiment::aloneIpcs(const Workload &wl)
 {
     std::vector<double> out;
-    for (const AppProfile &app : resolveApps(wl))
-        out.push_back(profiles_.profile(app).ipcAtBest);
+    for (const AppAloneProfile &prof : profiles_.profile(resolveApps(wl)))
+        out.push_back(prof.ipcAtBest);
     return out;
 }
 
@@ -102,8 +114,8 @@ std::vector<double>
 Experiment::aloneEbs(const Workload &wl)
 {
     std::vector<double> out;
-    for (const AppProfile &app : resolveApps(wl))
-        out.push_back(profiles_.profile(app).ebAtBest);
+    for (const AppAloneProfile &prof : profiles_.profile(resolveApps(wl)))
+        out.push_back(prof.ebAtBest);
     return out;
 }
 
@@ -111,8 +123,8 @@ TlpCombo
 Experiment::bestTlpCombo(const Workload &wl)
 {
     TlpCombo combo;
-    for (const AppProfile &app : resolveApps(wl))
-        combo.push_back(profiles_.profile(app).bestTlp);
+    for (const AppAloneProfile &prof : profiles_.profile(resolveApps(wl)))
+        combo.push_back(prof.bestTlp);
     return combo;
 }
 

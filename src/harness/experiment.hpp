@@ -82,6 +82,21 @@ class Experiment
      */
     std::vector<RunResult> runOnline(const std::vector<OnlineJob> &batch);
 
+    /**
+     * Fill everything @p workloads need, in two row-fill passes: one
+     * ProfileDb::profile batch over every app of every workload (in
+     * workload, then app order), then one Exhaustive::sweep batch
+     * over the workloads. Profiles go first: alone rows are short, so
+     * their pass ends on a short straggler tail, and the long sweep
+     * rows then share one barrier. Each pass keeps its one-at-a-time
+     * guarantees, the armed-injector order included, so values,
+     * status counts and the compacted store equal a loop of sweep(wl)
+     * and profile(app) calls.
+     *
+     * @return the workloads' combination tables, in @p workloads order
+     */
+    std::vector<ComboTable> fill(const std::vector<Workload> &workloads);
+
     /** Rows requested so far: sweeps, alone profiles and online runs. */
     SweepStatus status() const;
 

@@ -73,53 +73,86 @@ ProfileDb::profileCached(const AppProfile &app) const
     return prof;
 }
 
+std::vector<AppAloneProfile>
+ProfileDb::profile(const std::vector<AppProfile> &apps)
+{
+    fill(apps);
+    std::vector<AppAloneProfile> out;
+    out.reserve(apps.size());
+    for (const AppProfile &app : apps)
+        out.push_back(profiles_.at(app.name));
+    return out;
+}
+
 const AppAloneProfile &
 ProfileDb::profile(const AppProfile &app)
 {
-    auto it = profiles_.find(app.name);
-    if (it != profiles_.end())
-        return it->second;
+    fill({app});
+    return profiles_.at(app.name);
+}
 
-    AppAloneProfile prof;
-    prof.name = app.name;
-    prof.levels = GpuConfig::tlpLevels();
-    prof.perLevel.resize(prof.levels.size());
-    status_.combos += prof.levels.size();
-
+void
+ProfileDb::fill(const std::vector<AppProfile> &apps)
+{
     // An armed fault injector keeps the pass serial, unleased and in
-    // level order — its query order is part of the documented fault
-    // schedule and must not depend on which process wins a lease or
-    // on row costs.
+    // (app, level) order — its query order is part of the documented
+    // fault schedule and must not depend on which process wins a
+    // lease or on row costs.
     const bool pinned = runner_.options().faultInjector != nullptr;
 
-    // Serial pass in level order: cache probes (and their warnings)
-    // happen in the same order at any job count; misses become rows
-    // of the fill, committed into pre-assigned level slots below.
-    std::vector<FillRow> fill;
-    std::vector<std::size_t> fill_level; // Ladder index per fill row.
-    for (std::size_t i = 0; i < prof.levels.size(); ++i) {
-        std::string key = runner_.aloneKey(app.name, prof.levels[i]);
-        // A wrong-shape or non-finite entry is treated as a miss
-        // (recompute), not a crash: the cache is an accelerator,
-        // never a point of failure.
-        if (const auto cached = cache_.getValidated(key, 4)) {
-            prof.perLevel[i] = decodeStats(*cached);
-            ++status_.fromCache;
+    // Serial pass in (app, level) order: cache probes (and their
+    // warnings) happen in the same order at any job count; misses
+    // become rows of the fill, committed into pre-assigned slots
+    // below.
+    struct Pending
+    {
+        const AppProfile *app;
+        AppAloneProfile prof;
+    };
+    std::vector<Pending> pending;
+    std::vector<FillRow> rows;
+    // Per fill row: its pending app and ladder index.
+    std::vector<std::pair<std::size_t, std::size_t>> slot;
+    for (const AppProfile &app : apps) {
+        const auto listed = [&app](const Pending &p) {
+            return p.app->name == app.name;
+        };
+        if (profiles_.count(app.name) != 0 ||
+            std::any_of(pending.begin(), pending.end(), listed))
             continue;
+
+        AppAloneProfile prof;
+        prof.name = app.name;
+        prof.levels = GpuConfig::tlpLevels();
+        prof.perLevel.resize(prof.levels.size());
+        status_.combos += prof.levels.size();
+        for (std::size_t i = 0; i < prof.levels.size(); ++i) {
+            std::string key = runner_.aloneKey(app.name, prof.levels[i]);
+            // A wrong-shape or non-finite entry is treated as a miss
+            // (recompute), not a crash: the cache is an accelerator,
+            // never a point of failure.
+            if (const auto cached = cache_.getValidated(key, 4)) {
+                prof.perLevel[i] = decodeStats(*cached);
+                ++status_.fromCache;
+                continue;
+            }
+            FillRow miss;
+            miss.key = std::move(key);
+            miss.sortKey = pinned ? 0 : tlpSortKey({prof.levels[i]});
+            rows.push_back(std::move(miss));
+            slot.emplace_back(pending.size(), i);
         }
-        FillRow miss;
-        miss.key = std::move(key);
-        miss.sortKey = pinned ? 0 : tlpSortKey({prof.levels[i]});
-        fill.push_back(std::move(miss));
-        fill_level.push_back(i);
+        pending.push_back({&app, std::move(prof)});
     }
 
     // Alone runs have no skip path: a failed run throws out of the
     // fill.
     auto simulate =
         [&](std::size_t i) -> std::optional<std::vector<double>> {
+        const Pending &p = pending[slot[i].first];
         const AppRunStats stats =
-            runner_.runAlone(app, prof.levels[fill_level[i]]).apps.at(0);
+            runner_.runAlone(*p.app, p.prof.levels[slot[i].second])
+                .apps.at(0);
         return std::vector<double>{stats.ipc, stats.bw, stats.l1Mr,
                                    stats.l2Mr};
     };
@@ -127,27 +160,27 @@ ProfileDb::profile(const AppProfile &app)
     // rows, from the store's same-host coordinator or EBM_COORDINATOR.
     // A warm profile never joins.
     std::unique_ptr<LeaseProvider> lease;
-    if (!pinned && !fill.empty())
+    if (!pinned && !rows.empty())
         lease = makeLeaseProvider(cache_);
     const std::vector<FilledRow> filled =
-        fillRows(cache_, {lease.get(), pinned ? 1u : jobs(), 4}, fill,
+        fillRows(cache_, {lease.get(), pinned ? 1u : jobs(), 4}, rows,
                  simulate);
-    for (std::size_t i = 0; i < fill.size(); ++i) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
         if (filled[i].source == RowSource::Skipped)
-            fatal("ProfileDb: " + fill[i].key +
+            fatal("ProfileDb: " + rows[i].key +
                   " was marked skipped by a peer");
         if (filled[i].source == RowSource::Peer)
             ++status_.fromPeers;
         else
             ++status_.simulated;
-        prof.perLevel[fill_level[i]] = decodeStats(filled[i].values);
+        pending[slot[i].first].prof.perLevel[slot[i].second] =
+            decodeStats(filled[i].values);
     }
 
-    finalizeBest(prof);
-
-    auto [ins, ok] = profiles_.emplace(app.name, std::move(prof));
-    (void)ok;
-    return ins->second;
+    for (Pending &p : pending) {
+        finalizeBest(p.prof);
+        profiles_.emplace(p.prof.name, std::move(p.prof));
+    }
 }
 
 std::vector<double>
@@ -155,9 +188,10 @@ ProfileDb::assignGroups(const std::vector<AppProfile> &apps)
 {
     // Quartile split by alone EB at bestTLP (the paper's Table IV
     // groups applications G1..G4 by their individual EB values).
+    fill(apps);
     std::vector<std::pair<double, std::string>> ebs;
     for (const AppProfile &app : apps)
-        ebs.emplace_back(profile(app).ebAtBest, app.name);
+        ebs.emplace_back(profiles_.at(app.name).ebAtBest, app.name);
     std::sort(ebs.begin(), ebs.end());
 
     groupMeans_.assign(5, 0.0);

@@ -48,13 +48,26 @@ class ProfileDb
     ProfileDb(const Runner &runner, DiskCache &cache);
 
     /**
-     * Profile (or fetch) one application. Cache-missing ladder levels
-     * are independent solo simulations, filled by the row-fill engine
-     * (row_fill.hpp) on jobs() workers and committed in level order —
-     * the profile and the compacted cache file are bit-identical to a
-     * serial pass. An armed fault injector runs the misses serially,
-     * unleased, in level order.
+     * Profile (or fetch) every application of @p apps in one fill
+     * pass. Apps already profiled on this instance, and repeats within
+     * @p apps, request no rows. The store is probed app by app, level
+     * by level; every missing level of every listed app then goes to
+     * one row-fill engine call (row_fill.hpp) on jobs() workers,
+     * submitted by tlpSortKey across the whole batch and committed
+     * into pre-assigned (app, level) slots. Profiles, status counts
+     * and the compacted store are bit-identical to one profile(app)
+     * call per app, serial or not, at any job count.
+     *
+     * An armed fault injector keeps the pass serial and unleased, in
+     * (app, level) order: the injector sees the same query sequence
+     * as one-at-a-time calls.
+     *
+     * @return the profiles, in @p apps order.
      */
+    std::vector<AppAloneProfile>
+    profile(const std::vector<AppProfile> &apps);
+
+    /** Profile (or fetch) one application: a one-app batch. */
     const AppAloneProfile &profile(const AppProfile &app);
 
     /**
@@ -78,7 +91,8 @@ class ProfileDb
 
     /**
      * Assign G1..G4 groups to @p apps by alone-EB quartile and return
-     * the group-average alone EB per group (index 0 unused).
+     * the group-average alone EB per group (index 0 unused). Profiles
+     * @p apps as one batch first.
      */
     std::vector<double>
     assignGroups(const std::vector<AppProfile> &apps);
@@ -87,6 +101,9 @@ class ProfileDb
     double groupScale(const std::string &app_name) const;
 
   private:
+    /** Profile every app of @p apps not yet in profiles_. */
+    void fill(const std::vector<AppProfile> &apps);
+
     const Runner &runner_;
     DiskCache &cache_;
     std::map<std::string, AppAloneProfile> profiles_;

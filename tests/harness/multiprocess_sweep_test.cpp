@@ -40,6 +40,7 @@
 #include "harness/exhaustive.hpp"
 #include "harness/lease_provider.hpp"
 #include "harness/profile_db.hpp"
+#include "workload/app_catalog.hpp"
 
 namespace ebm {
 namespace {
@@ -868,6 +869,82 @@ TEST_F(MultiprocessSweepTest, ForkedSweepWithInjectedFailuresMatches)
     DiskCache merged(shared_path_);
     EXPECT_EQ(merged.size(), 3u)
         << "the skipped combination must never be persisted";
+    ASSERT_TRUE(merged.compact());
+    EXPECT_EQ(slurp(shared_path_), ref_bytes);
+}
+
+/**
+ * Two forked processes run the profile-then-sweep loop through the
+ * batch calls on one shared store: one ProfileDb::profile batch over
+ * three apps, then one Exhaustive::sweep batch over two workloads.
+ * Each peer's profiles and tables equal a single process's
+ * one-at-a-time calls, and the compacted shared store equals its
+ * store byte for byte.
+ */
+TEST_F(MultiprocessSweepTest, ForkedPeersShareBatchedProfileThenSweep)
+{
+    const std::vector<std::uint32_t> ladder = {1, 4};
+    const std::vector<Workload> wls = {makePair("BLK", "TRD"),
+                                       makePair("BFS", "TRD")};
+    const std::vector<AppProfile> apps = {findApp("BLK"), findApp("TRD"),
+                                          findApp("BFS")};
+    Runner runner(test::tinyConfig(2), test::tinyOptions());
+
+    std::vector<AppAloneProfile> ref_profiles;
+    std::vector<ComboTable> ref_tables;
+    std::string ref_bytes;
+    {
+        DiskCache cache(ref_path_);
+        ProfileDb profiles(runner, cache);
+        profiles.setJobs(1);
+        for (const AppProfile &app : apps)
+            ref_profiles.push_back(profiles.profile(app));
+        Exhaustive ex(runner, cache);
+        ex.setJobs(1);
+        for (const Workload &wl : wls)
+            ref_tables.push_back(ex.sweep(wl, ladder));
+        ASSERT_TRUE(cache.compact());
+        ref_bytes = slurp(ref_path_);
+    }
+
+    std::vector<pid_t> kids;
+    for (int c = 0; c < 2; ++c) {
+        kids.push_back(test::forkPeer([&] {
+            DiskCache cache(shared_path_);
+            ProfileDb profiles(runner, cache);
+            profiles.setJobs(2);
+            const std::vector<AppAloneProfile> mine_profiles =
+                profiles.profile(apps);
+            Exhaustive ex(runner, cache);
+            ex.setJobs(2);
+            const std::vector<ComboTable> mine = ex.sweep(wls, ladder);
+            for (std::size_t i = 0; i < apps.size(); ++i) {
+                const AppAloneProfile &a = mine_profiles[i];
+                const AppAloneProfile &b = ref_profiles[i];
+                if (a.bestTlp != b.bestTlp ||
+                    std::memcmp(&a.ipcAtBest, &b.ipcAtBest,
+                                sizeof(double)) != 0 ||
+                    std::memcmp(&a.ebAtBest, &b.ebAtBest,
+                                sizeof(double)) != 0)
+                    return 2;
+            }
+            for (std::size_t w = 0; w < wls.size(); ++w) {
+                if (!tablesBitIdentical(ref_tables[w], mine[w]))
+                    return 3;
+            }
+            return 0;
+        }));
+        EXPECT_GE(kids.back(), 0);
+    }
+    for (std::size_t c = 0; c < kids.size(); ++c) {
+        EXPECT_TRUE(test::exitedZero(test::reapPeer(kids[c])))
+            << "peer " << c
+            << " saw a profile or table differing from the reference";
+    }
+
+    DiskCache merged(shared_path_);
+    EXPECT_FALSE(merged.loadReport().quarantined);
+    EXPECT_EQ(merged.size(), 3u * 8u + 2u * 4u);
     ASSERT_TRUE(merged.compact());
     EXPECT_EQ(slurp(shared_path_), ref_bytes);
 }
