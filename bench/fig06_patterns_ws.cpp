@@ -8,7 +8,9 @@
  * critical app's inflection level must be (near-)invariant to the
  * co-runner's TLP.
  */
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
@@ -47,13 +49,18 @@ int
 run()
 {
     Experiment exp(2);
-    // Every sweep the figure reads, in one fill pass; BLK_TRD is one
-    // of them, so its own sweep below reads the store.
+    // Every sweep the figure reads, in one fill pass; panels (a) and
+    // (b) read BLK_TRD's table from it.
     const std::vector<Workload> workloads = representativeWorkloads();
     const std::vector<ComboTable> tables =
         exp.exhaustive().sweep(workloads);
-    const Workload wl = makePair("BLK", "TRD");
-    const ComboTable table = exp.exhaustive().sweep(wl);
+    const std::string blk_trd = makePair("BLK", "TRD").name;
+    const auto it = std::find_if(
+        workloads.begin(), workloads.end(),
+        [&](const Workload &w) { return w.name == blk_trd; });
+    if (it == workloads.end())
+        fatal("fig06: " + blk_trd + " is not a representative workload");
+    const ComboTable &table = tables[it - workloads.begin()];
 
     std::printf("Figure 6(a): EB-WS vs TLP-BLK (one column per "
                 "iso-TLP-TRD curve)\n\n");

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -320,125 +319,6 @@ BENCHMARK(BM_SweepMultiProcess)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
-/**
- * The networked fabric's scaling scenario: K consumers each need the
- * full cold 64-combination table. range(0) = K workers; range(1)
- * toggles the coordinator. Uncoordinated (coord=off), each worker
- * cold-fills its own private store — K * 64 rows of simulation, the
- * cost K independent machines pay today. Coordinated (coord=on), the
- * parent runs an in-process Coordinator over one store and the K
- * workers lease rows over localhost TCP (EBM_COORDINATOR), so the
- * aggregate simulation work stays ~64 rows and every worker still
- * ends with the full table (leased rows simulated, the rest streamed
- * from the coordinator's store).
- *
- * On a multi-core host the coordinated arm also finishes one fill
- * ~K times faster than one worker; this single-CPU bench host
- * timeslices, so the speedup is reported as work-sharing:
- * T(K, uncoordinated) / T(K, coordinated) approaches K because the
- * uncoordinated arm simulates K times the rows. The recorded
- * BENCH_sweep.json `distributed_fill` entry pins the procedure.
- *
- * Fork discipline: the Coordinator is bind()ed before the forks and
- * start()ed after, so children inherit one quiet listening fd and
- * never a running thread's locks.
- */
-void
-BM_SweepDistributed(benchmark::State &state)
-{
-    const int workers = static_cast<int>(state.range(0));
-    const bool coordinated = state.range(1) != 0;
-    const std::string path = "bench_sweep_dist.cache";
-    const auto worker_path = [&](int c) {
-        return "bench_sweep_dist_w" + std::to_string(c) + ".cache";
-    };
-
-    double p50_us = 0.0;
-    double p99_us = 0.0;
-    std::uint64_t records = 0;
-    std::uint64_t rpcs = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::remove(path.c_str());
-        for (int c = 0; c < workers; ++c)
-            std::remove(worker_path(c).c_str());
-        state.ResumeTiming();
-
-        std::optional<DiskCache> dist;
-        std::optional<Coordinator> coordinator;
-        std::string address;
-        if (coordinated) {
-            dist.emplace(path);
-            coordinator.emplace(*dist, Coordinator::Options{});
-            if (!coordinator->bind().ok()) {
-                state.SkipWithError("coordinator bind failed");
-                break;
-            }
-            address = coordinator->address();
-        }
-
-        std::vector<pid_t> kids;
-        for (int c = 0; c < workers; ++c) {
-            const pid_t pid = ::fork();
-            if (pid == 0) {
-                {
-                    RuntimeConfig::Override lease_from(
-                        [&](RuntimeConfig &c) {
-                            if (coordinated)
-                                c.coordinator = address;
-                        });
-                    Runner runner(benchConfig(), benchOptions());
-                    DiskCache cache(worker_path(c));
-                    Exhaustive ex(runner, cache);
-                    ex.setJobs(1);
-                    const ComboTable t =
-                        ex.sweep(makePair("BFS", "FFT"));
-                    ::_exit(t.combos.size() == 64 ? 0 : 2);
-                }
-            }
-            kids.push_back(pid);
-        }
-        if (coordinated && !coordinator->start().ok())
-            state.SkipWithError("coordinator start failed");
-        for (const pid_t pid : kids) {
-            int status = 0;
-            ::waitpid(pid, &status, 0);
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                state.SkipWithError("distributed worker failed");
-        }
-        if (coordinated) {
-            coordinator->stop();
-            const Coordinator::Stats stats = coordinator->stats();
-            p50_us = stats.rpcP50Us;
-            p99_us = stats.rpcP99Us;
-            records += stats.recordsCommitted;
-            rpcs += stats.rpcs;
-        }
-    }
-    state.SetLabel("workers=" + std::to_string(workers) +
-                   (coordinated ? " coord=on" : " coord=off"));
-    if (coordinated) {
-        state.counters["rpc_p50_us"] = p50_us;
-        state.counters["rpc_p99_us"] = p99_us;
-        state.counters["records"] = static_cast<double>(records);
-        state.counters["rpcs"] = static_cast<double>(rpcs);
-    }
-
-    std::remove(path.c_str());
-    for (int c = 0; c < workers; ++c)
-        std::remove(worker_path(c).c_str());
-}
-BENCHMARK(BM_SweepDistributed)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

@@ -10,7 +10,7 @@
  * leases) while the client polls a ticket or blocks under a deadline.
  *
  * Usage: ebm_advised [--socket PATH] [--cache FILE] [--fast]
- *                    [--coordinator HOST:PORT] [--no-remote-shutdown]
+ *                    [--no-remote-shutdown]
  *
  *   --socket PATH  listen here (default ./ebm_advised.sock)
  *   --cache FILE   result store (default: DiskCache::defaultPath(),
@@ -18,10 +18,6 @@
  *   --fast         tiny 4-core machine + short runs, so cold fills
  *                  finish in seconds (CI smoke / demos; keys are
  *                  fingerprint-separated from the standard machine)
- *   --coordinator HOST:PORT  lease cold-fill rows from an
- *                  ebm_coordinator (overrides EBM_COORDINATOR), so this
- *                  daemon's miss fills fan out across the same worker
- *                  fleet instead of simulating every row locally
  *   --no-remote-shutdown  ignore the SHUTDOWN verb (Ctrl-C only)
  *
  * EBM_JOBS sets the worker threads per miss fill. STATS replies end
@@ -40,7 +36,6 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "common/runtime_config.hpp"
 #include "harness/advisor_service.hpp"
 #include "harness/experiment.hpp"
 
@@ -94,7 +89,6 @@ main(int argc, char **argv)
         std::string cache_path;
         bool fast = false;
         bool remote_shutdown = true;
-        std::string coordinator;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--socket" && i + 1 < argc) {
@@ -103,8 +97,6 @@ main(int argc, char **argv)
                 cache_path = argv[++i];
             } else if (arg == "--fast") {
                 fast = true;
-            } else if (arg == "--coordinator" && i + 1 < argc) {
-                coordinator = argv[++i];
             } else if (arg == "--no-remote-shutdown") {
                 remote_shutdown = false;
             } else {
@@ -114,12 +106,6 @@ main(int argc, char **argv)
             }
         }
 
-        // The sweep dispatch gate reads RuntimeConfig::coordinator; the
-        // flag is a spelling of EBM_COORDINATOR for the daemon's life.
-        RuntimeConfig::Override lease_from([&](RuntimeConfig &c) {
-            if (!coordinator.empty())
-                c.coordinator = coordinator;
-        });
         if (cache_path.empty())
             cache_path = DiskCache::defaultPath();
         DiskCache cache(cache_path);

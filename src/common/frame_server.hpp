@@ -3,7 +3,7 @@
  * The one framed-request server under both daemons: the lease
  * Coordinator and the AdvisorServer each supply a request handler and
  * keep only their grammar. A FrameServer takes an already-bound
- * listener (TCP, a path AF_UNIX socket, or an abstract AF_UNIX name)
+ * listener (a path AF_UNIX socket, or an abstract AF_UNIX name)
  * and runs one thread blocked in accept(), woken by shutdown() on the
  * listener, plus one thread per connection that answers each EBS1
  * frame (common/wire.hpp) with one framed reply. Finished connection

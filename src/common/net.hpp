@@ -1,12 +1,12 @@
 /**
  * @file
  * Minimal socket plumbing for the serving front door
- * (harness/advisor_service.hpp) and the distributed sweep fabric
- * (harness/coordinator.hpp): an RAII fd, Unix-domain and TCP
- * listeners/connectors, and full-buffer read/write loops that survive
- * EINTR and partial transfers. Deliberately tiny — no event loop, no
- * TLS, no name resolution beyond numeric/loopback — so the protocol
- * layers above it can be tested byte-by-byte.
+ * (harness/advisor_service.hpp) and the same-host lease fabric
+ * (harness/coordinator.hpp): an RAII fd, Unix-domain listeners and
+ * connectors, and full-buffer read/write loops that survive EINTR and
+ * partial transfers. Deliberately tiny — no event loop, no TLS, no
+ * name resolution — so the protocol layers above it can be tested
+ * byte-by-byte.
  *
  * All functions report failures through the structured error model
  * (Error / Result-like return values), never exit; callers decide
@@ -14,17 +14,13 @@
  */
 #pragma once
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -103,45 +99,6 @@ netErrno(const std::string &call, const std::string &name)
                                     std::string(std::strerror(errno))};
 }
 
-/** A new @p family stream socket bound to @p addr and listening
- * (@p name labels errors). SO_REUSEADDR is set so a restarted TCP
- * daemon does not trip over its predecessor's TIME_WAIT; Unix sockets
- * ignore it. */
-inline Result<UniqueFd>
-netListenAt(int family, const sockaddr *addr, socklen_t len,
-            const std::string &name, int backlog)
-{
-    UniqueFd fd(::socket(family, SOCK_STREAM, 0));
-    if (!fd.valid())
-        return netErrno("socket", "");
-    const int one = 1;
-    (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof one);
-    if (::bind(fd.get(), addr, len) != 0)
-        return netErrno("bind", name);
-    if (::listen(fd.get(), backlog) != 0)
-        return netErrno("listen", name);
-    return fd;
-}
-
-/** A new @p family stream socket connected to @p addr (@p name labels
- * errors). */
-inline Result<UniqueFd>
-netConnectAt(int family, const sockaddr *addr, socklen_t len,
-             const std::string &name)
-{
-    UniqueFd fd(::socket(family, SOCK_STREAM, 0));
-    if (!fd.valid())
-        return netErrno("socket", "");
-    int rc;
-    do {
-        rc = ::connect(fd.get(), addr, len);
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0)
-        return netErrno("connect", name);
-    return fd;
-}
-
 /**
  * Bind and listen on a Unix-domain socket at @p path. A stale socket
  * file from a dead daemon is unlinked first (the caller is expected
@@ -161,8 +118,14 @@ netListenUnix(const std::string &path, int backlog = 64)
     }
     if (path[0] != '\0')
         ::unlink(path.c_str());
-    return netListenAt(AF_UNIX, reinterpret_cast<sockaddr *>(&addr), len,
-                       path, backlog);
+    UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    if (!fd.valid())
+        return netErrno("socket", "");
+    if (::bind(fd.get(), reinterpret_cast<sockaddr *>(&addr), len) != 0)
+        return netErrno("bind", path);
+    if (::listen(fd.get(), backlog) != 0)
+        return netErrno("listen", path);
+    return fd;
 }
 
 /** Connect to the Unix-domain socket at @p path (or abstract name). */
@@ -175,8 +138,16 @@ netConnectUnix(const std::string &path)
         return Error{Errc::InvalidArgument,
                      "socket path too long: " + path};
     }
-    return netConnectAt(AF_UNIX, reinterpret_cast<sockaddr *>(&addr),
-                        len, path);
+    UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    if (!fd.valid())
+        return netErrno("socket", "");
+    int rc;
+    do {
+        rc = ::connect(fd.get(), reinterpret_cast<sockaddr *>(&addr), len);
+    } while (rc != 0 && errno == EINTR);
+    if (rc != 0)
+        return netErrno("connect", path);
+    return fd;
 }
 
 /** Is the peer of Unix-domain socket @p fd running as this process's
@@ -190,99 +161,6 @@ netPeerIsSameUser(int fd)
     if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) != 0)
         return false;
     return cred.uid == ::geteuid();
-}
-
-/**
- * Split "host:port" into its parts. @return false when there is no
- * colon, the port is empty/non-numeric, or it exceeds 65535. The host
- * part is returned verbatim (empty host = wildcard, caller's policy).
- */
-inline bool
-parseHostPort(const std::string &spec, std::string &host,
-              std::uint16_t &port)
-{
-    const std::size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= spec.size())
-        return false;
-    unsigned long value = 0;
-    for (std::size_t i = colon + 1; i < spec.size(); ++i) {
-        const char c = spec[i];
-        if (c < '0' || c > '9')
-            return false;
-        value = value * 10 + static_cast<unsigned long>(c - '0');
-        if (value > 65535)
-            return false;
-    }
-    host = spec.substr(0, colon);
-    port = static_cast<std::uint16_t>(value);
-    return true;
-}
-
-/** Fill @p addr from a numeric IPv4 @p host (empty = INADDR_ANY) and
- * @p port. No DNS — the fabric speaks to addresses, not names. */
-inline bool
-tcpSockAddr(const std::string &host, std::uint16_t port,
-            sockaddr_in &addr)
-{
-    std::memset(&addr, 0, sizeof addr);
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (host.empty()) {
-        addr.sin_addr.s_addr = htonl(INADDR_ANY);
-        return true;
-    }
-    return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
-}
-
-/**
- * Bind and listen on TCP @p host:@p port (port 0 = kernel-assigned
- * ephemeral; read it back with netLocalPort).
- */
-inline Result<UniqueFd>
-netListenTcp(const std::string &host, std::uint16_t port,
-             int backlog = 64)
-{
-    sockaddr_in addr;
-    if (!tcpSockAddr(host, port, addr)) {
-        return Error{Errc::InvalidArgument,
-                     "not a numeric IPv4 address: " + host};
-    }
-    return netListenAt(AF_INET, reinterpret_cast<sockaddr *>(&addr),
-                       sizeof addr, host + ":" + std::to_string(port),
-                       backlog);
-}
-
-/** The local port a bound socket ended up on (resolves port 0). */
-inline std::uint16_t
-netLocalPort(int fd)
-{
-    sockaddr_in addr;
-    socklen_t len = sizeof addr;
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) !=
-        0)
-        return 0;
-    return ntohs(addr.sin_port);
-}
-
-/** Connect to TCP @p host:@p port. TCP_NODELAY is set — the protocols
- * above this exchange small request/response frames, and Nagle would
- * serialize them against delayed ACKs. */
-inline Result<UniqueFd>
-netConnectTcp(const std::string &host, std::uint16_t port)
-{
-    sockaddr_in addr;
-    if (!tcpSockAddr(host.empty() ? "127.0.0.1" : host, port, addr)) {
-        return Error{Errc::InvalidArgument,
-                     "not a numeric IPv4 address: " + host};
-    }
-    auto fd = netConnectAt(AF_INET, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof addr, host + ":" + std::to_string(port));
-    if (!fd)
-        return fd;
-    const int one = 1;
-    (void)::setsockopt(fd.value().get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof one);
-    return fd;
 }
 
 /**

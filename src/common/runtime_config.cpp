@@ -80,7 +80,6 @@ RuntimeConfig::parse(const Lookup &lookup)
     c.cacheReadOnly = flag("EBM_CACHE_READONLY");
     c.claimStale = std::chrono::milliseconds(
         number("EBM_CLAIM_STALE_MS", 10000, 1, kMaxWindowMs));
-    c.coordinator = text("EBM_COORDINATOR");
     c.snapshot = number("EBM_SNAPSHOT", 1, 0, 1) != 0;
     c.abortOnPanic = flag("EBM_ABORT_ON_PANIC");
     return c;
@@ -102,7 +101,6 @@ RuntimeConfig::describe() const
         << " EBM_CACHE_COMPACT=" << cacheCompact
         << " EBM_CACHE_READONLY=" << cacheReadOnly
         << " EBM_CLAIM_STALE_MS=" << claimStale.count()
-        << " EBM_COORDINATOR=" << coordinator
         << " EBM_SNAPSHOT=" << snapshot
         << " EBM_ABORT_ON_PANIC=" << abortOnPanic;
     return out.str();

@@ -33,9 +33,6 @@ struct RuntimeConfig
     std::chrono::milliseconds claimStale{10000};
     /** The widest lease window anything accepts, in ms. */
     static constexpr std::uint64_t kMaxWindowMs = 3600000;
-    /** EBM_COORDINATOR: "host:port" of a TCP coordinator for cold
-     * fills ("": the same-host election). */
-    std::string coordinator;
     /** EBM_SNAPSHOT: the warm-state fork cache is on. */
     bool snapshot = true;
     /** EBM_ABORT_ON_PANIC: panic() aborts instead of throwing. */

@@ -2,22 +2,21 @@
  * @file
  * The shared EBS1 stream framing: a length-prefixed, checksum-framed
  * payload envelope over a byte stream, used by the advisor serving
- * daemon (harness/serve_protocol.hpp), the distributed sweep fabric
+ * daemon (harness/serve_protocol.hpp), the same-host lease fabric
  * (harness/coordinator.hpp, harness/lease_net.hpp), and the serving
  * benches — one framing implementation, so a fix or a format change
  * lands everywhere at once.
  *
  * Frame layout (host-endian integers, like the v3 store — peers share
- * one machine or one fleet with a checked float-ABI fingerprint):
+ * one machine):
  *
  *     u32 frame magic "EBS1" | u32 payloadLen | payload bytes |
  *     u64 FNV-1a checksum over the payload
  *
  * Payloads are opaque bytes: the protocols above this put single-line
- * UTF-8 text in them (advisor verbs, lease verbs), and the fabric's
- * record stream appends raw storefmt frame bytes after the verb line.
- * A garbled or truncated frame is detected from the envelope before
- * any payload byte is interpreted.
+ * UTF-8 text in them (advisor verbs, lease verbs). A garbled or
+ * truncated frame is detected from the envelope before any payload
+ * byte is interpreted.
  *
  * The reader is incremental: bytes are fed in as recv() produces
  * them, and frames are extracted once complete — a frame split across
@@ -25,9 +24,9 @@
  * Consumed bytes are reclaimed amortized-O(1): the reader keeps a
  * consumed-prefix cursor and memmoves the live tail only when the
  * dead prefix outweighs it, so byte-dribble delivery of N frames
- * costs O(total bytes), not O(N * buffered bytes) — this matters at
- * record-streaming rates, where thousands of small frames arrive on
- * one connection (locked by a movedBytes() assertion in the tests).
+ * costs O(total bytes), not O(N * buffered bytes) — this matters
+ * when thousands of small frames arrive on one connection (locked by
+ * a movedBytes() assertion in the tests).
  */
 #pragma once
 

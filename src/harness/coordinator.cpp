@@ -7,7 +7,6 @@
 #include "common/runtime_config.hpp"
 #include "common/wire.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
@@ -49,10 +48,7 @@ Coordinator::Stats::summaryLine() const
         << " granted=" << acquiresGranted
         << " denied=" << acquiresDenied << " takeovers=" << takeovers
         << " fenced=" << fencedOps << " orphaned=" << orphanedLeases
-        << " records=" << recordsCommitted
-        << " record_bytes=" << recordBytes << " hits=" << fetchHits
-        << " misses=" << fetchMisses << " skips=" << skipsMarked
-        << " bad_frames=" << badFrames << " rpc_p50_us=" << rpcP50Us
+        << " skips=" << skipsMarked << " rpc_p50_us=" << rpcP50Us
         << " rpc_p99_us=" << rpcP99Us;
     return out.str();
 }
@@ -75,38 +71,9 @@ Coordinator::Coordinator(DiskCache &cache, Options options)
 }
 
 Status
-Coordinator::bind()
-{
-    if (listener_.valid())
-        return Status::success();
-    auto fd = netListenTcp(options_.host, options_.port);
-    if (!fd)
-        return fd.error();
-    listener_ = std::move(fd.value());
-    port_ = netLocalPort(listener_.get());
-    return Status::success();
-}
-
-Status
 Coordinator::start(UniqueFd listener)
 {
     return server_.start(std::move(listener), true);
-}
-
-Status
-Coordinator::start()
-{
-    if (Status st = bind(); !st)
-        return st;
-    return server_.start(std::move(listener_), false);
-}
-
-std::string
-Coordinator::address() const
-{
-    return (options_.host.empty() ? std::string("127.0.0.1")
-                                  : options_.host) +
-           ":" + std::to_string(port_);
 }
 
 Coordinator::Stats
@@ -139,14 +106,10 @@ Coordinator::orphanConnection(std::uint64_t conn_id)
 std::string
 Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
 {
-    if (payload.rfind("PUT\n", 0) == 0)
-        return handlePut(payload);
     if (payload.rfind("ACQ ", 0) == 0)
         return handleAcquire(keyAfter(payload, 3), conn_id);
     if (payload.rfind("PEEK ", 0) == 0)
         return handlePeek(keyAfter(payload, 4));
-    if (payload.rfind("GET ", 0) == 0)
-        return handleGet(keyAfter(payload, 3));
     if (payload.rfind("BREAK ", 0) == 0)
         return handleBreak(keyAfter(payload, 5), conn_id);
     const std::string verb = payload.substr(0, payload.find(' '));
@@ -155,15 +118,6 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         std::string key;
         if (!epochAndKey(payload, verb.size(), epoch, key))
             return "ERROR bad-request";
-        // Peers read "lease gone" as "result durable". A record
-        // streamed over PUT may still sit in this store's group
-        // commit, so sync before dropping the lease. Same-host peers
-        // synced the shared file themselves (publish) and never PUT,
-        // so their releases skip the wait. The sync runs outside the
-        // lease mutex (it can block on the writer); a fenced releaser
-        // pays for a spurious sync, which is harmless.
-        if (verb == "REL" && streamed_.load(std::memory_order_acquire))
-            cache_.sync();
         return applyEpochVerb(verb, key, epoch) ? "OK" : "FENCED";
     }
     if (payload.rfind("HELLO ", 0) == 0) {
@@ -188,12 +142,6 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         return "OK " + stats().summaryLine() + " window_ms=" +
                std::to_string(staleThreshold().count()) + " " +
                RuntimeConfig::get().describe();
-    }
-    if (payload == "SHUTDOWN") {
-        if (!options_.allowRemoteShutdown)
-            return "ERROR forbidden remote shutdown is disabled";
-        server_.requestShutdown();
-        return "OK";
     }
     return "ERROR bad-request";
 }
@@ -304,54 +252,6 @@ Coordinator::applyEpochVerb(const std::string &verb, const std::string &key,
     }
     leases_.erase(it);
     return true;
-}
-
-std::string
-Coordinator::handlePut(const std::string &payload)
-{
-    // The record is one storefmt frame, CRC and all — the same bytes
-    // an append would carry — re-verified here before it reaches the
-    // store. The wire envelope's own checksum already held, so a
-    // failure is a worker bug, not line noise.
-    constexpr std::size_t kVerbBytes = 4; // "PUT\n"
-    storefmt::Frame frame;
-    const auto parsed = storefmt::parseFrameAt(
-        payload.data(), kVerbBytes, payload.size(), frame);
-    if (parsed != storefmt::FrameParse::Ok ||
-        kVerbBytes + frame.bytes != payload.size()) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.badFrames;
-        return "ERROR bad-frame";
-    }
-    // The normal group-commit path: concurrent workers' records batch
-    // into one append+fsync, and REL's sync() makes them durable
-    // before any lease drops.
-    cache_.put(frame.key, frame.values);
-    streamed_.store(true, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.recordsCommitted;
-        counters_.recordBytes += frame.bytes;
-    }
-    return "OK";
-}
-
-std::string
-Coordinator::handleGet(const std::string &key)
-{
-    const auto values = cache_.get(key);
-    if (!values) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.fetchMisses;
-        return "MISS";
-    }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.fetchHits;
-    }
-    std::string out = "HIT\n";
-    storefmt::appendFrame(out, key, *values);
-    return out;
 }
 
 } // namespace ebm

@@ -3,27 +3,22 @@
  * The sweep coordinator: the one implementation of lease semantics
  * in the fill fabric (DESIGN.md §8.3, §8.6). A Coordinator hands out
  * row leases over one result store, on the same-host AF_UNIX socket
- * elected for the store (peers with this process's uid only, results
- * through the shared file, so PUT/GET go unused) or on TCP (the
- * ebm_coordinator daemon: workers share no file and stream CRC-framed
- * v3 records back, group-committed through this store's writer).
- * lease_provider.hpp describes both modes. Either way `compact()`
- * byte-identity stays the merge invariant.
+ * elected for the store (peers with this process's uid only).
+ * Results never cross the socket: peers share the store file
+ * (lease_provider.hpp), and `compact()` byte-identity stays the
+ * merge invariant.
  *
  * Protocol: EBS1 frames (common/wire.hpp), one request/response pair
- * per frame. Text verbs, with the record stream carrying raw storefmt
- * frame bytes after the verb line:
+ * per frame, text verbs:
  *
  *   HELLO <fingerprint> <catalogVersion>  -> OK <windowMs> | ERROR ...
  *   ACQ <key>            -> OK <epoch> | HELD | SKIP
  *   HB <epoch> <key>     -> OK | FENCED
- *   REL <epoch> <key>    -> OK | FENCED      (streamed records synced)
+ *   REL <epoch> <key>    -> OK | FENCED
  *   SKIPMARK <epoch> <key> -> OK | FENCED
  *   PEEK <key>           -> ABSENT | ACTIVE | STALE | SKIP
  *   BREAK <key>          -> OK <epoch> | DENIED
- *   GET <key>            -> HIT\n<storefmt frame> | MISS
- *   PUT\n<storefmt frame> -> OK | ERROR ...
- *   PING / STATS / SHUTDOWN -> OK ...
+ *   PING / STATS         -> OK ...
  *
  * The STATS reply ends with the lease window in force (window_ms=)
  * and the RuntimeConfig settings as EBM_NAME=value tokens.
@@ -32,13 +27,11 @@
  * epochs, which live in memory for its lifetime. Heartbeats are RPCs
  * timestamped on the coordinator's clock and judged against its lease
  * window (staleThreshold()), which every peer gets at HELLO and paces
- * its heartbeats from. A connection that drops — worker killed,
- * crashed mid-record-stream, network gone — orphans its leases
- * immediately: peers see STALE without waiting out the window, BREAK
- * reassigns the row under a bumped epoch, and the dead owner's
- * epoch-carrying verbs are refused (FENCED) if it ever resurfaces. A record cut off mid-stream never
- * reaches the store at all: the wire frame doesn't reassemble, so
- * unlike a torn file append there is no tail to truncate.
+ * its heartbeats from. A connection that drops — worker killed or
+ * crashed — orphans its leases immediately: peers see STALE without
+ * waiting out the window, BREAK reassigns the row under a bumped
+ * epoch, and the dead owner's epoch-carrying verbs are refused
+ * (FENCED) if it ever resurfaces.
  *
  * Accept, connection threads, bad-frame replies and shutdown belong
  * to the shared FrameServer (common/frame_server.hpp); this class
@@ -49,7 +42,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -65,21 +57,15 @@ namespace ebm {
 
 class DiskCache;
 
-/** Lease/record server over one result store. */
+/** Lease server over one result store. */
 class Coordinator
 {
   public:
     struct Options
     {
-        /** Numeric IPv4 bind address (empty = all interfaces). */
-        std::string host = "127.0.0.1";
-        /** 0 = kernel-assigned ephemeral; read back with port(). */
-        std::uint16_t port = 0;
         /** Lease window; zero = RuntimeConfig::claimStale
          * (EBM_CLAIM_STALE_MS) when the Coordinator is built. */
         std::chrono::milliseconds staleThreshold{0};
-        /** Honor the SHUTDOWN verb (daemon mode). */
-        bool allowRemoteShutdown = false;
     };
 
     /** Monotonic service counters + lease RPC latency percentiles. */
@@ -92,12 +78,7 @@ class Coordinator
         std::uint64_t takeovers = 0;   ///< BREAK reassignments.
         std::uint64_t fencedOps = 0;   ///< Stale-epoch verbs refused.
         std::uint64_t orphanedLeases = 0; ///< Dropped connections.
-        std::uint64_t recordsCommitted = 0;
-        std::uint64_t recordBytes = 0;
-        std::uint64_t fetchHits = 0;
-        std::uint64_t fetchMisses = 0;
         std::uint64_t skipsMarked = 0;
-        std::uint64_t badFrames = 0;   ///< PUT payloads that failed CRC.
         double rpcP50Us = 0.0;
         double rpcP99Us = 0.0;
 
@@ -109,21 +90,9 @@ class Coordinator
     Coordinator(const Coordinator &) = delete;
     Coordinator &operator=(const Coordinator &) = delete;
 
-    /**
-     * Create and bind the listener without starting any thread; after
-     * this, port() is final. Split from start() so a test or bench
-     * can fork workers between bind and start — children inherit one
-     * quiet listening fd instead of a running thread's locks, and
-     * their connects queue in the backlog until start().
-     */
-    Status bind();
-
-    /** bind() if not yet bound, then start serving. */
-    Status start();
-
     /** Serve on an already-bound Unix-domain @p listener (the elected
-     * same-host socket) instead of TCP. Peers running under another
-     * uid are refused at accept. */
+     * same-host socket). Peers running under another uid are refused
+     * at accept. */
     Status start(UniqueFd listener);
 
     /**
@@ -138,16 +107,7 @@ class Coordinator
      * to call twice; destruction does it too. */
     void stop() { server_.stop(); }
 
-    /** The bound port (after bind()/start()); 0 before. */
-    std::uint16_t port() const { return port_; }
-
-    /** "host:port" for workers' EBM_COORDINATOR. */
-    std::string address() const;
-
     Stats stats() const;
-
-    /** Did a client ask for SHUTDOWN (daemon mode)? */
-    bool shutdownRequested() const { return server_.shutdownRequested(); }
 
     /** The lease window in force (Options, else RuntimeConfig),
      * fixed at construction. */
@@ -173,8 +133,6 @@ class Coordinator
     std::string handleBreak(const std::string &key,
                             std::uint64_t conn_id);
     std::string handlePeek(const std::string &key);
-    std::string handlePut(const std::string &payload);
-    std::string handleGet(const std::string &key);
     /** Apply epoch-carrying @p verb (HB, REL or SKIPMARK) to @p key's
      * lease; false (fenced) when @p epoch is not the lease's. */
     bool applyEpochVerb(const std::string &verb, const std::string &key,
@@ -183,12 +141,6 @@ class Coordinator
 
     DiskCache &cache_;
     Options options_;
-
-    /** The TCP listener between bind() and start(). */
-    UniqueFd listener_;
-    std::uint16_t port_ = 0;
-    /** A PUT has been committed: REL must sync before acking. */
-    std::atomic<bool> streamed_{false};
 
     /** Guards the lease maps and counters_. */
     mutable std::mutex mu_;

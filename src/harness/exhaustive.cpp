@@ -310,9 +310,7 @@ Exhaustive::sweep(const std::vector<Workload> &wls,
     // Cross-process sharding: misses are leased at dispatch, so N
     // cooperating workers split a cold sweep instead of each
     // simulating all of it. Leases come from the elected same-host
-    // coordinator of the shared store, or over TCP from the
-    // ebm_coordinator at EBM_COORDINATOR=host:port. A warm sweep
-    // never joins.
+    // coordinator of the shared store. A warm sweep never joins.
     const std::unique_ptr<LeaseProvider> lease =
         fill.empty() ? nullptr : makeLeaseProvider(cache_);
     const std::vector<FilledRow> filled = fillRows(

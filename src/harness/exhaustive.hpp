@@ -156,9 +156,8 @@ class Exhaustive
      * and to one sweep(wl) call per workload.
      *
      * A sweep with a miss on a writable store leases its rows from
-     * the store's same-host coordinator (or, with
-     * EBM_COORDINATOR=host:port, over TCP), so N workers sharing
-     * the store split a cold sweep through the engine's lease gate:
+     * the store's same-host coordinator, so N workers sharing the
+     * store split a cold sweep through the engine's lease gate:
      * each worker leases a row before simulating it, rows leased
      * elsewhere are assembled from the shared store in row order,
      * and a killed peer's rows are taken over after its leases go

@@ -15,10 +15,6 @@
 
 namespace ebm {
 
-namespace {
-
-/** The abstract AF_UNIX name (leading '\0') of the same-host
- * coordinator for the store at @p store_path. */
 std::string
 localSocketName(const std::string &store_path)
 {
@@ -40,43 +36,13 @@ localSocketName(const std::string &store_path)
     return std::string(1, '\0') + name;
 }
 
-} // namespace
-
-NetLeaseProvider::NetLeaseProvider(UniqueFd fd, DiskCache *store)
+NetLeaseProvider::NetLeaseProvider(UniqueFd fd, DiskCache &store)
     : store_(store), fd_(std::move(fd))
 {
 }
 
 std::unique_ptr<NetLeaseProvider>
-NetLeaseProvider::connect(const std::string &address,
-                          const Options &options)
-{
-    std::string host;
-    std::uint16_t port = 0;
-    if (!parseHostPort(address, host, port)) {
-        warn("NetLeaseProvider: malformed coordinator address '" +
-             address + "' (want host:port)");
-        return nullptr;
-    }
-    UniqueFd fd;
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        auto result = netConnectTcp(host, port);
-        if (result) {
-            fd = std::move(result.value());
-            break;
-        }
-        if (attempt + 1 >= std::max(options.connectAttempts, 1u)) {
-            warn("NetLeaseProvider: " + result.error().message);
-            return nullptr;
-        }
-        std::this_thread::sleep_for(options.connectBackoff);
-    }
-    return handshake(std::move(fd), nullptr, "coordinator at " + address);
-}
-
-std::unique_ptr<NetLeaseProvider>
-NetLeaseProvider::handshake(UniqueFd fd, DiskCache *store,
-                            const std::string &peer)
+NetLeaseProvider::handshake(UniqueFd fd, DiskCache &store)
 {
     auto provider = std::unique_ptr<NetLeaseProvider>(
         new NetLeaseProvider(std::move(fd), store));
@@ -97,7 +63,8 @@ NetLeaseProvider::handshake(UniqueFd fd, DiskCache *store,
                     parseUint(tokens[1].c_str(), window_ms) &&
                     window_ms >= 1 && window_ms <= RuntimeConfig::kMaxWindowMs;
     if (!ok) {
-        warn("NetLeaseProvider: " + peer + " refused the handshake" +
+        warn("NetLeaseProvider: local coordinator for " + store.path() +
+             " refused the handshake" +
              (reply ? ": " + *reply : std::string()));
         return nullptr;
     }
@@ -115,8 +82,7 @@ NetLeaseProvider::joinLocal(DiskCache &cache)
     for (int round = 0; round < kRounds; ++round) {
         auto conn = netConnectUnix(name);
         if (conn) {
-            return handshake(std::move(conn.value()), &cache,
-                             "local coordinator for " + cache.path());
+            return handshake(std::move(conn.value()), cache);
         }
         // Nothing answers: stand for election. bind() fails while any
         // other socket holds the name, so at most one process wins.
@@ -280,48 +246,21 @@ NetLeaseProvider::ownedEpoch(const std::string &key) const
 }
 
 bool
-NetLeaseProvider::publish(const std::string &key,
-                          const std::vector<double> &values)
+NetLeaseProvider::publish(const std::string &)
 {
-    if (store_ != nullptr) {
-        // The caller already put() the entry into the shared store;
-        // group commit may return before the covering batch lands,
-        // and peers read "lease gone" as "result durable" — so force
-        // the flush here, before the caller drops the lease.
-        store_->sync();
-        return true;
-    }
-    // The record travels as the exact storefmt frame an append would
-    // write — key, raw double bit patterns, CRC — inside the wire
-    // envelope; the coordinator re-verifies the CRC and group-commits
-    // it through its own DiskCache writer.
-    std::string request = "PUT\n";
-    storefmt::appendFrame(request, key, values);
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto reply = rpc(request);
-    return reply && *reply == "OK";
+    // The caller already put() the entry into the shared store; group
+    // commit may return before the covering batch lands, and peers
+    // read "lease gone" as "result durable" — so force the flush
+    // here, before the caller drops the lease.
+    store_.sync();
+    return true;
 }
 
 std::optional<std::vector<double>>
 NetLeaseProvider::fetch(const std::string &key, RecordShape shape)
 {
-    std::optional<std::vector<double>> values;
-    if (store_ != nullptr) {
-        store_->refresh();
-        values = store_->get(key);
-    } else {
-        std::lock_guard<std::mutex> lk(mu_);
-        const auto reply = rpc("GET " + key);
-        if (!reply || reply->rfind("HIT\n", 0) != 0)
-            return std::nullopt;
-        constexpr std::size_t kVerbBytes = 4; // "HIT\n"
-        storefmt::Frame frame;
-        const auto parsed = storefmt::parseFrameAt(
-            reply->data(), kVerbBytes, reply->size(), frame);
-        if (parsed != storefmt::FrameParse::Ok || frame.key != key)
-            return std::nullopt;
-        values = std::move(frame.values);
-    }
+    store_.refresh();
+    auto values = store_.get(key);
     // DiskCache::getValidated's contract, without its warning: the
     // caller's own probe already reported a bad record, so a re-probe
     // just misses (recompute), never crashes.

@@ -2,13 +2,11 @@
  * @file
  * Lease client: the worker half of the lease fabric. A
  * NetLeaseProvider speaks the lease verbs (harness/coordinator.hpp
- * has the protocol) as RPCs over one connection to a Coordinator,
- * reached as lease_provider.hpp describes: joinLocal() for the
- * same-host coordinator of a store, where results travel through the
- * shared file (publish() is the group-commit sync(), fetch() is
- * refresh() then a validated get), or connect() for an
- * ebm_coordinator over TCP, where records are streamed (PUT) and
- * probed (GET) and the worker's own DiskCache is private scratch.
+ * has the protocol) as RPCs over one connection to the same-host
+ * Coordinator of a store, reached through joinLocal() as
+ * lease_provider.hpp describes. Results travel through the shared
+ * store file: publish() is the group-commit sync(), fetch() is
+ * refresh() then a validated get.
  *
  * Lease window: the HELLO reply carries the window the coordinator
  * judges leases against, in [1, 3,600,000] ms; a reply without one
@@ -24,7 +22,7 @@
  * Failure policy: if the connection breaks — coordinator gone, RPC
  * timeout, garbled frame — the provider latches a degraded mode that
  * behaves like no coordination at all: every tryAcquire is granted
- * locally (epoch 0), peeks read Absent, TCP publishes fail quietly.
+ * locally (epoch 0), peeks read Absent.
  * The sweep computes everything itself, which is always correct,
  * and the coordinator orphans the dead connection's leases, so peers
  * take those rows over under bumped epochs.
@@ -46,35 +44,27 @@
 
 namespace ebm {
 
-/** Row leases + record streaming over one coordinator connection. */
+/**
+ * The abstract AF_UNIX name (leading '\0') of the same-host
+ * coordinator for the store at @p store_path: every spelling of one
+ * store's path meets at one name.
+ */
+std::string localSocketName(const std::string &store_path);
+
+/** Row leases over one connection to a store's same-host coordinator. */
 class NetLeaseProvider final : public LeaseProvider
 {
   public:
-    struct Options
-    {
-        /** Connect retries (the worker may start before the
-         * coordinator finishes binding) and their spacing. */
-        std::uint32_t connectAttempts = 40;
-        std::chrono::milliseconds connectBackoff{250};
-    };
-
-    /**
-     * Connect to "host:port" and handshake (HELLO verifies the
-     * float-ABI fingerprint and app-catalog version — a foreign
-     * machine's records must never reach the store). @return nullptr
-     * when the address is malformed, the coordinator is unreachable
-     * after the retry budget, or the handshake is refused.
-     */
-    static std::unique_ptr<NetLeaseProvider>
-    connect(const std::string &address, const Options &options);
-
     /**
      * Join the same-host coordinator for @p cache's store, standing
      * for election when nothing answers: bind() on the store's
      * socket name succeeds for exactly one process, which starts a
      * Coordinator inside @p cache (DiskCache::adoptLeaseServer) and
-     * then connects to it like any peer. @return nullptr when no
-     * coordinator could be joined or started.
+     * then connects to it like any peer. The HELLO handshake verifies
+     * the float-ABI fingerprint and app-catalog version: another
+     * build on this host may open the same store, and its records
+     * must never reach it. @return nullptr when no coordinator could
+     * be joined or started, or the handshake is refused.
      */
     static std::unique_ptr<NetLeaseProvider> joinLocal(DiskCache &cache);
 
@@ -85,14 +75,9 @@ class NetLeaseProvider final : public LeaseProvider
     State peek(const std::string &key) override;
     bool breakStale(const std::string &key) override;
     std::uint64_t ownedEpoch(const std::string &key) const override;
-    bool publish(const std::string &key,
-                 const std::vector<double> &values) override;
+    bool publish(const std::string &key) override;
     std::optional<std::vector<double>>
     fetch(const std::string &key, RecordShape shape) override;
-    const char *kind() const override
-    {
-        return store_ != nullptr ? "local" : "net";
-    }
     /** The lease window the coordinator reported at HELLO. */
     std::chrono::milliseconds window() const override { return window_; }
 
@@ -100,11 +85,11 @@ class NetLeaseProvider final : public LeaseProvider
     bool degraded() const;
 
   private:
-    NetLeaseProvider(UniqueFd fd, DiskCache *store);
+    NetLeaseProvider(UniqueFd fd, DiskCache &store);
 
     /** HELLO over a fresh connection; nullptr when refused. */
     static std::unique_ptr<NetLeaseProvider>
-    handshake(UniqueFd fd, DiskCache *store, const std::string &peer);
+    handshake(UniqueFd fd, DiskCache &store);
 
     /** One serialized request/response exchange. Returns std::nullopt
      * (and latches degraded mode) on any transport failure. */
@@ -118,9 +103,8 @@ class NetLeaseProvider final : public LeaseProvider
     bool grantFromReply(const std::string &key,
                         const std::optional<std::string> &reply);
 
-    /** The shared store file results travel through (joinLocal), or
-     * null to stream them over the connection (connect). */
-    DiskCache *const store_;
+    /** The shared store file results travel through. */
+    DiskCache &store_;
     std::chrono::milliseconds window_{0};
 
     mutable std::mutex mu_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "common/runtime_config.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_net.hpp"
 
@@ -12,16 +11,6 @@ namespace ebm {
 std::unique_ptr<LeaseProvider>
 makeLeaseProvider(DiskCache &cache)
 {
-    const std::string &coordinator = RuntimeConfig::get().coordinator;
-    if (!coordinator.empty()) {
-        auto net = NetLeaseProvider::connect(coordinator,
-                                             NetLeaseProvider::Options{});
-        if (net != nullptr)
-            return net;
-        warn("makeLeaseProvider: cannot reach coordinator " + coordinator +
-             "; sweep degrades to standalone (results stay local)");
-        return nullptr;
-    }
     // A read-only store appends nothing, so it has no rows to share.
     if (cache.readOnly())
         return nullptr;

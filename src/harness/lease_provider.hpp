@@ -8,26 +8,20 @@
  *
  * One implementation holds the lease semantics: the Coordinator
  * (harness/coordinator.hpp), spoken to by a NetLeaseProvider
- * (harness/lease_net.hpp). It is reached one of two ways:
+ * (harness/lease_net.hpp). Every process with a cold fill on a
+ * writable store connects to a coordinator on a local AF_UNIX socket
+ * named after the store's canonical path. When nothing answers, the
+ * process binds that name and serves in-process for as long as its
+ * DiskCache lives — winning bind() is the election. Results travel
+ * through the shared store file (publish = group-commit sync, fetch =
+ * refresh + validated get), so each row is appended once, by its
+ * owner. Pointing processes at one store is all it takes to share its
+ * fills.
  *
- *   - same host (the default): every process with a cold fill on a
- *     writable store connects to a coordinator on a local AF_UNIX
- *     socket named after the store's canonical path. When nothing
- *     answers, the process binds that name and serves in-process for
- *     as long as its DiskCache lives — winning bind() is the
- *     election. Results travel through the shared store file
- *     (publish = group-commit sync, fetch = refresh + validated get),
- *     so each row is appended once, by its owner. Pointing processes
- *     at one store is all it takes to share its fills;
- *   - across hosts (EBM_COORDINATOR=host:port): workers lease rows
- *     from an ebm_coordinator daemon over TCP and, sharing no file,
- *     stream each result to it as a CRC-framed v3 record (PUT/GET),
- *     group-committed by the coordinator's own DiskCache writer.
- *
- * Either way the merge invariant is unchanged: compact() sorts by key
- * and the simulation is deterministic, so any mix of workers,
- * takeovers, and duplicate computes compacts to the same bytes a
- * serial fill would have produced.
+ * The merge invariant: compact() sorts by key and the simulation is
+ * deterministic, so any mix of workers, takeovers, and duplicate
+ * computes compacts to the same bytes a serial fill would have
+ * produced.
  *
  * Liveness is part of the protocol: a worker that dies drops its
  * connection, which orphans its leases at once, and a worker that
@@ -64,7 +58,7 @@ namespace ebm {
 
 class DiskCache;
 
-/** Row-lease coordination plus result transport for one store. */
+/** Row-lease coordination plus result hand-off for one store. */
 class LeaseProvider
 {
   public:
@@ -109,28 +103,22 @@ class LeaseProvider
 
     /**
      * Make the owned row's result durable where waiting peers will
-     * find it: the shared store file (same-host mode — the caller
-     * already put() it; this forces the covering group commit) or the
-     * coordinator's store (TCP mode — the record is streamed as a
-     * CRC-framed v3 frame and acknowledged once committed). Call
-     * before release(). @return false when the result could not be
-     * made durable for peers (it is still good locally).
+     * find it: the caller already put() it into the shared store
+     * file, and this forces the covering group commit. Call before
+     * release(). @return false when the result could not be made
+     * durable for peers (it is still good locally).
      */
-    virtual bool publish(const std::string &key,
-                         const std::vector<double> &values) = 0;
+    virtual bool publish(const std::string &key) = 0;
 
     /**
-     * Probe for a peer's durable result for @p key: the shared store
-     * (after folding in peer appends) or the coordinator. Validated
-     * like DiskCache::getValidated — finite doubles of @p shape,
-     * anything else is a miss — but silently: a re-probe of the
-     * caller's row, whose first probe already warned.
+     * Probe for a peer's durable result for @p key in the shared
+     * store, after folding in peer appends. Validated like
+     * DiskCache::getValidated — finite doubles of @p shape, anything
+     * else is a miss — but silently: a re-probe of the caller's row,
+     * whose first probe already warned.
      */
     virtual std::optional<std::vector<double>>
     fetch(const std::string &key, RecordShape shape) = 0;
-
-    /** Transport tag for logs/diagnostics ("local", "net"). */
-    virtual const char *kind() const = 0;
 
     /** The lease window this provider's leases are judged against:
      * a lease unrenewed for longer is taken over. */
@@ -138,14 +126,10 @@ class LeaseProvider
 };
 
 /**
- * Pick the lease provider for one fill against @p cache, in priority
- * order:
- *
- *   1. EBM_COORDINATOR=host:port (RuntimeConfig::coordinator) — TCP
- *      leases against that coordinator;
- *   2. a read-only @p cache — nullptr (it cannot append a row);
- *   3. otherwise — the elected same-host coordinator for @p cache's
- *      store (joined, or started inside @p cache).
+ * Pick the lease provider for one fill against @p cache: nullptr for
+ * a read-only @p cache (it cannot append a row), else the elected
+ * same-host coordinator for @p cache's store (joined, or started
+ * inside @p cache).
  *
  * Fills call this only once their probe pass found a miss, so a warm
  * fill never connects or binds. When no coordinator can be reached

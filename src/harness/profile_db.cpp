@@ -157,8 +157,8 @@ ProfileDb::fill(const std::vector<AppProfile> &apps)
                                    stats.l2Mr};
     };
     // Cross-process sharding: misses are leased at dispatch like sweep
-    // rows, from the store's same-host coordinator or EBM_COORDINATOR.
-    // A warm profile never joins.
+    // rows, from the store's same-host coordinator. A warm profile
+    // never joins.
     std::unique_ptr<LeaseProvider> lease;
     if (!pinned && !rows.empty())
         lease = makeLeaseProvider(cache_);

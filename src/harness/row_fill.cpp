@@ -66,8 +66,7 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
     // Fold in a row a cooperating worker finished since the caller's
     // probe: a completed row's lease is already gone (released after
     // the durable publish), so leases alone cannot tell "done" from
-    // "never started" — the authoritative store can (the shared file
-    // for same-host peers, the coordinator's store over TCP).
+    // "never started" — the shared store file can.
     auto probePeer = [&](std::size_t i) {
         auto v = lease->fetch(rows[i].key, options.shape);
         if (!v)
@@ -105,11 +104,9 @@ fillRows(DiskCache &cache, const RowFillOptions &options,
         cache.put(row.key, *values);
         if (lease != nullptr) {
             // Publish before dropping the lease: peers read "lease
-            // gone" as "result durable". Same-host peers force the
-            // covering group commit of the shared store; TCP workers
-            // stream the CRC-framed record to the coordinator, whose
-            // own writer commits it.
-            lease->publish(row.key, *values);
+            // gone" as "result durable", so force the covering group
+            // commit of the shared store.
+            lease->publish(row.key);
             // Crash point: result durable, lease left behind. Peers
             // break the stale lease and re-probe the store.
             if (row.crashPostPut)

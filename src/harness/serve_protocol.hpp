@@ -2,7 +2,7 @@
  * @file
  * Wire protocol of the advisor serving daemon (`ebm-advised`): single-
  * line text verbs carried in EBS1 frames (common/wire.hpp — the one
- * shared framing implementation, also used by the distributed sweep
+ * shared framing implementation, also used by the same-host lease
  * fabric and the serving benches).
  *
  * Payloads are single-line UTF-8 text, one request or response per

@@ -59,7 +59,6 @@ TEST(RuntimeConfig, UnsetVariablesKeepTheDefaults)
     EXPECT_FALSE(c.cacheCompact);
     EXPECT_FALSE(c.cacheReadOnly);
     EXPECT_EQ(c.claimStale, std::chrono::milliseconds(10000));
-    EXPECT_EQ(c.coordinator, "");
     EXPECT_TRUE(c.snapshot);
     EXPECT_FALSE(c.abortOnPanic);
 }
@@ -72,7 +71,6 @@ TEST(RuntimeConfig, ParsesEveryVariable)
         {"EBM_CACHE_COMPACT", "1"},
         {"EBM_CACHE_READONLY", "yes"},
         {"EBM_CLAIM_STALE_MS", "250"},
-        {"EBM_COORDINATOR", "127.0.0.1:7733"},
         {"EBM_SNAPSHOT", "0"},
         {"EBM_ABORT_ON_PANIC", "1"},
         // Unknown names are not read, and not warned about.
@@ -83,7 +81,6 @@ TEST(RuntimeConfig, ParsesEveryVariable)
     EXPECT_TRUE(c.cacheCompact);
     EXPECT_TRUE(c.cacheReadOnly);
     EXPECT_EQ(c.claimStale, std::chrono::milliseconds(250));
-    EXPECT_EQ(c.coordinator, "127.0.0.1:7733");
     EXPECT_FALSE(c.snapshot);
     EXPECT_TRUE(c.abortOnPanic);
 }
@@ -179,15 +176,14 @@ TEST(RuntimeConfig, DescribeListsEveryVariable)
 {
     RuntimeConfig c = parseVars({});
     c.jobs = 4;
-    c.coordinator = "h:1";
+    c.cacheDir = "/d";
     const std::string text = c.describe();
     for (const char *token :
-         {"EBM_JOBS=4", "EBM_CACHE_DIR=", "EBM_CACHE_COMPACT=0",
+         {"EBM_JOBS=4", "EBM_CACHE_DIR=/d", "EBM_CACHE_COMPACT=0",
           "EBM_CACHE_READONLY=0", "EBM_CLAIM_STALE_MS=10000",
-          "EBM_COORDINATOR=h:1", "EBM_SNAPSHOT=1",
-          "EBM_ABORT_ON_PANIC=0"})
+          "EBM_SNAPSHOT=1", "EBM_ABORT_ON_PANIC=0"})
         EXPECT_NE(text.find(token), std::string::npos) << token;
-    EXPECT_EQ(std::count(text.begin(), text.end(), '='), 8);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '='), 7);
 }
 
 } // namespace

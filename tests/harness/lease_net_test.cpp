@@ -1,14 +1,14 @@
 /**
  * @file
- * The networked lease fabric in one process: a Coordinator over a
- * temp store, NetLeaseProvider clients over localhost TCP. Covers the
- * lease verbs (exclusivity, epochs, skip replication), wire-level
- * fencing (stale takeover, fenced heartbeat/release), the
- * disconnect-orphans-leases rule, record streaming (publish/fetch
- * with validation), handshake rejection of incompatible workers, a
- * record cut off mid-stream never reaching the store, and the RPC
- * latency receipts. Forked multi-worker acceptance lives in
- * test_distributed.
+ * The lease fabric in one process: a Coordinator over a temp store,
+ * served on the store's abstract AF_UNIX name, with NetLeaseProvider
+ * clients joining it through joinLocal() as a sweep's peers do.
+ * Covers the lease verbs (exclusivity, epochs, skip replication),
+ * wire-level fencing (stale takeover, fenced heartbeat/release), the
+ * disconnect-orphans-leases rule, handshake rejection of incompatible
+ * builds, malformed replies degrading to standalone, and the RPC
+ * latency receipts. Forked multi-process acceptance lives in
+ * test_multiprocess and test_chaos.
  */
 #include <chrono>
 #include <cstdio>
@@ -29,7 +29,6 @@
 #include "harness/disk_cache.hpp"
 #include "harness/lease_net.hpp"
 #include "harness/lease_provider.hpp"
-#include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
@@ -37,34 +36,19 @@ namespace {
 
 using State = LeaseProvider::State;
 
-NetLeaseProvider::Options
-quickConnect()
-{
-    NetLeaseProvider::Options o;
-    o.connectAttempts = 10;
-    o.connectBackoff = std::chrono::milliseconds(20);
-    return o;
-}
-
-/** A coordinator stand-in on 127.0.0.1 that answers HELLO and the
- * ACQ/BREAK grants with scripted replies and records every request. */
+/** A coordinator stand-in on a store's socket name that answers
+ * HELLO and the ACQ/BREAK grants with scripted replies and records
+ * every request. */
 class FakeCoordinator
 {
   public:
-    FakeCoordinator()
+    explicit FakeCoordinator(const std::string &store_path)
     {
-        auto listener = netListenTcp("127.0.0.1", 0);
+        auto listener = netListenUnix(localSocketName(store_path));
         EXPECT_TRUE(listener.ok());
-        port_ = netLocalPort(listener.value().get());
         const Status st = server_.start(std::move(listener.value()),
                                         /*same_user_only=*/false);
         EXPECT_TRUE(st.ok());
-    }
-
-    std::string
-    address() const
-    {
-        return "127.0.0.1:" + std::to_string(port_);
     }
 
     void
@@ -104,7 +88,6 @@ class FakeCoordinator
     std::string hello_ = "OK 1000";
     std::string grant_ = "OK 1";
     std::vector<std::string> requests_;
-    std::uint16_t port_ = 0;
     LatencyHistogram latency_;
     FrameServer server_{[this](const std::string &request,
                                std::uint64_t) { return answer(request); },
@@ -135,7 +118,8 @@ class LeaseNetTest : public ::testing::Test
         std::remove((path_ + ".tmp").c_str());
     }
 
-    /** Start a coordinator on an ephemeral port. */
+    /** Start a coordinator on the store's socket name, as the
+     * election's winner would. */
     Coordinator &
     startCoordinator(std::chrono::milliseconds stale =
                          std::chrono::milliseconds(0))
@@ -143,18 +127,27 @@ class LeaseNetTest : public ::testing::Test
         Coordinator::Options opts;
         opts.staleThreshold = stale;
         coord_ = std::make_unique<Coordinator>(*cache_, opts);
-        const Status st = coord_->start();
+        auto listener = netListenUnix(localSocketName(path_));
+        EXPECT_TRUE(listener.ok());
+        const Status st = coord_->start(std::move(listener.value()));
         EXPECT_TRUE(st.ok()) << st.error().message;
         return *coord_;
     }
 
+    /** A peer joining the store's coordinator. */
     std::unique_ptr<NetLeaseProvider>
     connectWorker()
     {
-        auto p = NetLeaseProvider::connect(coord_->address(),
-                                           quickConnect());
+        auto p = NetLeaseProvider::joinLocal(*cache_);
         EXPECT_NE(p, nullptr);
         return p;
+    }
+
+    /** A raw protocol connection to the store's coordinator. */
+    Result<UniqueFd>
+    connectRaw() const
+    {
+        return netConnectUnix(localSocketName(path_));
     }
 
     std::string path_;
@@ -281,115 +274,13 @@ TEST_F(LeaseNetTest, DisconnectOrphansLeasesImmediately)
 }
 
 // ---------------------------------------------------------------------
-// Record streaming.
-// ---------------------------------------------------------------------
-
-TEST_F(LeaseNetTest, PublishStreamsRecordAndFetchValidates)
-{
-    startCoordinator();
-    auto a = connectWorker();
-    auto b = connectWorker();
-
-    const std::vector<double> values{1.5, 2.25, 0.125, 3.0, 42.0};
-    EXPECT_EQ(b->fetch("combo/x", values.size()), std::nullopt);
-    ASSERT_TRUE(a->tryAcquire("combo/x"));
-    EXPECT_TRUE(a->publish("combo/x", values));
-    EXPECT_TRUE(a->release("combo/x"));
-
-    // Another worker assembles the row from the coordinator's store,
-    // bit-exact.
-    const auto got = b->fetch("combo/x", values.size());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, values);
-
-    // getValidated's contract holds over the wire: a wrong-shape read
-    // is a miss, never a crash.
-    EXPECT_EQ(b->fetch("combo/x", values.size() + 1), std::nullopt);
-
-    // The record reached the coordinator's own DiskCache writer.
-    const auto direct = cache_->get("combo/x");
-    ASSERT_TRUE(direct.has_value());
-    EXPECT_EQ(*direct, values);
-
-    const auto stats = coord_->stats();
-    EXPECT_EQ(stats.recordsCommitted, 1u);
-    EXPECT_GT(stats.recordBytes, 0u);
-    // The wrong-shape fetch is a coordinator-side HIT rejected by
-    // client validation, so: one true miss, two served hits.
-    EXPECT_GE(stats.fetchMisses, 1u);
-    EXPECT_GE(stats.fetchHits, 2u);
-}
-
-TEST_F(LeaseNetTest, PartialRecordStreamNeverReachesStore)
-{
-    startCoordinator(std::chrono::seconds(60));
-    auto waiter = connectWorker();
-
-    // A raw protocol client: acquire the row, then die halfway
-    // through streaming the record — the kill-mid-record-stream case
-    // without needing a second process.
-    auto fd = netConnectTcp("127.0.0.1", coord_->port());
-    ASSERT_TRUE(fd.ok());
-    wire::FrameReader reader;
-    std::string reply;
-    ASSERT_TRUE(wire::sendFrame(fd.value().get(), "ACQ combo/doomed"));
-    ASSERT_TRUE(wire::recvFrame(fd.value().get(), reader, reply, 5000));
-    ASSERT_EQ(reply.rfind("OK ", 0), 0u);
-
-    std::string record = "PUT\n";
-    storefmt::appendFrame(record, "combo/doomed", {1.0, 2.0, 3.0});
-    const std::string framed = wire::encodeFrame(record);
-    // Half the frame, then the connection dies (SIGKILL semantics: no
-    // goodbye, just a closed socket).
-    ASSERT_TRUE(netWriteFull(fd.value().get(), framed.data(),
-                             framed.size() / 2));
-    fd.value().reset();
-
-    // The torn record must never reach the store — the wire frame
-    // never reassembled, so unlike a torn file append there is no
-    // tail to truncate — and the dead worker's lease is orphaned so
-    // the row is immediately recoverable.
-    State s = State::Active;
-    for (int i = 0; i < 200 && s == State::Active; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        s = waiter->peek("combo/doomed");
-    }
-    EXPECT_EQ(s, State::Stale);
-    EXPECT_EQ(cache_->get("combo/doomed"), std::nullopt);
-    EXPECT_EQ(coord_->stats().recordsCommitted, 0u);
-    EXPECT_TRUE(waiter->breakStale("combo/doomed"));
-    EXPECT_TRUE(waiter->publish("combo/doomed", {9.0}));
-    EXPECT_TRUE(waiter->release("combo/doomed"));
-    const auto got = cache_->get("combo/doomed");
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->size(), 1u);
-}
-
-TEST_F(LeaseNetTest, CorruptRecordPayloadIsRejected)
-{
-    startCoordinator();
-    auto fd = netConnectTcp("127.0.0.1", coord_->port());
-    ASSERT_TRUE(fd.ok());
-    std::string record = "PUT\n";
-    storefmt::appendFrame(record, "combo/bad", {1.0});
-    record[record.size() - 1] ^= 0x01; // Corrupt the storefmt CRC.
-    wire::FrameReader reader;
-    std::string reply;
-    ASSERT_TRUE(wire::sendFrame(fd.value().get(), record));
-    ASSERT_TRUE(wire::recvFrame(fd.value().get(), reader, reply, 5000));
-    EXPECT_EQ(reply.rfind("ERROR", 0), 0u);
-    EXPECT_EQ(cache_->get("combo/bad"), std::nullopt);
-    EXPECT_EQ(coord_->stats().badFrames, 1u);
-}
-
-// ---------------------------------------------------------------------
 // Handshake and plumbing.
 // ---------------------------------------------------------------------
 
 TEST_F(LeaseNetTest, HandshakeRefusesIncompatibleWorkers)
 {
     startCoordinator();
-    auto fd = netConnectTcp("127.0.0.1", coord_->port());
+    auto fd = connectRaw();
     ASSERT_TRUE(fd.ok());
     wire::FrameReader reader;
     std::string reply;
@@ -410,7 +301,7 @@ TEST_F(LeaseNetTest, HandshakeRefusesIncompatibleWorkers)
 TEST_F(LeaseNetTest, GarbledBytesGetErrorReplyAndDisconnect)
 {
     startCoordinator();
-    auto fd = netConnectTcp("127.0.0.1", coord_->port());
+    auto fd = connectRaw();
     ASSERT_TRUE(fd.ok());
     const char junk[] = "GET / HTTP/1.1\r\n\r\n";
     ASSERT_TRUE(netWriteFull(fd.value().get(), junk, sizeof junk - 1));
@@ -484,35 +375,23 @@ TEST_F(LeaseNetTest, PeerDoesNotOverRenewUnderAWideWindow)
     EXPECT_TRUE(owner->release("row"));
 }
 
-TEST_F(LeaseNetTest, MakeLeaseProviderSelectsNetMode)
-{
-    startCoordinator();
-    test::Setting lease_from(&RuntimeConfig::coordinator, coord_->address());
-    auto lease = makeLeaseProvider(*cache_);
-    ASSERT_NE(lease, nullptr);
-    EXPECT_STREQ(lease->kind(), "net");
-    EXPECT_TRUE(lease->tryAcquire("row"));
-    EXPECT_TRUE(lease->release("row"));
-}
-
 TEST_F(LeaseNetTest, UnreachableCoordinatorDegradesToNull)
 {
-    // A malformed address: makeLeaseProvider must warn and return
-    // null (standalone sweep), never hang or throw.
-    {
-        test::Setting lease_from(&RuntimeConfig::coordinator,
-                                 std::string("no-port-here"));
-        EXPECT_EQ(makeLeaseProvider(*cache_), nullptr);
-    }
-    // Port 1 on localhost refuses connections: the retry budget runs
-    // out and connect() returns null.
-    EXPECT_EQ(NetLeaseProvider::connect("127.0.0.1:1", quickConnect()),
-              nullptr);
+    // The store's socket name is held by a listener that never
+    // accepts (a coordinator hung before serving): the connect
+    // queues, HELLO gets no reply before its deadline, and
+    // makeLeaseProvider warns and returns null (standalone fill),
+    // never hangs or throws.
+    auto squatter = netListenUnix(localSocketName(path_));
+    ASSERT_TRUE(squatter.ok());
+    std::unique_ptr<LeaseProvider> lease;
+    EXPECT_NO_THROW(lease = makeLeaseProvider(*cache_));
+    EXPECT_EQ(lease, nullptr);
 }
 
 TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
 {
-    FakeCoordinator fake;
+    FakeCoordinator fake(path_);
     // A staleness window that is not a plain number refuses the
     // handshake: no exception, and no negative window.
     // A reply without a window, or with a zero one, is refused too:
@@ -521,15 +400,12 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
                               "OK", "OK 0", "OK 3600001"}) {
         fake.script(hello, "OK 1");
         std::unique_ptr<NetLeaseProvider> p;
-        EXPECT_NO_THROW(
-            p = NetLeaseProvider::connect(fake.address(), quickConnect()));
+        EXPECT_NO_THROW(p = NetLeaseProvider::joinLocal(*cache_));
         EXPECT_EQ(p, nullptr) << hello;
     }
-    // The same through the env-driven entry point a sweep uses.
+    // The same through the entry point a sweep uses.
     fake.script("OK x", "OK 1");
     {
-        test::Setting lease_from(&RuntimeConfig::coordinator,
-                                 fake.address());
         std::unique_ptr<LeaseProvider> lease;
         EXPECT_NO_THROW(lease = makeLeaseProvider(*cache_));
         EXPECT_EQ(lease, nullptr);
@@ -539,8 +415,7 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
     // computed locally and never renewed or released on the wire.
     for (const char *grant : {"OK x", "OK 0", "OK", "OK -1"}) {
         fake.script("OK 1000", grant);
-        auto acq = NetLeaseProvider::connect(fake.address(),
-                                             quickConnect());
+        auto acq = NetLeaseProvider::joinLocal(*cache_);
         ASSERT_NE(acq, nullptr);
         EXPECT_EQ(acq->window(), std::chrono::milliseconds(1000));
         EXPECT_TRUE(acq->tryAcquire("row")) << grant;
@@ -549,8 +424,7 @@ TEST_F(LeaseNetTest, MalformedCoordinatorRepliesDegradeInsteadOfThrowing)
         EXPECT_TRUE(acq->heartbeat("row"));
         EXPECT_TRUE(acq->release("row"));
 
-        auto brk = NetLeaseProvider::connect(fake.address(),
-                                             quickConnect());
+        auto brk = NetLeaseProvider::joinLocal(*cache_);
         ASSERT_NE(brk, nullptr);
         EXPECT_TRUE(brk->breakStale("row")) << grant;
         EXPECT_TRUE(brk->degraded()) << grant;

@@ -68,9 +68,6 @@ joinPeer(DiskCache &cache)
 {
     auto peer = makeLeaseProvider(cache);
     EXPECT_NE(peer, nullptr);
-    if (peer != nullptr) {
-        EXPECT_STREQ(peer->kind(), "local");
-    }
     return peer;
 }
 
@@ -388,7 +385,7 @@ TEST_F(MultiprocessSweepTest, TakeoverEpochReachesTheStoreHeader)
 
     cache.noteFencingEpoch(taker->ownedEpoch("row"));
     cache.put("row", {1.0});
-    ASSERT_TRUE(taker->publish("row", {1.0}));
+    ASSERT_TRUE(taker->publish("row"));
     EXPECT_TRUE(taker->release("row"));
 
     {
@@ -982,10 +979,7 @@ TEST_F(MultiprocessSweepTest, ForkedPeersElectExactlyOneServer)
             st << (server != nullptr ? 1 : 0) << " "
                << (server != nullptr ? server->stats().connections : 0)
                << "\n";
-            return lease != nullptr &&
-                           std::string(lease->kind()) == "local"
-                       ? 0
-                       : 2;
+            return lease != nullptr ? 0 : 2;
         }));
         ASSERT_GE(kids.back(), 0);
     }

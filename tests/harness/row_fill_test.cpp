@@ -132,7 +132,7 @@ class ScriptedLease : public LeaseProvider
     }
 
     bool
-    publish(const std::string &key, const std::vector<double> &) override
+    publish(const std::string &key) override
     {
         published.push_back(key);
         return true;
@@ -151,7 +151,6 @@ class ScriptedLease : public LeaseProvider
         return it->second;
     }
 
-    const char *kind() const override { return "scripted"; }
     std::chrono::milliseconds window() const override
     {
         return std::chrono::milliseconds(10000);

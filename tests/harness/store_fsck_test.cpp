@@ -243,7 +243,7 @@ TEST_F(StoreFsckTest, RepairSweepsOrphanedEpochSidecars)
         ASSERT_NE(lease, nullptr);
         ASSERT_TRUE(lease->tryAcquire("row"));
         cache.put("row", {1.0});
-        ASSERT_TRUE(lease->publish("row", {1.0}));
+        ASSERT_TRUE(lease->publish("row"));
         ASSERT_TRUE(lease->release("row"));
     }
     EXPECT_TRUE(test::filesBeside(path_).empty());
